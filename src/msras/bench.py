@@ -8,6 +8,7 @@ deterministic in the config seed except for the timing fields.
 """
 
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import schwarz, spectral
 from .decomp import build_decomposition, build_partition_of_unity
-from .errors import ConfigError, MsrasError, Stagnation
+from .errors import ConfigError, MsrasError
 from .grid import (
     BoundarySpec,
     CartesianGrid,
@@ -97,6 +98,9 @@ class ExperimentConfig:
             raise ConfigError("solver.target_reduction: must lie in (0, 1)")
         if self.maxit < 1:
             raise ConfigError("solver.maxit: must be >= 1")
+        for name, value in self._data_numbers():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{name}: must be a finite number, got {value}")
         kind = self.coefficient.get("kind")
         if kind not in ("constant", "skyscraper", "raster"):
             raise ConfigError(f"coefficient.kind: unknown kind {kind!r}")
@@ -113,6 +117,18 @@ class ExperimentConfig:
         if skind not in ("gaussian_bump", "constant", "none"):
             raise ConfigError(f"source.kind: unknown kind {skind!r}")
         self.modes_list()  # raises on malformed modes
+
+    def _data_numbers(self):
+        """(path, value) of the coefficient, source and boundary numbers."""
+        yield "coefficient.value", self.coefficient.get("value")
+        yield "coefficient.contrast", self.coefficient.get("contrast")
+        yield "source.value", self.source.get("value")
+        yield "boundary.value", self.boundary.get("value")
+        for side in ("left", "right", "bottom", "top"):
+            spec = self.boundary.get(side)
+            if isinstance(spec, dict):
+                yield f"boundary.{side}.value", spec.get("value")
+                yield f"boundary.{side}.flux", spec.get("flux")
 
     def modes_list(self):
         n_sub = self.px * self.py
@@ -183,12 +199,22 @@ def build_problem(cfg):
     return system
 
 
-def compute_bases(system, decomp, pu, modes, kind="harmonic", subdomain=None):
-    """Spectral bases per subdomain (all of them, or a single one); `modes`
-    aligns with the subdomains computed."""
-    ids = list(range(decomp.n_subdomains)) if subdomain is None else [subdomain]
+# hybrid schemes without a coarse space run as their one-level part
+_ONE_LEVEL = {"hybrid_RAS_msgfem": "RAS", "hybrid_AS": "AS"}
+_TIMING_KEYS = ("assembly_s", "decomposition_s", "eigensolves_s", "coarse_setup_s",
+                "local_factorizations_s", "krylov_s")
+
+
+def basis_kind(scheme):
+    """The local eigenproblem behind a scheme's coarse space: the overlap-zone
+    (GenEO) one for AS2_geneo, the oversampled harmonic one otherwise."""
+    return "geneo" if scheme == "AS2_geneo" else "harmonic"
+
+
+def compute_bases(system, decomp, pu, modes, kind="harmonic"):
+    """Spectral bases of every subdomain, modes[i] modes on subdomain i."""
     bases = []
-    for m, i in zip(modes, ids, strict=True):
+    for i, m in zip(range(decomp.n_subdomains), modes, strict=True):
         if kind == "geneo":
             bases.append(spectral.geneo_eigenproblem(system, decomp, pu, i, m))
         else:
@@ -197,72 +223,89 @@ def compute_bases(system, decomp, pu, modes, kind="harmonic", subdomain=None):
     return bases
 
 
-def _effective_scheme(scheme, have_coarse):
-    if have_coarse:
-        return scheme
-    return {"hybrid_RAS_msgfem": "RAS", "hybrid_AS": "AS"}.get(scheme, scheme)
+def _failure(exc):
+    """The typed failure recorded in reports: "<type>: <message>"."""
+    return f"{type(exc).__name__}: {exc}"
 
 
-def _setup(cfg, scheme=None):
-    """Shared pipeline up to the preconditioner: returns a dict of parts and
-    stage timings in seconds."""
-    scheme = scheme or cfg.scheme
-    stages = {}
-    t = time.perf_counter()
-    system = build_problem(cfg)
-    stages["assembly_s"] = time.perf_counter() - t
+class Pipeline:
+    """The staged set-up every verb runs: problem, then decomposition and
+    partition of unity, then local bases, then coarse space, then
+    preconditioner and drive. Each stage's wall time accumulates in
+    `timings`; the interior factors of the oversampling domains are built
+    once per decomposition, before the harmonic eigensolves or the first
+    preconditioner that needs them, and timed as local factorizations."""
 
-    t = time.perf_counter()
-    decomp = build_decomposition(system, cfg.px, cfg.py, cfg.overlap_layers,
-                                 cfg.oversampling_layers)
-    pu = build_partition_of_unity(decomp)
-    stages["decomposition_s"] = time.perf_counter() - t
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self.timings = dict.fromkeys(_TIMING_KEYS, 0.0)
+        self.system = self._timed("assembly_s", build_problem, cfg)
 
-    modes = cfg.modes_list()
-    have_coarse = sum(modes) > 0 and decomp.n_subdomains > 1
-    bases = None
-    coarse = None
-    if have_coarse:
+    def _timed(self, key, fn, *args):
         t = time.perf_counter()
-        kind = "geneo" if scheme == "AS2_geneo" else "harmonic"
-        bases = compute_bases(system, decomp, pu, modes, kind=kind)
-        stages["eigensolves_s"] = time.perf_counter() - t
+        out = fn(*args)
+        self.timings[key] += time.perf_counter() - t
+        return out
+
+    def decompose(self, oversampling_layers):
+        """(decomposition, partition of unity) at one oversampling depth."""
+        cfg = self.cfg
+
+        def build():
+            decomp = build_decomposition(self.system, cfg.px, cfg.py, cfg.overlap_layers,
+                                         oversampling_layers)
+            return decomp, build_partition_of_unity(decomp)
+
+        return self._timed("decomposition_s", build)
+
+    def bases(self, decomp, pu, scheme, modes):
+        """Local bases of the scheme's eigenproblem, modes[i] on subdomain i."""
+        kind = basis_kind(scheme)
+        if kind == "harmonic":
+            for i in range(decomp.n_subdomains):
+                self._timed("local_factorizations_s", spectral.interior_factor, decomp, i)
+        return self._timed("eigensolves_s", compute_bases, self.system, decomp, pu, modes, kind)
+
+    def coarse_space(self, decomp, pu, scheme, modes, full=None):
+        """(bases, coarse space) with modes[i] modes on subdomain i, or
+        (None, None) when there is no coarse space: no mode requested, or a
+        single subdomain. Larger bases in `full` are truncated instead of
+        solving the local eigenproblems again."""
+        if sum(modes) == 0 or decomp.n_subdomains == 1:
+            return None, None
+        if full is None:
+            bases = self.bases(decomp, pu, scheme, modes)
+        else:
+            bases = [spectral.truncate_basis(b, m) for b, m in zip(full, modes, strict=True)]
+        coarse = self._timed("coarse_setup_s", spectral.build_coarse_space, self.system,
+                             decomp, pu, bases)
+        return bases, coarse
+
+    def preconditioner(self, decomp, pu, scheme, coarse):
+        """The scheme's preconditioner; hybrid schemes fall back to their
+        one-level part without a coarse space."""
+        applied = scheme if coarse is not None else _ONE_LEVEL.get(scheme, scheme)
+        return self._timed("local_factorizations_s", schwarz.build_preconditioner,
+                           self.system, decomp, pu, applied, coarse)
+
+    def drive(self, state):
+        """Run the configured driver. A typed failure is recorded as
+        "<type>: <message>", not raised. Returns (solution, history,
+        failure, seconds); solution and history are None on failure."""
+        cfg = self.cfg
+        driver = schwarz.richardson if cfg.driver == "richardson" else schwarz.gmres
         t = time.perf_counter()
-        coarse = spectral.build_coarse_space(system, decomp, pu, bases)
-        stages["coarse_setup_s"] = time.perf_counter() - t
-    else:
-        stages["eigensolves_s"] = 0.0
-        stages["coarse_setup_s"] = 0.0
-
-    applied = _effective_scheme(scheme, have_coarse)
-    t = time.perf_counter()
-    state = schwarz.build_preconditioner(system, decomp, pu, applied, coarse=coarse)
-    stages["local_factorizations_s"] = time.perf_counter() - t
-    return {
-        "system": system,
-        "decomp": decomp,
-        "pu": pu,
-        "bases": bases,
-        "coarse": coarse,
-        "state": state,
-        "scheme_applied": applied,
-        "stages": stages,
-    }
-
-
-def _drive(cfg, state, system):
-    driver = schwarz.richardson if cfg.driver == "richardson" else schwarz.gmres
-    t = time.perf_counter()
-    try:
-        solution, history = driver(
-            state, system, target_reduction=cfg.target_reduction, maxit=cfg.maxit
-        )
-        failure = None
-    except Stagnation as exc:
-        solution, history = None, None
-        failure = f"Stagnation: {exc}"
-    solve_s = time.perf_counter() - t
-    return solution, history, failure, solve_s
+        try:
+            solution, history = driver(
+                state, self.system, target_reduction=cfg.target_reduction, maxit=cfg.maxit
+            )
+            failure = None
+        except MsrasError as exc:
+            solution, history = None, None
+            failure = _failure(exc)
+        solve_s = time.perf_counter() - t
+        self.timings["krylov_s"] += solve_s
+        return solution, history, failure, solve_s
 
 
 def _converged(cfg, history):
@@ -277,31 +320,26 @@ def _converged(cfg, history):
 def run_single(cfg):
     """Full pipeline for one experiment. Returns (report, history, solution);
     writes the configured output files."""
-    parts = _setup(cfg)
-    system = parts["system"]
-    solution, history, failure, solve_s = _drive(cfg, parts["state"], system)
-    stages = dict(parts["stages"], krylov_s=solve_s)
+    pipe = Pipeline(cfg)
+    system = pipe.system
+    decomp, pu = pipe.decompose(cfg.oversampling_layers)
+    _, coarse = pipe.coarse_space(decomp, pu, cfg.scheme, cfg.modes_list())
+    state = pipe.preconditioner(decomp, pu, cfg.scheme, coarse)
+    solution, history, failure, _ = pipe.drive(state)
 
-    converged = _converged(cfg, history)
-    final_res = None
-    iterations = None
-    if history is not None:
-        final_res = history.res_b[-1]
-        iterations = history.n_iterations
-    coarse = parts["coarse"]
     report = {
         "config": cfg.to_dict(),
-        "scheme_applied": parts["scheme_applied"],
+        "scheme_applied": state.scheme,
         "n_free_dofs": system.n_free,
-        "xi": parts["decomp"].xi,
-        "xi_star": parts["decomp"].xi_star,
+        "xi": decomp.xi,
+        "xi_star": decomp.xi_star,
         "coarse_dim": coarse.m if coarse is not None else 0,
         "lambda_bound": coarse.lam if coarse is not None else None,
-        "iterations": iterations,
-        "final_residual": final_res,
-        "converged": converged,
+        "iterations": history.n_iterations if history is not None else None,
+        "final_residual": history.res_b[-1] if history is not None else None,
+        "converged": _converged(cfg, history),
         "failure": failure,
-        "timings": stages,
+        "timings": dict(pipe.timings),
     }
     out = cfg.outputs
     if out.get("report"):
@@ -315,27 +353,32 @@ def run_single(cfg):
 
 
 def run_comparison(cfg, schemes):
-    """One history per scheme over a shared setup. Schemes with the standard
-    coarse space share eigensolves; AS2_geneo builds its own. Per-scheme
+    """One history per scheme over a shared setup. Schemes on the same local
+    eigenproblem share its bases and coarse space (AS2_geneo has its own),
+    and the oversampled schemes share the interior factors. Per-scheme
     failures are recorded and the run continues."""
-    base = _setup(cfg, scheme="hybrid_RAS_msgfem")
-    system, decomp, pu = base["system"], base["decomp"], base["pu"]
+    pipe = Pipeline(cfg)
+    decomp, pu = pipe.decompose(cfg.oversampling_layers)
     modes = cfg.modes_list()
+    spaces = {}  # basis kind -> (bases, coarse space), or the failure of its set-up
     results = {}
     for scheme in schemes:
         if scheme not in schwarz.SCHEMES:
             results[scheme] = {"failure": f"unknown scheme {scheme!r}"}
             continue
+        kind = basis_kind(scheme)
+        if kind not in spaces:
+            try:
+                spaces[kind] = pipe.coarse_space(decomp, pu, scheme, modes)
+            except MsrasError as exc:
+                spaces[kind] = _failure(exc)  # recorded once, not retried per scheme
+        if isinstance(spaces[kind], str):
+            results[scheme] = {"failure": spaces[kind]}
+            continue
+        bases, coarse = spaces[kind]
         try:
-            if scheme == "AS2_geneo" and sum(modes) > 0 and decomp.n_subdomains > 1:
-                bases = compute_bases(system, decomp, pu, modes, kind="geneo")
-                coarse = spectral.build_coarse_space(system, decomp, pu, bases)
-            else:
-                bases = base["bases"]
-                coarse = base["coarse"]
-            applied = _effective_scheme(scheme, coarse is not None)
-            state = schwarz.build_preconditioner(system, decomp, pu, applied, coarse=coarse)
-            solution, history, failure, solve_s = _drive(cfg, state, system)
+            state = pipe.preconditioner(decomp, pu, scheme, coarse)
+            solution, history, failure, solve_s = pipe.drive(state)
             results[scheme] = {
                 "failure": failure,
                 "iterations": history.n_iterations if history else None,
@@ -344,7 +387,7 @@ def run_comparison(cfg, schemes):
                 "spectrum": bases,
             }
         except MsrasError as exc:
-            results[scheme] = {"failure": f"{type(exc).__name__}: {exc}"}
+            results[scheme] = {"failure": _failure(exc)}
     out_prefix = cfg.outputs.get("history_prefix")
     if out_prefix:
         for scheme, res in results.items():
@@ -375,6 +418,11 @@ class SweepReport:
                     )
 
 
+def _spectrum_size(sub, kind):
+    """Number of eigenpairs of a subdomain's local pencil."""
+    return sub.dofs.size if kind == "geneo" else sub.boundary_star.size
+
+
 def run_sweep(cfg, ovsp_list, modes_list):
     """Cartesian (oversampling x modes) sweep. Assembly is shared; per
     oversampling value the eigenproblems are solved once for the largest
@@ -383,43 +431,29 @@ def run_sweep(cfg, ovsp_list, modes_list):
         raise ConfigError("sweep: oversampling and modes lists must be nonempty")
     if any(m < 0 for m in modes_list):
         raise ConfigError("sweep: modes must be >= 0")
-    system = build_problem(cfg)
+    pipe = Pipeline(cfg)
+    kind = basis_kind(cfg.scheme)
     m_max = max(modes_list)
-    kind = "geneo" if cfg.scheme == "AS2_geneo" else "harmonic"
     cells = {}
     for s in ovsp_list:
         try:
             t = time.perf_counter()
-            decomp = build_decomposition(system, cfg.px, cfg.py, cfg.overlap_layers, s)
-            pu = build_partition_of_unity(decomp)
-            # one eigensolve per subdomain at the largest requested size (plus
-            # one for the error bound), clamped to the local spectrum size
-            full_bases = []
-            for i, sub in enumerate(decomp.subdomains):
-                cap = sub.dofs.size if kind == "geneo" else sub.boundary_star.size
-                full_bases.append(
-                    compute_bases(system, decomp, pu, [min(m_max + 1, cap)], kind=kind,
-                                  subdomain=i)[0]
-                )
+            decomp, pu = pipe.decompose(s)
+            clamped = [min(m_max + 1, _spectrum_size(sub, kind)) for sub in decomp.subdomains]
+            full = pipe.bases(decomp, pu, cfg.scheme, clamped)
             shared_s = time.perf_counter() - t
         except MsrasError as exc:
             for m in modes_list:
-                cells[(s, m)] = {"failure": f"{type(exc).__name__}: {exc}"}
+                cells[(s, m)] = {"failure": _failure(exc)}
             continue
         for m in modes_list:
             try:
                 t = time.perf_counter()
-                if m > 0:
-                    bases = [spectral.truncate_basis(b, m) for b in full_bases]
-                    coarse = spectral.build_coarse_space(system, decomp, pu, bases)
-                else:
-                    coarse = None
-                applied = _effective_scheme(cfg.scheme, coarse is not None)
-                state = schwarz.build_preconditioner(
-                    system, decomp, pu, applied, coarse=coarse
-                )
+                _, coarse = pipe.coarse_space(decomp, pu, cfg.scheme,
+                                              [m] * decomp.n_subdomains, full)
+                state = pipe.preconditioner(decomp, pu, cfg.scheme, coarse)
                 setup_s = shared_s + (time.perf_counter() - t)
-                solution, history, failure, solve_s = _drive(cfg, state, system)
+                solution, history, failure, solve_s = pipe.drive(state)
                 if failure:
                     cells[(s, m)] = {"failure": failure}
                     continue
@@ -434,7 +468,7 @@ def run_sweep(cfg, ovsp_list, modes_list):
                     "converged": _converged(cfg, history),
                 }
             except MsrasError as exc:
-                cells[(s, m)] = {"failure": f"{type(exc).__name__}: {exc}"}
+                cells[(s, m)] = {"failure": _failure(exc)}
     report = SweepReport(ovsp_list=list(ovsp_list), modes_list=list(modes_list), cells=cells)
     if cfg.outputs.get("sweep"):
         report.to_csv(cfg.outputs["sweep"])
@@ -443,13 +477,9 @@ def run_sweep(cfg, ovsp_list, modes_list):
 
 def run_spectrum(cfg):
     """Eigenvalue decay export for the configured instance."""
-    system = build_problem(cfg)
-    decomp = build_decomposition(
-        system, cfg.px, cfg.py, cfg.overlap_layers, cfg.oversampling_layers
-    )
-    pu = build_partition_of_unity(decomp)
-    kind = "geneo" if cfg.scheme == "AS2_geneo" else "harmonic"
-    bases = compute_bases(system, decomp, pu, cfg.modes_list(), kind=kind)
+    pipe = Pipeline(cfg)
+    decomp, pu = pipe.decompose(cfg.oversampling_layers)
+    bases = pipe.bases(decomp, pu, cfg.scheme, cfg.modes_list())
     path = cfg.outputs.get("spectrum", "spectrum.csv")
     spectral.export_spectrum_csv(path, bases)
     return bases

@@ -14,35 +14,52 @@ nodal scaling realizes the interpolated product exactly for Q1 elements.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
 from .errors import DimensionMismatch, GridTooSmall, UncoveredNode
+
+
+def _corners(a):
+    """The four overlapping windows of a 2-D array, shrunk by one in each
+    direction: on a cell array padded by one ring, the cells around each
+    node; on a node array, the corners of each cell."""
+    return a[:-1, :-1], a[:-1, 1:], a[1:, :-1], a[1:, 1:]
+
+
+def _any_corner(a):
+    w, x, y, z = _corners(a)
+    return w | x | y | z
 
 
 def _node_incidence(cellmask):
     """(any_in, all_in) node masks for a cell mask: incident to >=1 cell of
     the set / all existing incident cells in the set."""
-    ny, nx = cellmask.shape
-    pad_any = np.zeros((ny + 2, nx + 2), dtype=bool)
-    pad_any[1 : ny + 1, 1 : nx + 1] = cellmask
-    pad_all = np.ones((ny + 2, nx + 2), dtype=bool)
-    pad_all[1 : ny + 1, 1 : nx + 1] = cellmask
-    any_in = (
-        pad_any[: ny + 1, : nx + 1]
-        | pad_any[: ny + 1, 1:]
-        | pad_any[1:, : nx + 1]
-        | pad_any[1:, 1:]
-    )
-    all_in = (
-        pad_all[: ny + 1, : nx + 1]
-        & pad_all[: ny + 1, 1:]
-        & pad_all[1:, : nx + 1]
-        & pad_all[1:, 1:]
-    )
-    return any_in, all_in
+    w, x, y, z = _corners(np.pad(cellmask, 1, constant_values=True))
+    return _any_corner(np.pad(cellmask, 1)), w & x & y & z
+
+
+def pu_distances(cellmask, cap):
+    """Per-node cell-layer distances for the partition of unity: 0 on nodes
+    whose nodal basis support leaves the cell set, -1 on nodes with no
+    incident cell in the set, breadth-first levels (capped at `cap`)
+    elsewhere. Two nodes are neighbours when they share an in-set cell."""
+    any_in, all_in = _node_incidence(cellmask)
+    dist = np.full(any_in.shape, -1, dtype=np.int64)
+    reached = any_in & ~all_in
+    dist[reached] = 0
+    for level in range(1, cap + 1):
+        # nodes -> cells: in-set cells with a reached corner; cells -> nodes:
+        # every corner of those cells
+        active = cellmask & _any_corner(reached)
+        frontier = _any_corner(np.pad(active, 1)) & all_in & ~reached
+        if not frontier.any():
+            break
+        dist[frontier] = level
+        reached |= frontier
+    dist[all_in & ~reached] = cap
+    return dist
 
 
 def _dilate(cellmask, layers):
@@ -93,6 +110,8 @@ class Decomposition:
     py: int
     overlap_layers: int
     oversampling_layers: int
+    # subdomain id -> factor of system.A_free on dofs0_star (spectral.interior_factor)
+    interior_factors: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_subdomains(self):
@@ -196,7 +215,7 @@ def build_partition_of_unity(decomp):
     dist_per_sub = []
     total = np.zeros(n_free)
     for sub in decomp.subdomains:
-        dist = kernels.pu_distances(sub.cells, cap)
+        dist = pu_distances(sub.cells, cap)
         d_free = dist.ravel()[system.free_to_node[sub.dofs]].astype(float)
         d_free = np.maximum(d_free, 0.0)  # -1 cannot occur on dofs(omega_i)
         dist_per_sub.append(d_free)

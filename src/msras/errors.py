@@ -68,7 +68,8 @@ class Stagnation(MsrasError):
 
 
 class Breakdown(MsrasError):
-    """Numerical breakdown inside GMRES (non-finite Arnoldi coefficients)."""
+    """Numerical breakdown of an iterative driver: non-finite Arnoldi
+    coefficients in GMRES, a non-finite residual in Richardson."""
 
 
 class TooLarge(MsrasError):

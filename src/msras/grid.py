@@ -3,7 +3,7 @@
 Grid, per-cell coefficient fields, mixed Dirichlet/Neumann boundary data with
 lifting, and stiffness/load assembly. Cells carry a constant coefficient, so
 the 2x2 Gauss element integral is exact and precomputable; the global matrix
-is built from COO triplets emitted by the assembly kernel.
+is built from per-cell COO triplets of the reference element stiffness.
 
 Conventions: nodes are numbered row-major, node(ix, iy) = iy*(nx+1) + ix;
 cell (cx, cy) has corners [n00, n10, n01, n11]. Dirichlet wins at corners
@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sparse
 
-from . import kernels
 from .errors import AllNeumann, InvalidBlockCount, NonpositiveCoefficient
 from .linalg import SparseSym, factorize
 
@@ -230,15 +229,23 @@ def _dirichlet_value(cond, xs, ys):
 def assemble_partial_stiffness(grid, coeff, cellmask, node_map, n_local):
     """Stiffness over the cells of `cellmask` only, on the dof numbering of
     `node_map` (n_nodes-long, -1 for excluded nodes). Shared by the global
-    assembly and all subdomain-local assemblies."""
+    assembly and all subdomain-local assemblies.
+
+    Triplets come one 4x4 block per cell, cells in row-major order and
+    entries in row-major (i, j) order; entries whose row or column maps to -1
+    are dropped. The fixed order makes the CSR sums deterministic."""
     cy, cx = np.nonzero(cellmask)
-    cx = cx.astype(np.int64)
-    cy = cy.astype(np.int64)
-    cvals = coeff.values[cy, cx]
+    n00 = cy.astype(np.int64) * (grid.nx + 1) + cx.astype(np.int64)
+    corners = np.stack([n00, n00 + 1, n00 + grid.nx + 1, n00 + grid.nx + 2], axis=1)
+    mapped = node_map[corners]  # (ncells, 4)
+    rows = np.repeat(mapped, 4, axis=1).reshape(-1)
+    cols = np.tile(mapped, (1, 4)).reshape(-1)
     kref = element_stiffness(1.0, grid.hx, grid.hy)
-    rows, cols, vals = kernels.stiffness_triplets(cx, cy, cvals, kref, node_map, grid.nx)
-    mat = sparse.coo_matrix((vals, (rows, cols)), shape=(n_local, n_local)).tocsr()
-    return mat
+    vals = (coeff.values[cy, cx][:, None, None] * kref[None, :, :]).reshape(-1)
+    keep = (rows >= 0) & (cols >= 0)
+    return sparse.coo_matrix(
+        (vals[keep], (rows[keep], cols[keep])), shape=(n_local, n_local)
+    ).tocsr()
 
 
 def assemble(grid, coeff, bc, source=None):

@@ -28,6 +28,7 @@ from .errors import (
     TooLarge,
 )
 from .linalg import extract_submatrix, factorize
+from .spectral import interior_factor
 
 SCHEMES = ("hybrid_RAS_msgfem", "RAS", "AS", "hybrid_AS", "AS2_geneo")
 _HYBRID = ("hybrid_RAS_msgfem", "hybrid_AS")
@@ -47,8 +48,9 @@ class PreconditionerState:
 def build_preconditioner(system, decomp, pu, scheme, coarse=None):
     """Factorize the per-subdomain solves and bundle the application state.
 
-    MS-GFEM flavours solve on the interior dofs of the oversampling domains;
-    AS2_geneo solves on the interior dofs of the overlap subdomains.
+    MS-GFEM flavours solve on the interior dofs of the oversampling domains,
+    sharing the decomposition's cached interior factors with the spectral
+    layer; AS2_geneo factors the interior dofs of the overlap subdomains.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
@@ -56,13 +58,14 @@ def build_preconditioner(system, decomp, pu, scheme, coarse=None):
     local_factors = []
     local_weights = []
     for sub in decomp.subdomains:
-        dofs = sub.dofs0 if scheme == "AS2_geneo" else sub.dofs0_star
-        local_dofs.append(dofs)
-        local_factors.append(factorize(extract_submatrix(system.A_free, dofs)))
-        if scheme in _PU_WEIGHTED:
-            local_weights.append(pu.at(sub, dofs))
+        if scheme == "AS2_geneo":
+            dofs = sub.dofs0
+            local_factors.append(factorize(extract_submatrix(system.A_free, dofs)))
         else:
-            local_weights.append(None)
+            dofs = sub.dofs0_star
+            local_factors.append(interior_factor(decomp, sub.id))
+        local_dofs.append(dofs)
+        local_weights.append(pu.at(sub, dofs) if scheme in _PU_WEIGHTED else None)
     return PreconditionerState(
         scheme=scheme,
         local_dofs=local_dofs,
@@ -158,7 +161,8 @@ def _err_a(system, v, u_ref):
 def richardson(state, system, v0=None, target_reduction=1e-10, maxit=200, u_ref=None):
     """Preconditioned Richardson iteration v += B(f - A v), stopping on
     Euclidean residual reduction. Raises Stagnation after 5 consecutive
-    non-decreasing steps (the configuration does not contract)."""
+    non-decreasing steps (the configuration does not contract) and Breakdown
+    on a non-finite residual."""
     if not (0.0 < target_reduction < 1.0):
         raise ValueError("target_reduction must lie in (0, 1)")
     A = system.A_free
@@ -181,6 +185,8 @@ def richardson(state, system, v0=None, target_reduction=1e-10, maxit=200, u_ref=
         v = v + z
         r = f - A @ v
         res = float(np.linalg.norm(r))
+        if not np.isfinite(res):
+            raise Breakdown(f"non-finite residual at iteration {j}")
         z = apply_preconditioner(state, r)
         history.record(j, res, float(np.linalg.norm(z)), _err_a(system, v, u_ref),
                        time.perf_counter() - t0)

@@ -31,7 +31,7 @@ from .errors import (
     TooManyModes,
 )
 from .grid import assemble_partial_stiffness
-from .linalg import SparseSym, dense_generalized_sym_eig, extract_submatrix, factorize
+from .linalg import dense_generalized_sym_eig, extract_submatrix, factorize
 
 
 def _local_node_map(system, dofs):
@@ -50,19 +50,30 @@ def local_stiffness(system, cellmask, dofs):
     )
 
 
+def interior_factor(decomp, i):
+    """Factor of the global matrix on dofs0(omega_i^*), the interior dofs of
+    the oversampling domain. It is the interior block A11 of the harmonic
+    reduction, the particular-solve matrix and the oversampled Schwarz local
+    solve alike, so it is computed once per decomposition and cached there."""
+    factors = decomp.interior_factors
+    if i not in factors:
+        sub = decomp.subdomains[i]
+        try:
+            factors[i] = factorize(extract_submatrix(decomp.system.A_free, sub.dofs0_star))
+        except NotPositiveDefinite as exc:
+            raise FactorizationFailure(f"subdomain {i}: interior block not SPD: {exc}") from exc
+    return factors[i]
+
+
 def local_particular_solve(system, decomp, i):
     """Local source solve with zero boundary data on the internal boundary of
     omega_i^*: solves the principal subsystem on dofs0(omega_i^*) and extends
     by zero to dofs(omega_i^*)."""
     sub = decomp.subdomains[i]
-    pos0 = sub.star_positions(sub.dofs0_star)
-    try:
-        A0 = extract_submatrix(system.A_free, sub.dofs0_star)
-        phi0 = factorize(A0).solve(system.f_free[sub.dofs0_star])
-    except NotPositiveDefinite as exc:
-        raise FactorizationFailure(f"subdomain {i}: {exc}") from exc
     out = np.zeros(sub.dofs_star.size)
-    out[pos0] = phi0
+    out[sub.star_positions(sub.dofs0_star)] = interior_factor(decomp, i).solve(
+        system.f_free[sub.dofs0_star]
+    )
     return out
 
 
@@ -113,14 +124,11 @@ def reduce_to_harmonic(system, decomp, pu, i):
         )
 
     A_star = local_stiffness(system, sub.cells_star, sub.dofs_star)
-    A11 = A_star[i1][:, i1].tocsc()
     A12 = A_star[i1][:, i2]
     A22 = A_star[i2][:, i2].toarray()
-    try:
-        f11 = factorize(SparseSym(A11, validate=False))
-    except NotPositiveDefinite as exc:
-        raise FactorizationFailure(f"subdomain {i}: interior block not SPD: {exc}") from exc
-    E = f11.solve(A12.toarray())  # A11^{-1} A12
+    # A11 = A_star[i1, i1] is bit-identical to the global matrix on dofs0_star
+    # (every cell incident to an interior node lies in omega_i^*)
+    E = interior_factor(decomp, i).solve(A12.toarray())  # A11^{-1} A12
     S = A22 - A12.T @ E
     S = 0.5 * (S + S.T)
 
@@ -273,9 +281,10 @@ class CoarseSpace:
         return self.basis.shape[1]
 
     def apply(self, r):
-        """R_S^T A_S^{-1} R_S r for a vector or a stack of columns."""
+        """R_S^T A_S^{-1} R_S r for a vector or a stack of columns. Non-finite
+        input propagates (the drivers report it as a breakdown)."""
         rc = self.basis.T @ r
-        return self.basis @ scipy.linalg.cho_solve(self.cho, rc)
+        return self.basis @ scipy.linalg.cho_solve(self.cho, rc, check_finite=False)
 
 
 def coarse_space_from_columns(system, columns, xi, xi_star, max_next_eigenvalue):

@@ -13,6 +13,10 @@ The orthonormal basis mixes interior and boundary values, so small-energy
 directions come out of cancellation between O(1) columns: projecting onto it
 loses about 1e-8 relative accuracy on eigenvalues 1e-10 below the top one,
 the size of the bound the oracle serves.
+
+The stiffness triplets and the partition-of-unity distances also have plain
+per-cell / per-node loop references here, which the vectorized production
+code must reproduce bit for bit.
 """
 
 import numpy as np
@@ -153,3 +157,69 @@ def geneo_eigs_bruteforce(system, decomp, pu, i, count):
                     kernel_dim = 0
     lam = psd_pencil_eigs(K, A_omega, kernel_dim)
     return kernel_dim, lam[:count]
+
+
+def stiffness_triplets_loops(cx, cy, coeff, kref, node_map, nx):
+    """COO stiffness triplets by plain loops: one 4x4 block per cell in the
+    given cell order, entries in row-major (i, j) order; entries whose row
+    or column maps to -1 (constrained/absent dof) are skipped."""
+    rows, cols, vals = [], [], []
+    for c in range(cx.shape[0]):
+        n00 = cy[c] * (nx + 1) + cx[c]
+        nodes = [node_map[n00], node_map[n00 + 1], node_map[n00 + nx + 1], node_map[n00 + nx + 2]]
+        for i in range(4):
+            if nodes[i] < 0:
+                continue
+            for j in range(4):
+                if nodes[j] < 0:
+                    continue
+                rows.append(nodes[i])
+                cols.append(nodes[j])
+                vals.append(coeff[c] * kref[i, j])
+    return (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
+            np.array(vals, dtype=np.float64))
+
+
+def pu_distances_loops(cellmask, cap):
+    """Partition-of-unity distances by a node-queue breadth-first search:
+    0 on nodes whose nodal basis support leaves the cell set, -1 on nodes
+    with no incident cell in the set, BFS levels capped at `cap` elsewhere.
+    Two nodes are neighbours when they share an in-set cell."""
+    ny, nx = cellmask.shape
+    dist = np.full((ny + 1, nx + 1), -1, dtype=np.int64)
+    queue = []
+
+    def cells_around(iy, ix):
+        for cyy in (iy - 1, iy):
+            for cxx in (ix - 1, ix):
+                if 0 <= cyy < ny and 0 <= cxx < nx:
+                    yield cyy, cxx
+
+    for iy in range(ny + 1):
+        for ix in range(nx + 1):
+            flags = [bool(cellmask[c]) for c in cells_around(iy, ix)]
+            if not any(flags):
+                continue
+            if all(flags):
+                dist[iy, ix] = -2  # interior, not yet reached
+            else:
+                dist[iy, ix] = 0
+                queue.append((iy, ix))
+    head = 0
+    while head < len(queue):
+        iy, ix = queue[head]
+        head += 1
+        d = dist[iy, ix]
+        if d >= cap:
+            continue
+        for cyy, cxx in cells_around(iy, ix):
+            if not cellmask[cyy, cxx]:
+                continue
+            for jy in (cyy, cyy + 1):
+                for jx in (cxx, cxx + 1):
+                    if dist[jy, jx] == -2:
+                        dist[jy, jx] = d + 1
+                        queue.append((jy, jx))
+    # interior pockets the search never reached saturate at the cap
+    dist[dist == -2] = cap
+    return np.minimum(dist, cap)

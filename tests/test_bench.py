@@ -1,8 +1,12 @@
+import importlib
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from msras import schwarz
 from msras.bench import (
     ExperimentConfig,
     run_comparison,
@@ -56,6 +60,19 @@ class TestConfig:
             ("target_reduction", 1.5),
             ("modes", -1),
             ("modes", [1, 2]),
+            ("source", {"kind": "constant", "value": float("nan")}),
+            ("coefficient", {"kind": "constant", "value": float("inf")}),
+            ("coefficient", {"kind": "skyscraper", "contrast": float("nan"),
+                             "blocks": [8, 8], "fraction": 0.3}),
+            ("boundary", {"preset": "all_dirichlet", "value": float("-inf")}),
+            ("boundary", {"left": {"type": "dirichlet", "value": 0.0},
+                          "right": {"type": "dirichlet", "value": float("nan")},
+                          "bottom": {"type": "neumann", "flux": 0.0},
+                          "top": {"type": "neumann", "flux": 0.0}}),
+            ("boundary", {"left": {"type": "dirichlet", "value": 0.0},
+                          "right": {"type": "dirichlet", "value": 0.0},
+                          "bottom": {"type": "neumann", "flux": float("inf")},
+                          "top": {"type": "neumann", "flux": 0.0}}),
         ],
     )
     def test_validation(self, field, value):
@@ -140,6 +157,20 @@ class TestRunComparison:
         assert res["bogus"]["failure"]
         assert res["hybrid_RAS_msgfem"]["failure"] is None
 
+    def test_setup_failure_recorded_once_per_basis_kind(self, monkeypatch):
+        # more modes than any interface carries: the harmonic set-up fails on
+        # its first subdomain, once, and both harmonic schemes record it
+        from msras import spectral
+
+        calls = []
+        reduce = spectral.reduce_to_harmonic
+        monkeypatch.setattr(spectral, "reduce_to_harmonic",
+                            lambda *args: calls.append(args[-1]) or reduce(*args))
+        res = run_comparison(small_cfg(modes=10_000), ["hybrid_RAS_msgfem", "RAS"])
+        assert calls == [0]
+        for scheme in ("hybrid_RAS_msgfem", "RAS"):
+            assert res[scheme]["failure"].startswith("TooManyModes: ")
+
     def test_history_prefix_export(self, tmp_path):
         cfg = small_cfg(outputs={"history_prefix": str(tmp_path / "cmp_")})
         run_comparison(cfg, ["hybrid_RAS_msgfem", "RAS"])
@@ -212,9 +243,61 @@ class TestCli:
         small_cfg(scheme="AS", modes=0, maxit=3).to_json(path)
         assert cli_main(["solve", str(path)]) == 2
 
+    def test_breakdown_reported_exit_2(self, tmp_path, monkeypatch):
+        # a preconditioner that returns NaN makes GMRES break down; the
+        # typed failure must still reach the written report
+        monkeypatch.setattr(schwarz, "apply_preconditioner",
+                            lambda state, r: np.full(np.shape(r), np.nan))
+        path = tmp_path / "cfg.json"
+        report_path = tmp_path / "r.json"
+        small_cfg(scheme="RAS", modes=0, outputs={"report": str(report_path)}).to_json(path)
+        assert cli_main(["solve", str(path)]) == 2
+        report = json.loads(report_path.read_text())
+        assert report["failure"].startswith("Breakdown: ")
+        assert report["converged"] is False and report["iterations"] is None
+
     def test_compare_and_sweep_and_spectrum(self, tmp_path):
         path = tmp_path / "cfg.json"
         small_cfg(outputs={"spectrum": str(tmp_path / "s.csv")}).to_json(path)
         assert cli_main(["compare", str(path), "--schemes", "hybrid_RAS_msgfem", "RAS"]) == 0
         assert cli_main(["sweep", str(path), "--ovsp", "1", "2", "--modes", "3", "5"]) == 0
         assert cli_main(["spectrum", str(path)]) == 0
+
+
+class TestBenchmarkTraceSites:
+    """The benchmark's tracer hooks package functions by module attribute
+    and binds their argument names; a refactor that moves or renames one
+    must fail here, not only in the benchmark run."""
+
+    @pytest.fixture
+    def tracer(self, monkeypatch):
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as found
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        return importlib.import_module("tracer")
+
+    def test_sites_resolve(self, tracer):
+        for sites in (tracer.TRACED_SITES, tracer.OBSERVED_SITES):
+            tr = tracer.Tracer(sites, timed=True)
+            try:
+                tr.install()  # raises MissingTarget naming any absent site
+            finally:
+                tr.uninstall()
+
+    @pytest.mark.parametrize("entry,factors", [("run_single", 4), ("run_comparison", 8)])
+    def test_traced_run_factors_each_matrix_once(self, tracer, entry, factors):
+        # 2x2 subdomains: one interior factor each, shared by the harmonic
+        # reduction and every oversampled scheme; AS2_geneo adds its own four
+        import msras.bench
+
+        cfg = small_cfg()
+        args = (cfg,) if entry == "run_single" else (cfg, list(schwarz.SCHEMES))
+        tr = tracer.Tracer(tracer.TRACED_SITES, timed=True)
+        tr.install()
+        try:
+            tr.call(f"bench.{entry}", getattr(msras.bench, entry), *args)
+        finally:
+            tr.uninstall()
+        layers = tracer.layer_metrics(tr.spans)
+        assert layers["linalg.factorize_calls"] == factors
+        assert layers["linalg.factorize_distinct_ratio"] == 1.0
+        assert layers["spectral.reduce_calls"] == 4

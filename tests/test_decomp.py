@@ -10,6 +10,7 @@ from msras.decomp import (
     decomposition_summary,
     export_decomposition_json,
     pu_apply,
+    pu_distances,
 )
 from msras.errors import DimensionMismatch, GridTooSmall
 from msras.grid import BoundarySpec
@@ -172,3 +173,22 @@ class TestSummary:
         assert len(data["subdomains"]) == 4
         s = decomposition_summary(decomp16)["subdomains"][0]
         assert s["dofs0_star"] <= s["dofs_star"]
+
+
+class TestDistanceSemantics:
+    def test_rectangle_distances(self):
+        # 6x6 block: boundary ring 0, next ring 1, capped at 2 inside
+        mask = np.zeros((8, 8), dtype=bool)
+        mask[1:7, 1:7] = True
+        d = pu_distances(mask, 2)
+        assert d[0, 0] == -1  # no incident cell
+        assert d[1, 1] == 0  # support leaves the set
+        assert d[2, 2] == 1
+        assert d[3, 3] == 2
+        assert d[4, 4] == 2  # capped
+
+    def test_full_grid_interior_positive(self):
+        mask = np.ones((4, 4), dtype=bool)
+        d = pu_distances(mask, 3)
+        # no internal boundary at all: every node saturates at the cap
+        assert np.all(d == 3)

@@ -1,57 +1,34 @@
 import numpy as np
-import pytest
+import scipy.sparse as sparse
 
-from msras import kernels
-from msras.grid import element_stiffness
+from msras.decomp import pu_distances
+from msras.grid import CartesianGrid, CoefficientField, assemble_partial_stiffness, element_stiffness
+from tests.oracles import pu_distances_loops, stiffness_triplets_loops
 
 
-@pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba not installed")
 class TestBackendEquivalence:
+    """The vectorized production code against the plain-loop references."""
+
     def test_stiffness_triplets_identical(self):
         rng = np.random.default_rng(0)
-        nx, ny = 23, 17
-        cy, cx = np.divmod(np.arange(nx * ny, dtype=np.int64), nx)
-        keep = rng.random(nx * ny) < 0.7
-        cx, cy = cx[keep], cy[keep]
-        coeff = rng.uniform(0.5, 1e6, cx.size)
-        kref = element_stiffness(1.0, 0.11, 0.047)
-        node_map = np.arange((nx + 1) * (ny + 1), dtype=np.int64)
+        grid = CartesianGrid(23, 17, lx=23 * 0.11, ly=17 * 0.047)
+        mask = rng.random((grid.ny, grid.nx)) < 0.7
+        coeff = CoefficientField(rng.uniform(0.5, 1e6, (grid.ny, grid.nx)))
+        node_map = np.arange(grid.n_nodes, dtype=np.int64)
         node_map[rng.choice(node_map.size, 40, replace=False)] = -1
-        out_np = kernels._stiffness_triplets_numpy(cx, cy, coeff, kref, node_map, nx)
-        out_nb = kernels._stiffness_triplets_numba(cx, cy, coeff, kref, node_map, nx)
-        for a, b in zip(out_np, out_nb):
+        mine = assemble_partial_stiffness(grid, coeff, mask, node_map, grid.n_nodes)
+        cy, cx = np.nonzero(mask)
+        kref = element_stiffness(1.0, grid.hx, grid.hy)
+        rows, cols, vals = stiffness_triplets_loops(
+            cx, cy, coeff.values[cy, cx], kref, node_map, grid.nx
+        )
+        ref = sparse.coo_matrix((vals, (rows, cols)), shape=mine.shape).tocsr()
+        for a, b in ((mine.indptr, ref.indptr), (mine.indices, ref.indices),
+                     (mine.data, ref.data)):
             assert np.array_equal(a, b)
 
     def test_pu_distances_identical(self):
         rng = np.random.default_rng(1)
         for cap in (1, 2, 4):
             mask = rng.random((19, 26)) < 0.6
-            d_np = kernels._pu_distances_numpy(mask, cap)
-            d_nb = kernels._pu_distances_numba(mask, cap)
-            assert np.array_equal(d_np, d_nb)
-
-
-class TestDistanceSemantics:
-    def test_rectangle_distances(self):
-        # 6x6 block: boundary ring 0, next ring 1, capped at 2 inside
-        mask = np.zeros((8, 8), dtype=bool)
-        mask[1:7, 1:7] = True
-        d = kernels.pu_distances(mask, 2)
-        assert d[0, 0] == -1  # no incident cell
-        assert d[1, 1] == 0  # support leaves the set
-        assert d[2, 2] == 1
-        assert d[3, 3] == 2
-        assert d[4, 4] == 2  # capped
-
-    def test_full_grid_interior_positive(self):
-        mask = np.ones((4, 4), dtype=bool)
-        d = kernels.pu_distances(mask, 3)
-        # no internal boundary at all: every node saturates at the cap
-        assert np.all(d == 3)
-
-    def test_flag_selects_backend(self):
-        assert kernels.ACTIVE_BACKEND in ("numba", "numpy")
-        if kernels.ACTIVE_BACKEND == "numba":
-            assert kernels.stiffness_triplets is kernels._stiffness_triplets_numba
-        else:
-            assert kernels.stiffness_triplets is kernels._stiffness_triplets_numpy
+            assert np.array_equal(pu_distances(mask, cap), pu_distances_loops(mask, cap))

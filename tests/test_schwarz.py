@@ -3,6 +3,7 @@ import pytest
 
 from msras.decomp import build_decomposition, build_partition_of_unity
 from msras.errors import (
+    Breakdown,
     DimensionMismatch,
     MissingCoarseSpace,
     Stagnation,
@@ -211,6 +212,17 @@ class TestRichardson:
         state = build_preconditioner(system, dec, pu, "AS")
         with pytest.raises(Stagnation):
             richardson(state, system, maxit=100)
+
+    def test_nonfinite_residual_breaks_down(self, small):
+        # NaN >= NaN is False: without the finiteness check the loop would
+        # run all maxit steps and return a NaN iterate
+        import dataclasses
+
+        system, dec, pu, coarse = small
+        broken = dataclasses.replace(system, f_free=np.full(system.n_free, np.nan))
+        state = build_preconditioner(broken, dec, pu, "hybrid_RAS_msgfem", coarse=coarse)
+        with pytest.raises(Breakdown, match="iteration 1"):
+            richardson(state, broken, maxit=40)
 
     def test_history_records(self, small):
         system, dec, pu, coarse = small
