@@ -319,20 +319,27 @@ def _converged(cfg, history):
 
 def run_single(cfg):
     """Full pipeline for one experiment. Returns (report, history, solution);
-    writes the configured output files."""
+    writes the configured output files. A typed failure of any stage after
+    assembly is recorded in the report, which is still written; history and
+    solution are then None."""
     pipe = Pipeline(cfg)
     system = pipe.system
-    decomp, pu = pipe.decompose(cfg.oversampling_layers)
-    _, coarse = pipe.coarse_space(decomp, pu, cfg.scheme, cfg.modes_list())
-    state = pipe.preconditioner(decomp, pu, cfg.scheme, coarse)
-    solution, history, failure, _ = pipe.drive(state)
+    decomp = coarse = state = solution = history = None
+    try:
+        decomp, pu = pipe.decompose(cfg.oversampling_layers)
+        _, coarse = pipe.coarse_space(decomp, pu, cfg.scheme, cfg.modes_list())
+        state = pipe.preconditioner(decomp, pu, cfg.scheme, coarse)
+    except MsrasError as exc:
+        failure = _failure(exc)  # recorded like a failure of the drive step
+    else:
+        solution, history, failure, _ = pipe.drive(state)
 
     report = {
         "config": cfg.to_dict(),
-        "scheme_applied": state.scheme,
+        "scheme_applied": state.scheme if state is not None else None,
         "n_free_dofs": system.n_free,
-        "xi": decomp.xi,
-        "xi_star": decomp.xi_star,
+        "xi": decomp.xi if decomp is not None else None,
+        "xi_star": decomp.xi_star if decomp is not None else None,
         "coarse_dim": coarse.m if coarse is not None else 0,
         "lambda_bound": coarse.lam if coarse is not None else None,
         "iterations": history.n_iterations if history is not None else None,

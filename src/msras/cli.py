@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Verbs: solve, compare, sweep, spectrum. Exit codes: 0 on convergence, 2 on
-non-convergence, 1 on configuration errors.
+non-convergence or a typed failure, 1 on configuration errors.
 """
 
 import argparse

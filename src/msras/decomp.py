@@ -1,16 +1,18 @@
 """Overlapping decomposition with oversampling and the nodal partition of unity.
 
-Subdomains are unions of cells, built by extending a px-by-py block partition
-by `overlap_layers` rings of elements (8-connected), and again by
-`oversampling_layers` rings for the enlarged domains. Dof sets are derived
-from cell incidence: a free node belongs to a domain when one of its incident
-cells does, and to the interior when all of them do, which gives unambiguous
-zero-extension semantics.
+Subdomains are boxes of cells, (x0, x1, y0, y1) for x0 <= cx < x1 and
+y0 <= cy < y1: a block of the px-by-py partition grown by `overlap_layers`
+rings of elements (8-connected, clipped to the domain) for omega_i, and by
+`oversampling_layers` more for omega_i^*. A free node belongs to a domain
+when one of its incident cells does (the box's node range x0..x1, y0..y1),
+and to the interior when all of them do (that range shrunk by one on each
+side not on the domain boundary): unambiguous zero-extension semantics.
 
 The partition of unity is a normalized discrete distance: d_i(node) counts
-cell layers to the nodes where the nodal basis support leaves omega_i, capped
-at overlap_layers+1, and chi_i = d_i / sum_j d_j. Applying chi as a diagonal
-nodal scaling realizes the interpolated product exactly for Q1 elements.
+cell layers to the sides of omega_i off the domain boundary, where the nodal
+basis support leaves omega_i, capped at overlap_layers+1, and
+chi_i = d_i / sum_j d_j. Applying chi as a diagonal nodal scaling realizes
+the interpolated product exactly for Q1 elements.
 """
 
 import json
@@ -21,64 +23,45 @@ import numpy as np
 from .errors import DimensionMismatch, GridTooSmall, UncoveredNode
 
 
-def _corners(a):
-    """The four overlapping windows of a 2-D array, shrunk by one in each
-    direction: on a cell array padded by one ring, the cells around each
-    node; on a node array, the corners of each cell."""
-    return a[:-1, :-1], a[:-1, 1:], a[1:, :-1], a[1:, 1:]
+def _grow(box, layers, grid):
+    """A box grown by `layers` rings of cells, clipped to the domain."""
+    x0, x1, y0, y1 = box
+    return (max(x0 - layers, 0), min(x1 + layers, grid.nx),
+            max(y0 - layers, 0), min(y1 + layers, grid.ny))
 
 
-def _any_corner(a):
-    w, x, y, z = _corners(a)
-    return w | x | y | z
+def box_intersection(a, b):
+    """The common cells of two boxes as a box, or None when there are none."""
+    x0, x1, y0, y1 = max(a[0], b[0]), min(a[1], b[1]), max(a[2], b[2]), min(a[3], b[3])
+    return (x0, x1, y0, y1) if x0 < x1 and y0 < y1 else None
 
 
-def _node_incidence(cellmask):
-    """(any_in, all_in) node masks for a cell mask: incident to >=1 cell of
-    the set / all existing incident cells in the set."""
-    w, x, y, z = _corners(np.pad(cellmask, 1, constant_values=True))
-    return _any_corner(np.pad(cellmask, 1)), w & x & y & z
+def box_nodes(grid, box, interior=False):
+    """Row-major ids of the nodes incident to a cell of `box`; with
+    `interior`, of the nodes all of whose cells lie in it."""
+    x0, x1, y0, y1 = box
+    if interior:
+        x0, x1 = x0 + (x0 > 0), x1 - (x1 < grid.nx)
+        y0, y1 = y0 + (y0 > 0), y1 - (y1 < grid.ny)
+    ix = np.arange(x0, x1 + 1, dtype=np.int64)
+    iy = np.arange(y0, y1 + 1, dtype=np.int64)
+    return (iy[:, None] * (grid.nx + 1) + ix).ravel()
 
 
-def pu_distances(cellmask, cap):
-    """Per-node cell-layer distances for the partition of unity: 0 on nodes
-    whose nodal basis support leaves the cell set, -1 on nodes with no
-    incident cell in the set, breadth-first levels (capped at `cap`)
-    elsewhere. Two nodes are neighbours when they share an in-set cell."""
-    any_in, all_in = _node_incidence(cellmask)
-    dist = np.full(any_in.shape, -1, dtype=np.int64)
-    reached = any_in & ~all_in
-    dist[reached] = 0
-    for level in range(1, cap + 1):
-        # nodes -> cells: in-set cells with a reached corner; cells -> nodes:
-        # every corner of those cells
-        active = cellmask & _any_corner(reached)
-        frontier = _any_corner(np.pad(active, 1)) & all_in & ~reached
-        if not frontier.any():
-            break
-        dist[frontier] = level
-        reached |= frontier
-    dist[all_in & ~reached] = cap
+def pu_distances(grid, box, nodes, cap):
+    """Partition-of-unity distances of `nodes` (incident to the box): cell
+    layers to the nearest box side off the domain boundary, capped at `cap`."""
+    x0, x1, y0, y1 = box
+    iy, ix = np.divmod(nodes, grid.nx + 1)
+    dist = np.full(nodes.shape, cap, dtype=np.int64)
+    for inner, to_side in ((x0 > 0, ix - x0), (x1 < grid.nx, x1 - ix),
+                           (y0 > 0, iy - y0), (y1 < grid.ny, y1 - iy)):
+        if inner:
+            np.minimum(dist, to_side, out=dist)
     return dist
 
 
-def _dilate(cellmask, layers):
-    """Grow a cell set by `layers` rings of elements (8-connected)."""
-    out = cellmask.copy()
-    ny, nx = cellmask.shape
-    for _ in range(layers):
-        pad = np.zeros((ny + 2, nx + 2), dtype=bool)
-        pad[1 : ny + 1, 1 : nx + 1] = out
-        grown = np.zeros_like(out)
-        for dy in (0, 1, 2):
-            for dx in (0, 1, 2):
-                grown |= pad[dy : dy + ny, dx : dx + nx]
-        out = grown
-    return out
-
-
-def _free_dofs(mask_nodes, node_to_free):
-    nodes = np.nonzero(mask_nodes.ravel())[0]
+def _free_dofs(nodes, node_to_free):
     free = node_to_free[nodes]
     return free[free >= 0]
 
@@ -86,8 +69,8 @@ def _free_dofs(mask_nodes, node_to_free):
 @dataclass
 class Subdomain:
     id: int
-    cells: np.ndarray  # (ny, nx) bool, omega_i
-    cells_star: np.ndarray  # (ny, nx) bool, omega_i^*
+    box: tuple  # (x0, x1, y0, y1) cells of omega_i
+    box_star: tuple  # (x0, x1, y0, y1) cells of omega_i^*
     dofs: np.ndarray  # free dofs incident to omega_i
     dofs0: np.ndarray  # free dofs interior to omega_i
     dofs_star: np.ndarray
@@ -110,23 +93,42 @@ class Decomposition:
     py: int
     overlap_layers: int
     oversampling_layers: int
-    # subdomain id -> factor of system.A_free on dofs0_star (spectral.interior_factor)
-    interior_factors: dict = field(default_factory=dict, repr=False)
+    # (dof-set name, subdomain id) -> factor of system.A_free on that dof set
+    factors: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_subdomains(self):
         return len(self.subdomains)
 
+    def factor(self, key, build):
+        """The factor of system.A_free cached under `key`, made by build()."""
+        if key not in self.factors:
+            self.factors[key] = build()
+        return self.factors[key]
 
-def coloring_constant(masks):
-    """Maximum over grid nodes of the number of domains with an incident cell."""
-    if not masks:
+
+def coloring_constant(grid, boxes):
+    """Maximum over grid nodes of the number of boxes with an incident cell."""
+    if not boxes:
         raise ValueError("need at least one domain")
-    count = None
-    for mask in masks:
-        any_in, _ = _node_incidence(mask)
-        count = any_in.astype(np.int64) if count is None else count + any_in
+    count = np.zeros((grid.ny + 1, grid.nx + 1), dtype=np.int64)
+    for x0, x1, y0, y1 in boxes:
+        count[y0 : y1 + 1, x0 : x1 + 1] += 1
     return int(count.max())
+
+
+def overlap_zone(decomp, i):
+    """The cells of omega_i that lie in another subdomain too, as a bool
+    mask on omega_i's window of cells."""
+    box = decomp.subdomains[i].box
+    x0, x1, y0, y1 = box
+    zone = np.zeros((y1 - y0, x1 - x0), dtype=bool)
+    for other in decomp.subdomains:
+        common = box_intersection(box, other.box)
+        if other.id != i and common is not None:
+            a0, a1, b0, b1 = common
+            zone[b0 - y0 : b1 - y0, a0 - x0 : a1 - x0] = True
+    return zone
 
 
 def build_decomposition(system, px, py, overlap_layers, oversampling_layers):
@@ -141,42 +143,37 @@ def build_decomposition(system, px, py, overlap_layers, oversampling_layers):
     if px > grid.nx or py > grid.ny:
         raise GridTooSmall(f"{px}x{py} blocks do not fit a {grid.nx}x{grid.ny} grid")
 
-    x_edges = np.linspace(0, grid.nx, px + 1).astype(int)
-    y_edges = np.linspace(0, grid.ny, py + 1).astype(int)
+    x_edges = np.linspace(0, grid.nx, px + 1).astype(int).tolist()
+    y_edges = np.linspace(0, grid.ny, py + 1).astype(int).tolist()
     node_to_free = system.node_to_free
 
     subdomains = []
     for j in range(py):
         for i in range(px):
-            block = np.zeros((grid.ny, grid.nx), dtype=bool)
-            block[y_edges[j] : y_edges[j + 1], x_edges[i] : x_edges[i + 1]] = True
-            cells = _dilate(block, overlap_layers)
-            cells_star = _dilate(cells, oversampling_layers)
-            any_o, all_o = _node_incidence(cells)
-            any_s, all_s = _node_incidence(cells_star)
-            dofs_star = _free_dofs(any_s, node_to_free)
-            dofs0_star = _free_dofs(all_s, node_to_free)
+            block = (x_edges[i], x_edges[i + 1], y_edges[j], y_edges[j + 1])
+            box = _grow(block, overlap_layers, grid)
+            box_star = _grow(box, oversampling_layers, grid)
+            dofs_star = _free_dofs(box_nodes(grid, box_star), node_to_free)
+            dofs0_star = _free_dofs(box_nodes(grid, box_star, interior=True), node_to_free)
             subdomains.append(
                 Subdomain(
                     id=len(subdomains),
-                    cells=cells,
-                    cells_star=cells_star,
-                    dofs=_free_dofs(any_o, node_to_free),
-                    dofs0=_free_dofs(all_o, node_to_free),
+                    box=box,
+                    box_star=box_star,
+                    dofs=_free_dofs(box_nodes(grid, box), node_to_free),
+                    dofs0=_free_dofs(box_nodes(grid, box, interior=True), node_to_free),
                     dofs_star=dofs_star,
                     dofs0_star=dofs0_star,
                     boundary_star=np.setdiff1d(dofs_star, dofs0_star),
                 )
             )
 
-    xi = coloring_constant([s.cells for s in subdomains])
-    xi_star = coloring_constant([s.cells_star for s in subdomains])
     return Decomposition(
         grid=grid,
         system=system,
         subdomains=subdomains,
-        xi=xi,
-        xi_star=xi_star,
+        xi=coloring_constant(grid, [s.box for s in subdomains]),
+        xi_star=coloring_constant(grid, [s.box_star for s in subdomains]),
         px=px,
         py=py,
         overlap_layers=overlap_layers,
@@ -208,16 +205,13 @@ class PartitionOfUnity:
 
 def build_partition_of_unity(decomp):
     """Distance-normalized partition of unity on the free dofs."""
-    grid = decomp.grid
     system = decomp.system
     cap = decomp.overlap_layers + 1
-    n_free = system.n_free
     dist_per_sub = []
-    total = np.zeros(n_free)
+    total = np.zeros(system.n_free)
     for sub in decomp.subdomains:
-        dist = pu_distances(sub.cells, cap)
-        d_free = dist.ravel()[system.free_to_node[sub.dofs]].astype(float)
-        d_free = np.maximum(d_free, 0.0)  # -1 cannot occur on dofs(omega_i)
+        nodes = system.free_to_node[sub.dofs]
+        d_free = pu_distances(decomp.grid, sub.box, nodes, cap).astype(float)
         dist_per_sub.append(d_free)
         total[sub.dofs] += d_free
     if np.any(total <= 0.0):
@@ -252,8 +246,8 @@ def decomposition_summary(decomp):
         "subdomains": [
             {
                 "id": s.id,
-                "cells": int(s.cells.sum()),
-                "cells_star": int(s.cells_star.sum()),
+                "cells": (s.box[1] - s.box[0]) * (s.box[3] - s.box[2]),
+                "cells_star": (s.box_star[1] - s.box_star[0]) * (s.box_star[3] - s.box_star[2]),
                 "dofs": int(s.dofs.size),
                 "dofs0": int(s.dofs0.size),
                 "dofs_star": int(s.dofs_star.size),

@@ -46,21 +46,12 @@ class CartesianGrid:
     def n_nodes(self):
         return (self.nx + 1) * (self.ny + 1)
 
-    @property
-    def n_cells(self):
-        return self.nx * self.ny
-
     def node_coords(self):
         """(n_nodes, 2) array of node coordinates, row-major order."""
         x = np.linspace(0.0, self.lx, self.nx + 1)
         y = np.linspace(0.0, self.ly, self.ny + 1)
         X, Y = np.meshgrid(x, y)
         return np.column_stack([X.ravel(), Y.ravel()])
-
-    def all_cells(self):
-        """(cx, cy) index arrays for every cell, cell-major order."""
-        cy, cx = np.divmod(np.arange(self.n_cells, dtype=np.int64), self.nx)
-        return cx, cy
 
 
 class CoefficientField:
@@ -226,22 +217,28 @@ def _dirichlet_value(cond, xs, ys):
     return g(xs, ys) if callable(g) else np.full_like(np.asarray(xs, dtype=float), float(g))
 
 
-def assemble_partial_stiffness(grid, coeff, cellmask, node_map, n_local):
-    """Stiffness over the cells of `cellmask` only, on the dof numbering of
-    `node_map` (n_nodes-long, -1 for excluded nodes). Shared by the global
-    assembly and all subdomain-local assemblies.
+def assemble_partial_stiffness(grid, coeff, box, node_map, n_local, cells=None):
+    """Stiffness over the cells of `box` = (x0, x1, y0, y1), or over those
+    selected by the (y1-y0, x1-x0) bool mask `cells`, on the dof numbering of
+    `node_map`: one entry per node of the box's window (row-major, nodes
+    x0..x1 by y0..y1), -1 for excluded nodes. Shared by the global assembly
+    (the whole-domain box) and all subdomain-local assemblies.
 
     Triplets come one 4x4 block per cell, cells in row-major order and
     entries in row-major (i, j) order; entries whose row or column maps to -1
     are dropped. The fixed order makes the CSR sums deterministic."""
-    cy, cx = np.nonzero(cellmask)
-    n00 = cy.astype(np.int64) * (grid.nx + 1) + cx.astype(np.int64)
-    corners = np.stack([n00, n00 + 1, n00 + grid.nx + 1, n00 + grid.nx + 2], axis=1)
+    x0, x1, y0, y1 = box
+    if cells is None:
+        cells = np.ones((y1 - y0, x1 - x0), dtype=bool)
+    ly, lx = np.nonzero(cells)
+    width = x1 - x0 + 1  # nodes per window row
+    n00 = ly * width + lx
+    corners = np.stack([n00, n00 + 1, n00 + width, n00 + width + 1], axis=1)
     mapped = node_map[corners]  # (ncells, 4)
     rows = np.repeat(mapped, 4, axis=1).reshape(-1)
     cols = np.tile(mapped, (1, 4)).reshape(-1)
     kref = element_stiffness(1.0, grid.hx, grid.hy)
-    vals = (coeff.values[cy, cx][:, None, None] * kref[None, :, :]).reshape(-1)
+    vals = (coeff.values[ly + y0, lx + x0][:, None, None] * kref[None, :, :]).reshape(-1)
     keep = (rows >= 0) & (cols >= 0)
     return sparse.coo_matrix(
         (vals[keep], (rows[keep], cols[keep])), shape=(n_local, n_local)
@@ -291,8 +288,7 @@ def assemble(grid, coeff, bc, source=None):
 
     # Full stiffness once; free block and lifting correction come from slices.
     identity_map = np.arange(n_nodes, dtype=np.int64)
-    full_mask = np.ones((ny, nx), dtype=bool)
-    A_full = assemble_partial_stiffness(grid, coeff, full_mask, identity_map, n_nodes)
+    A_full = assemble_partial_stiffness(grid, coeff, (0, nx, 0, ny), identity_map, n_nodes)
     dir_nodes = np.nonzero(dir_mask)[0]
     A_free = SparseSym(A_full[free_to_node][:, free_to_node], validate=False)
 

@@ -47,11 +47,6 @@ class SparseSym:
         return self.mat.shape[0]
 
     @classmethod
-    def from_coo(cls, n, rows, cols, vals, validate=True):
-        mat = sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-        return cls(mat, validate=validate)
-
-    @classmethod
     def from_dense(cls, arr, validate=True):
         return cls(sparse.csr_matrix(np.asarray(arr, dtype=float)), validate=validate)
 

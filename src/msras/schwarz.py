@@ -50,7 +50,8 @@ def build_preconditioner(system, decomp, pu, scheme, coarse=None):
 
     MS-GFEM flavours solve on the interior dofs of the oversampling domains,
     sharing the decomposition's cached interior factors with the spectral
-    layer; AS2_geneo factors the interior dofs of the overlap subdomains.
+    layer; AS2_geneo solves on the interior dofs of the overlap subdomains,
+    factored once per decomposition into the same cache.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
@@ -60,7 +61,9 @@ def build_preconditioner(system, decomp, pu, scheme, coarse=None):
     for sub in decomp.subdomains:
         if scheme == "AS2_geneo":
             dofs = sub.dofs0
-            local_factors.append(factorize(extract_submatrix(system.A_free, dofs)))
+            local_factors.append(decomp.factor(
+                ("dofs0", sub.id), lambda: factorize(extract_submatrix(system.A_free, dofs))
+            ))
         else:
             dofs = sub.dofs0_star
             local_factors.append(interior_factor(decomp, sub.id))

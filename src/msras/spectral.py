@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sparse
 
-from .decomp import pu_apply
+from .decomp import overlap_zone, pu_apply
 from .errors import (
     EmptyBoundary,
     FactorizationFailure,
@@ -34,19 +34,18 @@ from .grid import assemble_partial_stiffness
 from .linalg import dense_generalized_sym_eig, extract_submatrix, factorize
 
 
-def _local_node_map(system, dofs):
-    """n_nodes-long map: node id -> position in `dofs`, -1 elsewhere."""
-    node_map = np.full(system.node_to_free.shape[0], -1, dtype=np.int64)
-    node_map[system.free_to_node[dofs]] = np.arange(dofs.size)
-    return node_map
-
-
-def local_stiffness(system, cellmask, dofs):
-    """Stiffness of the bilinear form restricted to `cellmask` cells, on the
-    local numbering of the free dofs `dofs`."""
-    node_map = _local_node_map(system, dofs)
+def local_stiffness(system, box, dofs, cells=None):
+    """Stiffness of the bilinear form restricted to the cells of `box` (or
+    the window mask `cells` of them), on the local numbering of the free
+    dofs `dofs`; dofs with no node in the box's window get empty rows."""
+    x0, x1, y0, y1 = box
+    width = x1 - x0 + 1
+    iy, ix = np.divmod(system.free_to_node[dofs], system.grid.nx + 1)
+    inside = (ix >= x0) & (ix <= x1) & (iy >= y0) & (iy <= y1)
+    node_map = np.full(width * (y1 - y0 + 1), -1, dtype=np.int64)
+    node_map[(iy[inside] - y0) * width + ix[inside] - x0] = np.nonzero(inside)[0]
     return assemble_partial_stiffness(
-        system.grid, system.coeff, cellmask, node_map, dofs.size
+        system.grid, system.coeff, box, node_map, dofs.size, cells
     )
 
 
@@ -55,14 +54,15 @@ def interior_factor(decomp, i):
     the oversampling domain. It is the interior block A11 of the harmonic
     reduction, the particular-solve matrix and the oversampled Schwarz local
     solve alike, so it is computed once per decomposition and cached there."""
-    factors = decomp.interior_factors
-    if i not in factors:
-        sub = decomp.subdomains[i]
+    sub = decomp.subdomains[i]
+
+    def build():
         try:
-            factors[i] = factorize(extract_submatrix(decomp.system.A_free, sub.dofs0_star))
+            return factorize(extract_submatrix(decomp.system.A_free, sub.dofs0_star))
         except NotPositiveDefinite as exc:
             raise FactorizationFailure(f"subdomain {i}: interior block not SPD: {exc}") from exc
-    return factors[i]
+
+    return decomp.factor(("dofs0_star", i), build)
 
 
 def local_particular_solve(system, decomp, i):
@@ -123,7 +123,7 @@ def reduce_to_harmonic(system, decomp, pu, i):
             f"subdomain {i}: omega^* has no internal boundary (covers the whole domain)"
         )
 
-    A_star = local_stiffness(system, sub.cells_star, sub.dofs_star)
+    A_star = local_stiffness(system, sub.box_star, sub.dofs_star)
     A12 = A_star[i1][:, i2]
     A22 = A_star[i2][:, i2].toarray()
     # A11 = A_star[i1, i1] is bit-identical to the global matrix on dofs0_star
@@ -136,7 +136,7 @@ def reduce_to_harmonic(system, decomp, pu, i):
     H[i1, :] = -E
     H[i2, :] = np.eye(i2.size)
 
-    A_omega = local_stiffness(system, sub.cells, sub.dofs_star)
+    A_omega = local_stiffness(system, sub.box, sub.dofs_star)
     chi = pu.on_star(sub)
     PH = A_omega @ (chi[:, None] * H)
     Ptil = (chi[:, None] * H).T @ PH
@@ -234,17 +234,8 @@ def geneo_eigenproblem(system, decomp, pu, i, m):
     local energy, on all free dofs of omega_i. Vectors are zero-extended to
     dofs(omega_i^*) so gluing is uniform across basis kinds."""
     sub = decomp.subdomains[i]
-    overlap = np.zeros_like(sub.cells)
-    for other in decomp.subdomains:
-        if other.id != i:
-            overlap |= other.cells
-    overlap &= sub.cells
-
-    A_omega = local_stiffness(system, sub.cells, sub.dofs).toarray()
-    if overlap.any():
-        A_over = local_stiffness(system, overlap, sub.dofs).toarray()
-    else:
-        A_over = np.zeros_like(A_omega)
+    A_omega = local_stiffness(system, sub.box, sub.dofs).toarray()
+    A_over = local_stiffness(system, sub.box, sub.dofs, overlap_zone(decomp, i)).toarray()
     chi = pu.weights[sub.id]
     K = chi[:, None] * A_over * chi[None, :]
 
@@ -334,18 +325,17 @@ def build_coarse_space(system, decomp, pu, bases):
     total = sum(b.n_modes for b in bases)
     if total < 1:
         raise ValueError("empty coarse space: every subdomain contributed 0 modes")
-    n = system.n_free
-    cols = sparse.lil_matrix((n, total))
-    j = 0
+    blocks = []
     for basis in bases:
         sub = decomp.subdomains[basis.subdomain_id]
-        for k in range(basis.n_modes):
-            glued = pu_apply(pu, decomp, sub.id, basis.vectors[:, k])
-            cols[sub.dofs_star, j] = glued
-            j += 1
+        local = sparse.csc_matrix(pu.on_star(sub)[:, None] * basis.vectors)  # stores no zeros
+        blocks.append(sparse.csc_matrix(
+            (local.data, sub.dofs_star[local.indices], local.indptr),
+            shape=(system.n_free, basis.n_modes),
+        ))
     max_next = max((b.next_eigenvalue for b in bases), default=0.0)
     return coarse_space_from_columns(
-        system, cols.tocsc(), decomp.xi, decomp.xi_star, max_next
+        system, sparse.hstack(blocks, format="csc"), decomp.xi, decomp.xi_star, max_next
     )
 
 

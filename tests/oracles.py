@@ -17,10 +17,17 @@ the size of the bound the oracle serves.
 The stiffness triplets and the partition-of-unity distances also have plain
 per-cell / per-node loop references here, which the vectorized production
 code must reproduce bit for bit.
+
+The package stores subdomains as boxes of cells. The full-grid mask builder
+it replaced is kept here as the reference the box arithmetic must match bit
+for bit: blocks dilated ring by ring, dof sets from per-node cell incidence,
+breadth-first partition-of-unity distances, coloring constants by counting,
+masked stiffness assembly and the GenEO overlap zone as an OR of masks.
 """
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 _GP = ((1.0 - 1.0 / np.sqrt(3.0)) / 2.0, (1.0 + 1.0 / np.sqrt(3.0)) / 2.0)
 
@@ -72,14 +79,22 @@ def dense_local_stiffness(system, cellmask, dofs):
     return A
 
 
+def box_mask(grid, box):
+    """The (ny, nx) cell mask of a box (x0, x1, y0, y1)."""
+    x0, x1, y0, y1 = box
+    mask = np.zeros((grid.ny, grid.nx), dtype=bool)
+    mask[y0:y1, x0:x1] = True
+    return mask
+
+
 def touches_dirichlet(system, sub):
     """Whether any node incident to the oversampling cells is constrained."""
-    grid = system.grid
     dir_set = set(system.dirichlet_nodes.tolist())
-    ny, nx = sub.cells_star.shape
+    cells_star = box_mask(system.grid, sub.box_star)
+    ny, nx = cells_star.shape
     for cy in range(ny):
         for cx in range(nx):
-            if not sub.cells_star[cy, cx]:
+            if not cells_star[cy, cx]:
                 continue
             n00 = cy * (nx + 1) + cx
             for n in (n00, n00 + 1, n00 + nx + 1, n00 + nx + 2):
@@ -103,8 +118,8 @@ def harmonic_nullspace_pencil(system, decomp, pu, i):
     harmonic space), and boundary the positions of the internal-boundary
     dofs."""
     sub = decomp.subdomains[i]
-    A_star = dense_local_stiffness(system, sub.cells_star, sub.dofs_star)
-    A_omega = dense_local_stiffness(system, sub.cells, sub.dofs_star)
+    A_star = dense_local_stiffness(system, box_mask(system.grid, sub.box_star), sub.dofs_star)
+    A_omega = dense_local_stiffness(system, box_mask(system.grid, sub.box), sub.dofs_star)
     chi = pu.on_star(sub)
     P = chi[:, None] * A_omega * chi[None, :]
     interior = sub.star_positions(sub.dofs0_star)
@@ -136,22 +151,18 @@ def geneo_eigs_bruteforce(system, decomp, pu, i, count):
     """Eigenvalues of the overlap-zone eigenproblem by dense assembly and a
     dense pencil solve. Returns (kernel_dim, finite eigenvalues descending)."""
     sub = decomp.subdomains[i]
-    overlap = np.zeros_like(sub.cells)
-    for other in decomp.subdomains:
-        if other.id != i:
-            overlap |= other.cells
-    overlap &= sub.cells
-    A_omega = dense_local_stiffness(system, sub.cells, sub.dofs)
+    cells = box_mask(system.grid, sub.box)
+    overlap = mask_geneo_overlap([box_mask(system.grid, s.box) for s in decomp.subdomains], i)
+    A_omega = dense_local_stiffness(system, cells, sub.dofs)
     A_over = dense_local_stiffness(system, overlap, sub.dofs)
     chi = pu.weights[sub.id]
     K = chi[:, None] * A_over * chi[None, :]
     dir_set = set(system.dirichlet_nodes.tolist())
-    grid = system.grid
-    ny, nx = sub.cells.shape
+    ny, nx = cells.shape
     kernel_dim = 1
     for cy in range(ny):
         for cx in range(nx):
-            if sub.cells[cy, cx]:
+            if cells[cy, cx]:
                 n00 = cy * (nx + 1) + cx
                 if any(n in dir_set for n in (n00, n00 + 1, n00 + nx + 1, n00 + nx + 2)):
                     kernel_dim = 0
@@ -223,3 +234,144 @@ def pu_distances_loops(cellmask, cap):
     # interior pockets the search never reached saturate at the cap
     dist[dist == -2] = cap
     return np.minimum(dist, cap)
+
+
+# --- the full-grid mask builder the box arithmetic replaced ---------------
+
+
+def _corners(a):
+    """The four overlapping windows of a 2-D array, shrunk by one in each
+    direction: on a cell array padded by one ring, the cells around each
+    node; on a node array, the corners of each cell."""
+    return a[:-1, :-1], a[:-1, 1:], a[1:, :-1], a[1:, 1:]
+
+
+def _any_corner(a):
+    w, x, y, z = _corners(a)
+    return w | x | y | z
+
+
+def node_incidence(cellmask):
+    """(any_in, all_in) node masks for a cell mask: incident to >=1 cell of
+    the set / all existing incident cells in the set."""
+    w, x, y, z = _corners(np.pad(cellmask, 1, constant_values=True))
+    return _any_corner(np.pad(cellmask, 1)), w & x & y & z
+
+
+def pu_distances_mask(cellmask, cap):
+    """pu_distances_loops on whole-array frontiers: breadth-first levels
+    from the nodes whose basis support leaves the cell set."""
+    any_in, all_in = node_incidence(cellmask)
+    dist = np.full(any_in.shape, -1, dtype=np.int64)
+    reached = any_in & ~all_in
+    dist[reached] = 0
+    for level in range(1, cap + 1):
+        # nodes -> cells: in-set cells with a reached corner; cells -> nodes:
+        # every corner of those cells
+        active = cellmask & _any_corner(reached)
+        frontier = _any_corner(np.pad(active, 1)) & all_in & ~reached
+        if not frontier.any():
+            break
+        dist[frontier] = level
+        reached |= frontier
+    dist[all_in & ~reached] = cap
+    return dist
+
+
+def dilate(cellmask, layers):
+    """Grow a cell set by `layers` rings of elements (8-connected)."""
+    out = cellmask.copy()
+    ny, nx = cellmask.shape
+    for _ in range(layers):
+        pad = np.zeros((ny + 2, nx + 2), dtype=bool)
+        pad[1 : ny + 1, 1 : nx + 1] = out
+        grown = np.zeros_like(out)
+        for dy in (0, 1, 2):
+            for dx in (0, 1, 2):
+                grown |= pad[dy : dy + ny, dx : dx + nx]
+        out = grown
+    return out
+
+
+def _free_dofs(mask_nodes, node_to_free):
+    nodes = np.nonzero(mask_nodes.ravel())[0]
+    free = node_to_free[nodes]
+    return free[free >= 0]
+
+
+def mask_coloring_constant(masks):
+    """Maximum over grid nodes of the number of masks with an incident cell."""
+    return int(sum(node_incidence(m)[0].astype(np.int64) for m in masks).max())
+
+
+def mask_decomposition(system, px, py, overlap_layers, oversampling_layers):
+    """The decomposition as full-grid masks: (subdomains, xi, xi_star), each
+    subdomain a dict of its two cell masks and five dof sets."""
+    grid = system.grid
+    x_edges = np.linspace(0, grid.nx, px + 1).astype(int)
+    y_edges = np.linspace(0, grid.ny, py + 1).astype(int)
+    subs = []
+    for j in range(py):
+        for i in range(px):
+            block = np.zeros((grid.ny, grid.nx), dtype=bool)
+            block[y_edges[j] : y_edges[j + 1], x_edges[i] : x_edges[i + 1]] = True
+            cells = dilate(block, overlap_layers)
+            cells_star = dilate(cells, oversampling_layers)
+            any_o, all_o = node_incidence(cells)
+            any_s, all_s = node_incidence(cells_star)
+            dofs_star = _free_dofs(any_s, system.node_to_free)
+            dofs0_star = _free_dofs(all_s, system.node_to_free)
+            subs.append({
+                "cells": cells,
+                "cells_star": cells_star,
+                "dofs": _free_dofs(any_o, system.node_to_free),
+                "dofs0": _free_dofs(all_o, system.node_to_free),
+                "dofs_star": dofs_star,
+                "dofs0_star": dofs0_star,
+                "boundary_star": np.setdiff1d(dofs_star, dofs0_star),
+            })
+    xi = mask_coloring_constant([s["cells"] for s in subs])
+    xi_star = mask_coloring_constant([s["cells_star"] for s in subs])
+    return subs, xi, xi_star
+
+
+def mask_pu_weights(system, subs, cap):
+    """Distance-normalized partition-of-unity weights on each subdomain's dofs."""
+    dists = []
+    total = np.zeros(system.n_free)
+    for s in subs:
+        dist = pu_distances_mask(s["cells"], cap)
+        d_free = dist.ravel()[system.free_to_node[s["dofs"]]].astype(float)
+        d_free = np.maximum(d_free, 0.0)
+        dists.append(d_free)
+        total[s["dofs"]] += d_free
+    return [d / total[s["dofs"]] for s, d in zip(subs, dists)]
+
+
+def mask_local_stiffness(system, cellmask, dofs, kref):
+    """Sparse stiffness over the cells of a full-grid mask on the numbering
+    of `dofs`, from the unit-coefficient element matrix `kref`: triplets per
+    cell in row-major order, as the production assembly emits them."""
+    grid = system.grid
+    node_map = np.full(grid.n_nodes, -1, dtype=np.int64)
+    node_map[system.free_to_node[dofs]] = np.arange(dofs.size)
+    cy, cx = np.nonzero(cellmask)
+    n00 = cy * (grid.nx + 1) + cx
+    corners = np.stack([n00, n00 + 1, n00 + grid.nx + 1, n00 + grid.nx + 2], axis=1)
+    mapped = node_map[corners]
+    rows = np.repeat(mapped, 4, axis=1).reshape(-1)
+    cols = np.tile(mapped, (1, 4)).reshape(-1)
+    vals = (system.coeff.values[cy, cx][:, None, None] * kref[None, :, :]).reshape(-1)
+    keep = (rows >= 0) & (cols >= 0)
+    return scipy.sparse.coo_matrix(
+        (vals[keep], (rows[keep], cols[keep])), shape=(dofs.size, dofs.size)
+    ).tocsr()
+
+
+def mask_geneo_overlap(masks, i):
+    """Cells of masks[i] that also lie in another mask."""
+    overlap = np.zeros_like(masks[i])
+    for j, other in enumerate(masks):
+        if j != i:
+            overlap |= other
+    return overlap & masks[i]

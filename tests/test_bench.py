@@ -213,6 +213,15 @@ class TestRunSweep:
         body = (tmp_path / "s.csv").read_text()
         assert "FAIL:" in body
 
+    def test_geneo_sweep_factors_each_matrix_once(self, monkeypatch):
+        # one dofs0 factor per subdomain, shared by every modes value
+        calls = []
+        factorize = schwarz.factorize
+        monkeypatch.setattr(schwarz, "factorize", lambda A: calls.append(A) or factorize(A))
+        sweep = run_sweep(small_cfg(scheme="AS2_geneo"), [2], [2, 3, 4])
+        assert all(not cell.get("failure") for cell in sweep.cells.values())
+        assert len(calls) == 4
+
     def test_empty_axes_rejected(self):
         with pytest.raises(ConfigError):
             run_sweep(small_cfg(), [], [1])
@@ -254,6 +263,19 @@ class TestCli:
         assert cli_main(["solve", str(path)]) == 2
         report = json.loads(report_path.read_text())
         assert report["failure"].startswith("Breakdown: ")
+        assert report["converged"] is False and report["iterations"] is None
+
+    def test_setup_failure_reported_exit_2(self, tmp_path, capsys):
+        # the bases stage cannot supply 10000 modes; the typed failure must
+        # reach the written report and the exit code
+        path = tmp_path / "cfg.json"
+        report_path = tmp_path / "r.json"
+        small_cfg(modes=10000, outputs={"report": str(report_path)}).to_json(path)
+        assert cli_main(["solve", str(path)]) == 2
+        assert "FAILED: TooManyModes: " in capsys.readouterr().out
+        report = json.loads(report_path.read_text())
+        assert report["failure"].startswith("TooManyModes: ")
+        assert report["xi"] == 4 and report["n_free_dofs"] > 0
         assert report["converged"] is False and report["iterations"] is None
 
     def test_compare_and_sweep_and_spectrum(self, tmp_path):

@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sparse
+
+import msras.spectral as spectral
+from msras.decomp import pu_apply
 
 from msras.decomp import build_decomposition, build_partition_of_unity
 from msras.errors import EmptyBoundary, RankDeficientCoarse, TooManyModes
@@ -18,6 +22,7 @@ from msras.spectral import (
 )
 from tests.conftest import make_system
 from tests.oracles import (
+    box_mask,
     dense_local_stiffness,
     geneo_eigs_bruteforce,
     harmonic_eigs_bruteforce,
@@ -48,8 +53,9 @@ class TestLocalAssembly:
 
     def test_local_stiffness_matches_dense_oracle(self, system16, decomp16):
         sub = decomp16.subdomains[2]
-        mine = local_stiffness(system16, sub.cells_star, sub.dofs_star).toarray()
-        oracle = dense_local_stiffness(system16, sub.cells_star, sub.dofs_star)
+        mine = local_stiffness(system16, sub.box_star, sub.dofs_star).toarray()
+        oracle = dense_local_stiffness(system16, box_mask(system16.grid, sub.box_star),
+                                       sub.dofs_star)
         scale = np.abs(oracle).max()
         assert np.abs(mine - oracle).max() <= 1e-12 * scale
 
@@ -265,6 +271,40 @@ class TestCoarseSpace:
         )
         assert cs.lam == pytest.approx(expected, rel=1e-14)
         assert cs.m == 24
+
+    @pytest.mark.parametrize("kind", ["harmonic", "geneo"])
+    def test_glued_columns_match_lil_build(self, system16, decomp16, pu16, monkeypatch, kind):
+        # reference: column by column into a lil_matrix, which stores no zeros
+        if kind == "harmonic":
+            bases = [solve_local_eigenproblem(*reduce_to_harmonic(system16, decomp16, pu16, i),
+                                              6, sub_id=i) for i in range(4)]
+        else:
+            bases = [geneo_eigenproblem(system16, decomp16, pu16, i, 5) for i in range(4)]
+        ref = sparse.lil_matrix((system16.n_free, sum(b.n_modes for b in bases)))
+        j = 0
+        for basis in bases:
+            sub = decomp16.subdomains[basis.subdomain_id]
+            for k in range(basis.n_modes):
+                ref[sub.dofs_star, j] = pu_apply(pu16, decomp16, sub.id, basis.vectors[:, k])
+                j += 1
+        ref = ref.tocsc()
+        seen = []
+        original = spectral.coarse_space_from_columns
+
+        def capture(system, cols, *rest):
+            seen.append(cols)
+            return original(system, cols, *rest)
+
+        monkeypatch.setattr(spectral, "coarse_space_from_columns", capture)
+        build_coarse_space(system16, decomp16, pu16, bases)
+        (cols,) = seen
+        # chi_i vanishes on the internal boundary of omega_i: those zeros are not stored
+        glued_size = sum(decomp16.subdomains[b.subdomain_id].dofs_star.size * b.n_modes
+                         for b in bases)
+        assert ref.nnz < glued_size and np.all(cols.data != 0.0)
+        for a, b in ((cols.indptr, ref.indptr), (cols.indices, ref.indices),
+                     (cols.data, ref.data)):
+            assert np.array_equal(a, b)
 
     def test_degenerate_coarse_reproduces_solution(self):
         # single subdomain: the glued particular field is the exact solution,
