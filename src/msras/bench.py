@@ -26,6 +26,7 @@ from .grid import (
     gaussian_bump_source,
     skyscraper_coefficient,
 )
+from .linalg import single_blas_thread
 
 _DRIVERS = ("richardson", "gmres")
 
@@ -234,7 +235,9 @@ class Pipeline:
     preconditioner and drive. Each stage's wall time accumulates in
     `timings`; the interior factors of the oversampling domains are built
     once per decomposition, before the harmonic eigensolves or the first
-    preconditioner that needs them, and timed as local factorizations."""
+    preconditioner that needs them, and timed as local factorizations.
+    The subdomain-local stages (bases, preconditioner) run on one BLAS
+    thread; the coarse space and the drive keep the caller's setting."""
 
     def __init__(self, cfg):
         self.cfg = cfg
@@ -261,10 +264,12 @@ class Pipeline:
     def bases(self, decomp, pu, scheme, modes):
         """Local bases of the scheme's eigenproblem, modes[i] on subdomain i."""
         kind = basis_kind(scheme)
-        if kind == "harmonic":
-            for i in range(decomp.n_subdomains):
-                self._timed("local_factorizations_s", spectral.interior_factor, decomp, i)
-        return self._timed("eigensolves_s", compute_bases, self.system, decomp, pu, modes, kind)
+        with single_blas_thread():
+            if kind == "harmonic":
+                for i in range(decomp.n_subdomains):
+                    self._timed("local_factorizations_s", spectral.interior_factor, decomp, i)
+            return self._timed("eigensolves_s", compute_bases, self.system, decomp, pu, modes,
+                               kind)
 
     def coarse_space(self, decomp, pu, scheme, modes, full=None):
         """(bases, coarse space) with modes[i] modes on subdomain i, or
@@ -285,8 +290,9 @@ class Pipeline:
         """The scheme's preconditioner; hybrid schemes fall back to their
         one-level part without a coarse space."""
         applied = scheme if coarse is not None else _ONE_LEVEL.get(scheme, scheme)
-        return self._timed("local_factorizations_s", schwarz.build_preconditioner,
-                           self.system, decomp, pu, applied, coarse)
+        with single_blas_thread():
+            return self._timed("local_factorizations_s", schwarz.build_preconditioner,
+                               self.system, decomp, pu, applied, coarse)
 
     def drive(self, state):
         """Run the configured driver. A typed failure is recorded as

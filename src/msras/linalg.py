@@ -5,9 +5,17 @@ Everything downstream (assembly, local solves, coarse solves, eigenproblem
 reductions) goes through this module. Factorizations are SuperLU in symmetric
 mode with a minimum-degree ordering, which for the SPD matrices that occur
 here behaves like a sparse LDL^T with a fill-reducing permutation.
+`single_blas_thread` caps the bundled OpenBLAS at one thread for the small
+subdomain-local kernels.
 """
 
+import contextlib
+import ctypes
+import glob
+import os
+
 import numpy as np
+import scipy
 import scipy.io
 import scipy.linalg
 import scipy.sparse as sparse
@@ -22,6 +30,42 @@ from .errors import (
 )
 
 _SYM_RTOL = 1e-12
+
+
+def _bundled_openblas():
+    """The OpenBLAS libraries bundled with the numpy and scipy wheels that
+    export the per-thread setter `openblas_set_num_threads_local`."""
+    libs = []
+    for pkg in (np, scipy):
+        for path in sorted(glob.glob(os.path.dirname(pkg.__file__) + ".libs/*openblas*.so*")):
+            try:
+                lib = ctypes.CDLL(path)
+            except OSError:
+                continue
+            if hasattr(lib, "openblas_set_num_threads_local"):
+                libs.append(lib)
+    return libs
+
+
+_OPENBLAS = _bundled_openblas()
+
+
+@contextlib.contextmanager
+def single_blas_thread():
+    """Run the block with the calling thread's OpenBLAS capped at one thread.
+
+    The subdomain-local kernels (a few-thousand-row sparse solve, a dense
+    pencil of a few hundred) are too small to gain from more threads, and
+    spreading them costs more than it saves. The previous per-thread value,
+    which the setter returns, is restored on exit, also on an exception.
+    Without a bundled OpenBLAS this does nothing.
+    """
+    previous = [lib.openblas_set_num_threads_local(1) for lib in _OPENBLAS]
+    try:
+        yield
+    finally:
+        for lib, n in zip(_OPENBLAS, previous, strict=True):
+            lib.openblas_set_num_threads_local(n)
 
 
 class SparseSym:

@@ -229,7 +229,7 @@ def gmres(state, system, u0=None, target_reduction=1e-10, maxit=200, u_ref=None)
     if beta == 0.0:
         return u0, history
 
-    V = np.zeros((n, maxit + 1))
+    V = np.zeros((n, maxit + 1), order="F")  # columns contiguous, resident once written
     Hm = np.zeros((maxit + 1, maxit))
     cs = np.zeros(maxit)
     sn = np.zeros(maxit)

@@ -294,11 +294,13 @@ def coarse_space_from_columns(system, columns, xi, xi_star, max_next_eigenvalue)
     a_c = (cols.T @ (system.A_free @ cols)).toarray()
     a_c = 0.5 * (a_c + a_c.T)
 
-    tol = 1e-12 * scipy.linalg.norm(a_c, 2)
+    n = a_c.shape[0]  # a_c is PSD: its 2-norm is its largest eigenvalue
+    top = scipy.linalg.eigh(a_c, eigvals_only=True, subset_by_index=[n - 1, n - 1])[0]
+    tol = 1e-12 * top
     _, piv, rank, _ = scipy.linalg.lapack.dpstrf(a_c, tol=tol, lower=1)
-    if rank < a_c.shape[0]:
+    if rank < n:
         warnings.warn(
-            f"coarse basis rank {rank} < {a_c.shape[0]}; dropping dependent columns",
+            f"coarse basis rank {rank} < {n}; dropping dependent columns",
             RankDeficientCoarse,
         )
         keep = np.sort(piv[:rank] - 1)

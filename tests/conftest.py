@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from msras import linalg
 from msras.decomp import build_decomposition, build_partition_of_unity
 from msras.grid import (
     BoundarySpec,
@@ -41,3 +42,29 @@ def pu16(decomp16):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240811)
+
+
+_OPENBLAS_GETTERS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                     "openblas_get_num_threads")
+
+
+def openblas_threads():
+    """The thread count each bundled OpenBLAS reports for the calling thread."""
+    counts = []
+    for lib in linalg._OPENBLAS:
+        name = next(n for n in _OPENBLAS_GETTERS if hasattr(lib, n))
+        counts.append(getattr(lib, name)())
+    return counts
+
+
+@pytest.fixture
+def blas_width_two():
+    """The calling thread's OpenBLAS at two threads for the test, so a cap to
+    one is visible whatever OPENBLAS_NUM_THREADS says; skips without a
+    bundled OpenBLAS."""
+    if not linalg._OPENBLAS:
+        pytest.skip("no bundled OpenBLAS with a per-thread setter")
+    previous = [lib.openblas_set_num_threads_local(2) for lib in linalg._OPENBLAS]
+    yield 2
+    for lib, n in zip(linalg._OPENBLAS, previous, strict=True):
+        lib.openblas_set_num_threads_local(n)

@@ -16,6 +16,7 @@ from msras.bench import (
 )
 from msras.cli import main as cli_main
 from msras.errors import ConfigError
+from tests.conftest import openblas_threads
 
 
 def small_cfg(**over):
@@ -132,6 +133,33 @@ class TestRunSingle:
         system = build_problem(cfg)
         u = system.solve_direct()
         assert system.a_norm(sol - u) <= 1e-8 * system.a_norm(u)
+
+
+class TestBlasWidthPerStage:
+    """The subdomain-local stages run on one BLAS thread; the drive keeps the
+    caller's width."""
+
+    @pytest.mark.parametrize("module, name, width", [
+        ("spectral", "reduce_to_harmonic", 1),
+        ("spectral", "geneo_eigenproblem", 1),
+        ("schwarz", "build_preconditioner", 1),
+        ("schwarz", "gmres", 2),
+    ])
+    def test_probe_sees_stage_width(self, blas_width_two, monkeypatch, module, name, width):
+        target = importlib.import_module(f"msras.{module}")
+        seen = []
+        original = getattr(target, name)
+
+        def probe(*args, **kwargs):
+            seen.append(openblas_threads())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(target, name, probe)
+        scheme = "AS2_geneo" if name == "geneo_eigenproblem" else "hybrid_RAS_msgfem"
+        report, _, _ = run_single(small_cfg(scheme=scheme))
+        assert report["failure"] is None and report["converged"]
+        assert seen and all(counts == [width] * len(counts) for counts in seen)
+        assert openblas_threads() == [blas_width_two] * len(seen[0])
 
 
 class TestRunComparison:

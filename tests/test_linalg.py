@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sparse
 
+from msras import linalg
 from msras.errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -15,8 +16,10 @@ from msras.linalg import (
     factorize,
     mm_read,
     mm_write,
+    single_blas_thread,
     solve,
 )
+from tests.conftest import openblas_threads
 
 
 def random_spd(n, seed):
@@ -211,3 +214,30 @@ class TestMatrixMarket:
         assert header.startswith("%%MatrixMarket matrix coordinate real symmetric")
         B = mm_read(path)
         assert abs(A.mat - B.mat).max() == 0.0
+
+
+class TestSingleBlasThread:
+    def test_capped_inside_restored_after(self, blas_width_two):
+        assert openblas_threads() == [2] * len(linalg._OPENBLAS)
+        with single_blas_thread():
+            assert openblas_threads() == [1] * len(linalg._OPENBLAS)
+        assert openblas_threads() == [2] * len(linalg._OPENBLAS)
+
+    def test_restored_after_exception(self, blas_width_two):
+        with pytest.raises(NotSymmetric), single_blas_thread():
+            assert openblas_threads() == [1] * len(linalg._OPENBLAS)
+            SparseSym.from_dense([[1.0, 2.0], [0.0, 1.0]])
+        assert openblas_threads() == [2] * len(linalg._OPENBLAS)
+
+    def test_nested_blocks_restore_in_turn(self, blas_width_two):
+        with single_blas_thread():
+            with single_blas_thread():
+                assert openblas_threads() == [1] * len(linalg._OPENBLAS)
+            assert openblas_threads() == [1] * len(linalg._OPENBLAS)
+        assert openblas_threads() == [2] * len(linalg._OPENBLAS)
+
+    def test_without_openblas_runs_the_block(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_OPENBLAS", [])
+        with single_blas_thread():
+            eigenvalues = dense_generalized_sym_eig(np.eye(3), np.eye(3)).eigenvalues
+        assert np.allclose(eigenvalues, 1.0)

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import msras
 from msras.decomp import build_decomposition, build_partition_of_unity
 from msras.errors import (
     Breakdown,
@@ -283,6 +289,41 @@ class TestGmres:
         assert len(lines) == len(hist.iters) + 1
         first = lines[1].split(",")
         assert first[0] == "0" and first[2] == ""  # no reference supplied
+
+
+_GMRES_RSS = """
+import resource, sys, types
+import numpy as np
+import scipy.sparse as sparse
+from msras.schwarz import PreconditionerState, gmres
+
+n, maxit = int(sys.argv[1]), int(sys.argv[2])
+# three distinct eigenvalues and an identity preconditioner: three steps
+A = sparse.diags(np.resize([1.0, 2.0, 3.0], n)).tocsr()
+system = types.SimpleNamespace(A_free=A, f_free=np.ones(n), n_free=n)
+identity = types.SimpleNamespace(solve=lambda r: r)
+state = PreconditionerState("RAS", [np.arange(n)], [identity], [None], None, system)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+_, history = gmres(state, system, maxit=maxit)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(history.n_iterations, 1024 * (after - before))
+"""
+
+
+class TestGmresMemory:
+    def test_krylov_basis_grows_with_iterations_not_maxit(self):
+        # a row of the maxit-wide basis is under one page, so a row-major
+        # basis would be resident in full after its first column write
+        n, maxit = 80_000, 500
+        basis_bytes = 8 * n * (maxit + 1)
+        assert basis_bytes >= 300e6
+        out = subprocess.run(
+            [sys.executable, "-c", _GMRES_RSS, str(n), str(maxit)],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(Path(msras.__file__).parents[1])},
+        ).stdout.split()
+        assert int(out[0]) <= 3
+        assert int(out[1]) < basis_bytes / 10, f"peak RSS grew {int(out[1]) / 1e6:.0f} MB"
 
 
 class TestDenseDiagnostics:

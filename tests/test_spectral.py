@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sparse
 
 import msras.spectral as spectral
+from msras.bench import compute_bases
 from msras.decomp import pu_apply
 
 from msras.decomp import build_decomposition, build_partition_of_unity
 from msras.errors import EmptyBoundary, RankDeficientCoarse, TooManyModes
 from msras.grid import BoundarySpec
+from msras.linalg import single_blas_thread
 from msras.spectral import (
     build_coarse_space,
     coarse_space_from_columns,
@@ -247,6 +250,29 @@ class TestGeneo:
             mine = b.eigenvalues[b.kernel_dim : 10]
             rel = np.abs(mine - lam_o) / np.maximum(np.abs(lam_o), 1e-30)
             assert rel.max() <= 1e-8
+
+
+class TestBlasWidth:
+    @pytest.mark.parametrize("kind", ["harmonic", "geneo"])
+    def test_bases_do_not_depend_on_blas_width(self, interior_case, blas_width_two, kind):
+        # a fresh decomposition per run, so no cached factor crosses the cap
+        system, _, _ = interior_case
+
+        def bases():
+            dec = build_decomposition(system, 3, 3, 1, 1)
+            return compute_bases(system, dec, build_partition_of_unity(dec), [6] * 9, kind)
+
+        wide = bases()
+        with single_blas_thread():
+            narrow = bases()
+        for a, b in zip(wide, narrow, strict=True):
+            assert a.kernel_dim == b.kernel_dim
+            fin = slice(a.kernel_dim, None)
+            lam = np.append(a.eigenvalues[fin], a.next_eigenvalue)
+            rel = np.abs(np.append(b.eigenvalues[fin], b.next_eigenvalue) - lam) / np.abs(lam)
+            assert rel.max() <= 1e-10, (a.subdomain_id, rel.max())
+            angles = scipy.linalg.subspace_angles(a.vectors, b.vectors)
+            assert angles.max() <= 1e-8, (a.subdomain_id, angles.max())
 
 
 class TestCoarseSpace:
