@@ -431,9 +431,12 @@ class SweepReport:
                     )
 
 
-def _spectrum_size(sub, kind):
-    """Number of eigenpairs of a subdomain's local pencil."""
-    return sub.dofs.size if kind == "geneo" else sub.boundary_star.size
+def _spectrum_size(system, decomp, pu, i, kind):
+    """Number of eigenpairs of subdomain i's local pencil: the size of the
+    interface of omega_i^*, or of the GenEO coupling dofs of omega_i."""
+    if kind == "geneo":
+        return spectral.geneo_coupling(system, decomp, pu, i)[1].size
+    return decomp.subdomains[i].boundary_star.size
 
 
 def run_sweep(cfg, ovsp_list, modes_list):
@@ -452,7 +455,8 @@ def run_sweep(cfg, ovsp_list, modes_list):
         try:
             t = time.perf_counter()
             decomp, pu = pipe.decompose(s)
-            clamped = [min(m_max + 1, _spectrum_size(sub, kind)) for sub in decomp.subdomains]
+            clamped = [min(m_max + 1, _spectrum_size(pipe.system, decomp, pu, i, kind))
+                       for i in range(decomp.n_subdomains)]
             full = pipe.bases(decomp, pu, cfg.scheme, clamped)
             shared_s = time.perf_counter() - t
         except MsrasError as exc:

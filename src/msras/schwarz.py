@@ -149,10 +149,11 @@ class IterationHistory:
 
     def to_csv(self, path):
         with open(path, "w") as fh:
-            fh.write("iter,res_b,err_a,time_ms\n")
-            for j, res, err, t in zip(self.iters, self.res_b, self.err_a, self.time_s):
+            fh.write("iter,res_b,res_precond,err_a,time_ms\n")
+            for j, res, pre, err, t in zip(self.iters, self.res_b, self.res_precond, self.err_a,
+                                           self.time_s):
                 err_txt = "" if err is None else f"{err:.17g}"
-                fh.write(f"{j},{res:.17g},{err_txt},{1e3 * t:.6g}\n")
+                fh.write(f"{j},{res:.17g},{pre:.17g},{err_txt},{1e3 * t:.6g}\n")
 
 
 def _err_a(system, v, u_ref):

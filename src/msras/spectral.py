@@ -13,6 +13,14 @@ eigenproblem, at a fraction of the dense size.
 Zero-energy harmonic modes (constants on subdomains not touching the
 Dirichlet boundary) appear as kernel vectors of S; they are always retained
 first in the local basis.
+
+Both local eigenproblems are solved on their coupling dofs only, through the
+one Schur reduction `schur_complement`: the harmonic pencil on the interface
+of omega_i^* (eliminating its interior through the cached sparse interior
+factor), the GenEO pencil on the overlap-zone dofs of omega_i, where its
+left-hand side is nonzero (eliminating the rest through a dense Cholesky).
+Vectors extend back through the map x_eliminated = -E x_kept of the same
+reduction.
 """
 
 import warnings
@@ -106,6 +114,18 @@ class HarmonicMap:
         return self.matrix @ x_boundary
 
 
+def schur_complement(A, keep, elim, solve):
+    """Exact elimination of the positions `elim` of the sparse symmetric
+    matrix A onto the positions `keep`. `solve` applies A_ee^{-1} to a dense
+    block of columns. Returns (S, E): E = A_ee^{-1} A_ek and the dense,
+    symmetrized Schur complement S = A_kk - A_ke E. A vector on `keep`
+    extends to `elim` as -E x."""
+    A_ek = A[elim][:, keep]
+    E = solve(A_ek.toarray())
+    S = A[keep][:, keep].toarray() - A_ek.T @ E
+    return 0.5 * (S + S.T), E
+
+
 def reduce_to_harmonic(system, decomp, pu, i):
     """Interface reduction of the local eigenproblem on omega_i^*.
 
@@ -124,13 +144,9 @@ def reduce_to_harmonic(system, decomp, pu, i):
         )
 
     A_star = local_stiffness(system, sub.box_star, sub.dofs_star)
-    A12 = A_star[i1][:, i2]
-    A22 = A_star[i2][:, i2].toarray()
     # A11 = A_star[i1, i1] is bit-identical to the global matrix on dofs0_star
     # (every cell incident to an interior node lies in omega_i^*)
-    E = interior_factor(decomp, i).solve(A12.toarray())  # A11^{-1} A12
-    S = A22 - A12.T @ E
-    S = 0.5 * (S + S.T)
+    S, E = schur_complement(A_star, i2, i1, interior_factor(decomp, i).solve)
 
     H = np.zeros((n_star, i2.size))
     H[i1, :] = -E
@@ -228,24 +244,54 @@ def truncate_basis(basis, m):
     )
 
 
+def geneo_coupling(system, decomp, pu, i):
+    """The left-hand side of the GenEO pencil of omega_i, the PU-weighted
+    overlap-zone energy K = chi A_over chi on the free dofs of omega_i
+    (sparse), and the positions the pencil is solved on: the coupling dofs
+    Gamma, where K has a nonzero row. K is PSD, so these are the rows with a
+    positive diagonal entry. Without an overlap K is zero, and the positions
+    are all of omega_i's dofs."""
+    sub = decomp.subdomains[i]
+    A_over = local_stiffness(system, sub.box, sub.dofs, overlap_zone(decomp, i))
+    chi = sparse.diags(pu.weights[sub.id])
+    K = (chi @ A_over @ chi).tocsr()
+    gamma = np.flatnonzero(K.diagonal() > 0.0)
+    return K, gamma if gamma.size else np.arange(sub.dofs.size)
+
+
 def geneo_eigenproblem(system, decomp, pu, i, m):
     """Overlap-zone eigenproblem on omega_i (no oversampling, no harmonic
     constraint): PU-weighted energy over the overlap zone against the full
-    local energy, on all free dofs of omega_i. Vectors are zero-extended to
-    dofs(omega_i^*) so gluing is uniform across basis kinds."""
-    sub = decomp.subdomains[i]
-    A_omega = local_stiffness(system, sub.box, sub.dofs).toarray()
-    A_over = local_stiffness(system, sub.box, sub.dofs, overlap_zone(decomp, i)).toarray()
-    chi = pu.weights[sub.id]
-    K = chi[:, None] * A_over * chi[None, :]
+    local energy, K x = lambda A_omega x on the free dofs of omega_i.
 
-    pencil = dense_generalized_sym_eig(K, A_omega)
+    K vanishes off the coupling dofs Gamma, so for lambda != 0 the other
+    rows I force x_I = -A_II^{-1} A_IGamma x_Gamma, and the pencil is exactly
+    K_GammaGamma x = lambda S x with S the Schur complement of A_omega onto
+    Gamma; kernel vectors extend through the same map. Vectors are then
+    zero-extended to dofs(omega_i^*) so gluing is uniform across basis
+    kinds."""
+    sub = decomp.subdomains[i]
+    K, gamma = geneo_coupling(system, decomp, pu, i)
+    rest = np.setdiff1d(np.arange(sub.dofs.size), gamma, assume_unique=True)
+    A_omega = local_stiffness(system, sub.box, sub.dofs)
+    try:
+        cho = scipy.linalg.cho_factor(A_omega[rest][:, rest].toarray(), lower=True,
+                                      check_finite=False)
+    except scipy.linalg.LinAlgError as exc:
+        raise FactorizationFailure(
+            f"subdomain {i}: local energy off the overlap zone not SPD: {exc}"
+        ) from exc
+    S, E = schur_complement(A_omega, gamma, rest,
+                            lambda b: scipy.linalg.cho_solve(cho, b, check_finite=False))
+
+    pencil = dense_generalized_sym_eig(K[gamma][:, gamma].toarray(), S)
     pos = sub.star_positions(sub.dofs)
     n_star = sub.dofs_star.size
 
     def full_of(x):
         out = np.zeros(n_star)
-        out[pos] = x
+        out[pos[gamma]] = x
+        out[pos[rest]] = -(E @ x)
         return out
 
     return _assemble_basis(i, "geneo", pencil, m, full_of, n_star)
@@ -282,16 +328,19 @@ def coarse_space_from_columns(system, columns, xi, xi_star, max_next_eigenvalue)
     """Assemble, rank-filter and factorize a coarse space from explicit
     global columns (already glued)."""
     cols = sparse.csc_matrix(columns)
-    norms = np.sqrt(np.maximum((cols.T @ (system.A_free @ cols)).diagonal(), 0.0))
+    galerkin = cols.T @ (system.A_free @ cols)  # formed once, then scaled and sliced
+    norms = np.sqrt(np.maximum(galerkin.diagonal(), 0.0))
     keep = norms > 0.0
     if not np.all(keep):
         warnings.warn(
             f"dropping {int((~keep).sum())} zero-energy coarse columns", RankDeficientCoarse
         )
         cols = cols[:, keep]
+        galerkin = galerkin[keep][:, keep]
         norms = norms[keep]
-    cols = cols @ sparse.diags(1.0 / norms)
-    a_c = (cols.T @ (system.A_free @ cols)).toarray()
+    scale = sparse.diags(1.0 / norms)
+    cols = cols @ scale
+    a_c = (scale @ galerkin @ scale).toarray()
     a_c = 0.5 * (a_c + a_c.T)
 
     n = a_c.shape[0]  # a_c is PSD: its 2-norm is its largest eigenvalue
@@ -305,8 +354,7 @@ def coarse_space_from_columns(system, columns, xi, xi_star, max_next_eigenvalue)
         )
         keep = np.sort(piv[:rank] - 1)
         cols = cols[:, keep]
-        a_c = (cols.T @ (system.A_free @ cols)).toarray()
-        a_c = 0.5 * (a_c + a_c.T)
+        a_c = a_c[np.ix_(keep, keep)]
     cho = scipy.linalg.cho_factor(a_c)
     lam = float(np.sqrt(xi * xi_star * max_next_eigenvalue))
     return CoarseSpace(

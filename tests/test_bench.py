@@ -120,7 +120,7 @@ class TestRunSingle:
         report, _, _ = run_single(cfg)
         on_disk = json.loads((tmp_path / "r.json").read_text())
         assert on_disk["config"] == cfg.to_dict()
-        assert (tmp_path / "h.csv").read_text().startswith("iter,res_b,err_a,time_ms")
+        assert (tmp_path / "h.csv").read_text().startswith("iter,res_b,res_precond,err_a,time_ms")
         assert (tmp_path / "u.csv").read_text().startswith("x,y,u")
         assert report["lambda_bound"] is not None
         assert not np.isnan(report["final_residual"])
@@ -204,7 +204,7 @@ class TestRunComparison:
         run_comparison(cfg, ["hybrid_RAS_msgfem", "RAS"])
         for scheme in ("hybrid_RAS_msgfem", "RAS"):
             body = (tmp_path / f"cmp_{scheme}.csv").read_text()
-            assert body.startswith("iter,res_b,err_a,time_ms")
+            assert body.startswith("iter,res_b,res_precond,err_a,time_ms")
 
 
 class TestRunSweep:
@@ -249,6 +249,13 @@ class TestRunSweep:
         sweep = run_sweep(small_cfg(scheme="AS2_geneo"), [2], [2, 3, 4])
         assert all(not cell.get("failure") for cell in sweep.cells.values())
         assert len(calls) == 4
+
+    def test_geneo_sweep_clamps_to_coupling_dofs(self):
+        # each 2x2 GenEO pencil lives on its 30 coupling dofs (of 90): the
+        # 40-mode request fails its own cell, not the sweep's shared bases
+        sweep = run_sweep(small_cfg(scheme="AS2_geneo"), [2], [2, 40])
+        assert not sweep.cells[(2, 2)].get("failure")
+        assert sweep.cells[(2, 40)]["failure"].startswith("TooManyModes: ")
 
     def test_empty_axes_rejected(self):
         with pytest.raises(ConfigError):

@@ -285,10 +285,12 @@ class TestGmres:
         path = tmp_path / "hist.csv"
         hist.to_csv(path)
         lines = path.read_text().splitlines()
-        assert lines[0] == "iter,res_b,err_a,time_ms"
+        assert lines[0] == "iter,res_b,res_precond,err_a,time_ms"
         assert len(lines) == len(hist.iters) + 1
         first = lines[1].split(",")
-        assert first[0] == "0" and first[2] == ""  # no reference supplied
+        assert first[0] == "0" and first[3] == ""  # no reference supplied
+        # GMRES stops on res_precond: the last row carries it to 17 digits
+        assert float(lines[-1].split(",")[2]) == hist.res_precond[-1]
 
 
 _GMRES_RSS = """

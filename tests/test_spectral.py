@@ -8,8 +8,8 @@ from msras.bench import compute_bases
 from msras.decomp import pu_apply
 
 from msras.decomp import build_decomposition, build_partition_of_unity
-from msras.errors import EmptyBoundary, RankDeficientCoarse, TooManyModes
-from msras.grid import BoundarySpec
+from msras.errors import EmptyBoundary, FactorizationFailure, RankDeficientCoarse, TooManyModes
+from msras.grid import BoundarySpec, element_stiffness
 from msras.linalg import single_blas_thread
 from msras.spectral import (
     build_coarse_space,
@@ -30,6 +30,9 @@ from tests.oracles import (
     geneo_eigs_bruteforce,
     harmonic_eigs_bruteforce,
     harmonic_nullspace_pencil,
+    mask_geneo_overlap,
+    mask_local_stiffness,
+    node_incidence,
     q1_element_quadrature,
 )
 
@@ -252,6 +255,85 @@ class TestGeneo:
             assert rel.max() <= 1e-8
 
 
+@pytest.fixture(scope="module")
+def geneo_desk():
+    # the desk coefficient (skyscraper, contrast 1e6) at 64^2, 4x4 subdomains,
+    # 2 overlap layers: 10 GenEO modes per subdomain, and the full pencil's K
+    # and A_omega from the mask assembly, which matches the production
+    # assembly bit for bit (a different summation order moves the top
+    # eigenvalues, up to about 6e5, by up to 2e-8 relative)
+    system = make_system(64, contrast=1e6)
+    dec = build_decomposition(system, 4, 4, 2, 4)
+    pu = build_partition_of_unity(dec)
+    kref = element_stiffness(1.0, system.grid.hx, system.grid.hy)
+    masks = [box_mask(system.grid, s.box) for s in dec.subdomains]
+    cases = []
+    for i, sub in enumerate(dec.subdomains):
+        A = mask_local_stiffness(system, masks[i], sub.dofs, kref).toarray()
+        A_over = mask_local_stiffness(system, mask_geneo_overlap(masks, i), sub.dofs,
+                                      kref).toarray()
+        chi = pu.weights[i]
+        b = geneo_eigenproblem(system, dec, pu, i, 10)
+        cases.append((chi[:, None] * A_over * chi[None, :], A,
+                      b.vectors[sub.star_positions(sub.dofs)], b))
+    return system, dec, pu, cases
+
+
+class TestGeneoReducedPencil:
+    """The GenEO pencil is solved on the coupling dofs; its vectors, extended
+    to omega_i, must solve the full pencil K v = lambda A_omega v."""
+
+    def test_finite_modes_solve_full_pencil(self, geneo_desk):
+        for K, A, V, b in geneo_desk[3]:
+            fin = V[:, b.kernel_dim :]
+            lam = b.eigenvalues[b.kernel_dim :]
+            res = np.linalg.norm(K @ fin - (A @ fin) * lam, axis=0)
+            assert np.all(res <= 1e-8 * np.linalg.norm(K, 2) * np.linalg.norm(fin, axis=0)), \
+                b.subdomain_id
+            gram = fin.T @ A @ fin
+            assert np.abs(gram - np.eye(lam.size)).max() <= 1e-8, b.subdomain_id
+
+    def test_kernel_vectors_in_kernel(self, geneo_desk):
+        kernels = 0
+        for _, A, V, b in geneo_desk[3]:
+            ker = V[:, : b.kernel_dim]
+            kernels += b.kernel_dim
+            assert np.all(np.linalg.norm(A @ ker, axis=0)
+                          <= 1e-8 * np.linalg.norm(A, 2) * np.linalg.norm(ker, axis=0))
+        assert kernels > 0  # the floating subdomains carry the constants
+
+    def test_kernel_and_next_eigenvalue_match_oracle(self, geneo_desk):
+        system, dec, pu, cases = geneo_desk
+        for _, _, _, b in cases:
+            l_o, lam_o = geneo_eigs_bruteforce(system, dec, pu, b.subdomain_id,
+                                               10 - b.kernel_dim + 1)
+            assert l_o == b.kernel_dim
+            rel = abs(b.next_eigenvalue - lam_o[-1]) / lam_o[-1]
+            assert rel <= 1e-8, (b.subdomain_id, rel)
+
+    def test_pencil_has_coupling_rows(self, system16, decomp16, pu16, monkeypatch):
+        # Gamma: the dofs with nonzero PU weight on a node of an overlap-zone
+        # cell; a fallback to the full omega_i pencil must fail here
+        sizes = []
+        original = spectral.dense_generalized_sym_eig
+        monkeypatch.setattr(spectral, "dense_generalized_sym_eig",
+                            lambda K, M: sizes.append(K.shape[0]) or original(K, M))
+        masks = [box_mask(system16.grid, s.box) for s in decomp16.subdomains]
+        for i, sub in enumerate(decomp16.subdomains):
+            geneo_eigenproblem(system16, decomp16, pu16, i, 5)
+            on_zone, _ = node_incidence(mask_geneo_overlap(masks, i))
+            in_gamma = on_zone.ravel()[system16.free_to_node[sub.dofs]] & (pu16.weights[i] != 0)
+            assert sizes[-1] == np.count_nonzero(in_gamma) < sub.dofs.size
+
+    def test_cholesky_failure_is_typed(self, system16, decomp16, pu16, monkeypatch):
+        def fail(*args, **kwargs):
+            raise scipy.linalg.LinAlgError("leading minor not positive definite")
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", fail)
+        with pytest.raises(FactorizationFailure, match="subdomain 1"):
+            geneo_eigenproblem(system16, decomp16, pu16, 1, 5)
+
+
 class TestBlasWidth:
     @pytest.mark.parametrize("kind", ["harmonic", "geneo"])
     def test_bases_do_not_depend_on_blas_width(self, interior_case, blas_width_two, kind):
@@ -354,6 +436,20 @@ class TestCoarseSpace:
         with pytest.warns(RankDeficientCoarse):
             cs = coarse_space_from_columns(system16, cols, 1, 1, 0.0)
         assert cs.m == 2
+
+    def test_zero_energy_columns_dropped(self, system16):
+        # the kept block of the one Galerkin product, scaled, is the Galerkin
+        # matrix of the kept columns
+        rng = np.random.default_rng(6)
+        cols = np.column_stack([rng.standard_normal(system16.n_free), np.zeros(system16.n_free),
+                                rng.standard_normal(system16.n_free)])
+        with pytest.warns(RankDeficientCoarse, match="zero-energy"):
+            cs = coarse_space_from_columns(system16, cols, 1, 1, 0.0)
+        assert cs.m == 2
+        basis = cs.basis.toarray()
+        ref = basis.T @ (system16.A_free @ basis)
+        assert np.allclose(cs.a_coarse, ref, rtol=0.0, atol=1e-13)
+        assert np.allclose(np.diag(cs.a_coarse), 1.0, rtol=0.0, atol=1e-13)
 
     def test_columns_normalized(self, system16, decomp16, pu16):
         bases = []
