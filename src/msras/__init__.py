@@ -15,7 +15,6 @@ from .decomp import (
     build_decomposition,
     build_partition_of_unity,
     coloring_constant,
-    pu_apply,
 )
 from .grid import (
     AssembledSystem,
@@ -34,7 +33,6 @@ from .linalg import (
     dense_generalized_sym_eig,
     extract_submatrix,
     factorize,
-    solve,
 )
 from .schwarz import (
     IterationHistory,
@@ -45,18 +43,14 @@ from .schwarz import (
     build_preconditioner,
     contraction_norm,
     gmres,
-    msgfem_map,
     richardson,
     spd_condition_number,
 )
 from .spectral import (
     CoarseSpace,
     LocalSpectralBasis,
-    ParticularField,
     build_coarse_space,
     geneo_eigenproblem,
-    local_particular_solve,
-    particular_field,
     reduce_to_harmonic,
     solve_local_eigenproblem,
     truncate_basis,

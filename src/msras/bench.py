@@ -18,6 +18,7 @@ from . import schwarz, spectral
 from .decomp import build_decomposition, build_partition_of_unity
 from .errors import ConfigError, MsrasError
 from .grid import (
+    SIDES,
     BoundarySpec,
     CartesianGrid,
     CoefficientField,
@@ -29,6 +30,14 @@ from .grid import (
 from .linalg import single_blas_thread
 
 _DRIVERS = ("richardson", "gmres")
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass
@@ -57,6 +66,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data):
+        if not isinstance(data, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(data) - known
         if unknown:
@@ -79,6 +90,21 @@ class ExperimentConfig:
             json.dump(self.to_dict(), fh, indent=2)
 
     def validate(self):
+        for name in ("nx", "ny", "px", "py", "overlap_layers", "oversampling_layers", "maxit",
+                     "seed"):
+            if not _is_int(getattr(self, name)):
+                raise ConfigError(f"{name}: must be an integer, got {getattr(self, name)!r}")
+        for name in ("lx", "ly", "target_reduction"):
+            if not _is_number(getattr(self, name)):
+                raise ConfigError(f"{name}: must be a number, got {getattr(self, name)!r}")
+        for name in ("coefficient", "boundary", "source", "outputs"):
+            if not isinstance(getattr(self, name), dict):
+                raise ConfigError(f"{name}: must be an object")
+        for side in SIDES:
+            if not isinstance(self.boundary.get(side, {}), dict):
+                raise ConfigError(f"boundary.{side}: must be an object")
+        if not all(isinstance(path, str) for path in self.outputs.values()):
+            raise ConfigError("outputs: paths must be strings")
         if self.nx < 2 or self.ny < 2:
             raise ConfigError("grid: nx and ny must be >= 2")
         if self.lx <= 0 or self.ly <= 0:
@@ -100,8 +126,8 @@ class ExperimentConfig:
         if self.maxit < 1:
             raise ConfigError("solver.maxit: must be >= 1")
         for name, value in self._data_numbers():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"{name}: must be a finite number, got {value}")
+            if value is not None and not (_is_number(value) and math.isfinite(value)):
+                raise ConfigError(f"{name}: must be a finite number, got {value!r}")
         kind = self.coefficient.get("kind")
         if kind not in ("constant", "skyscraper", "raster"):
             raise ConfigError(f"coefficient.kind: unknown kind {kind!r}")
@@ -111,9 +137,17 @@ class ExperimentConfig:
             fr = self.coefficient.get("fraction", 0.0)
             if not (0.0 <= fr <= 1.0):
                 raise ConfigError("coefficient.fraction: must lie in [0, 1]")
-            bx, by = self.coefficient.get("blocks", (8, 8))
+            blocks = self.coefficient.get("blocks", (8, 8))
+            if not (isinstance(blocks, (list, tuple)) and len(blocks) == 2
+                    and all(map(_is_int, blocks))):
+                raise ConfigError(f"coefficient.blocks: must be a pair of integers, got {blocks!r}")
+            bx, by = blocks
             if not (1 <= bx <= self.nx and 1 <= by <= self.ny):
                 raise ConfigError("coefficient.blocks: must fit the cell grid")
+            if not _is_int(self.coefficient.get("seed", self.seed)):
+                raise ConfigError("coefficient.seed: must be an integer")
+        if kind == "raster" and not isinstance(self.coefficient.get("path"), str):
+            raise ConfigError("coefficient.path: the raster needs a file path")
         skind = self.source.get("kind", "none")
         if skind not in ("gaussian_bump", "constant", "none"):
             raise ConfigError(f"source.kind: unknown kind {skind!r}")
@@ -123,24 +157,25 @@ class ExperimentConfig:
         """(path, value) of the coefficient, source and boundary numbers."""
         yield "coefficient.value", self.coefficient.get("value")
         yield "coefficient.contrast", self.coefficient.get("contrast")
+        yield "coefficient.fraction", self.coefficient.get("fraction")
         yield "source.value", self.source.get("value")
         yield "boundary.value", self.boundary.get("value")
-        for side in ("left", "right", "bottom", "top"):
-            spec = self.boundary.get(side)
-            if isinstance(spec, dict):
-                yield f"boundary.{side}.value", spec.get("value")
-                yield f"boundary.{side}.flux", spec.get("flux")
+        for side in SIDES:
+            spec = self.boundary.get(side, {})
+            yield f"boundary.{side}.value", spec.get("value")
+            yield f"boundary.{side}.flux", spec.get("flux")
 
     def modes_list(self):
         n_sub = self.px * self.py
-        if isinstance(self.modes, int):
+        if _is_int(self.modes):
             if self.modes < 0:
                 raise ConfigError("modes: must be >= 0")
             return [self.modes] * n_sub
-        modes = list(self.modes)
-        if len(modes) != n_sub or any((not isinstance(m, int)) or m < 0 for m in modes):
-            raise ConfigError(f"modes: need {n_sub} nonnegative integers")
-        return modes
+        modes = self.modes
+        if not (isinstance(modes, (list, tuple)) and len(modes) == n_sub
+                and all(_is_int(m) and m >= 0 for m in modes)):
+            raise ConfigError(f"modes: need an integer or {n_sub} nonnegative integers")
+        return list(modes)
 
 
 def _build_boundary(spec):
@@ -152,7 +187,7 @@ def _build_boundary(spec):
     if preset is not None:
         raise ConfigError(f"boundary.preset: unknown preset {preset!r}")
     sides = {}
-    for side in ("left", "right", "bottom", "top"):
+    for side in SIDES:
         s = spec.get(side)
         if s is None:
             raise ConfigError(f"boundary.{side}: missing")
@@ -178,7 +213,10 @@ def _build_coefficient(cfg, grid):
             inclusion_fraction=spec.get("fraction", 0.3),
             seed=spec.get("seed", cfg.seed),
         )
-    return CoefficientField.from_raster(grid, spec["path"])
+    try:
+        return CoefficientField.from_raster(grid, spec["path"])
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"coefficient.path {spec['path']!r}: {exc}") from exc
 
 
 def _build_source(cfg):

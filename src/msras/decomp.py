@@ -15,12 +15,11 @@ chi_i = d_i / sum_j d_j. Applying chi as a diagonal nodal scaling realizes
 the interpolated product exactly for Q1 elements.
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, GridTooSmall, UncoveredNode
+from .errors import GridTooSmall, UncoveredNode
 
 
 def _grow(box, layers, grid):
@@ -89,10 +88,7 @@ class Decomposition:
     subdomains: list
     xi: int
     xi_star: int
-    px: int
-    py: int
     overlap_layers: int
-    oversampling_layers: int
     # (dof-set name, subdomain id) -> factor of system.A_free on that dof set
     factors: dict = field(default_factory=dict, repr=False)
 
@@ -174,10 +170,7 @@ def build_decomposition(system, px, py, overlap_layers, oversampling_layers):
         subdomains=subdomains,
         xi=coloring_constant(grid, [s.box for s in subdomains]),
         xi_star=coloring_constant(grid, [s.box_star for s in subdomains]),
-        px=px,
-        py=py,
         overlap_layers=overlap_layers,
-        oversampling_layers=oversampling_layers,
     )
 
 
@@ -191,15 +184,6 @@ class PartitionOfUnity:
         """chi_i extended by zero to the dofs_star index set of subdomain i."""
         out = np.zeros(sub.dofs_star.size)
         out[sub.star_positions(sub.dofs)] = self.weights[sub.id]
-        return out
-
-    def at(self, sub, global_free):
-        """chi_i values at arbitrary global free indices (zero outside)."""
-        out = np.zeros(len(global_free))
-        pos = np.searchsorted(sub.dofs, global_free)
-        pos = np.clip(pos, 0, sub.dofs.size - 1)
-        hit = sub.dofs[pos] == global_free
-        out[hit] = self.weights[sub.id][pos[hit]]
         return out
 
 
@@ -219,46 +203,3 @@ def build_partition_of_unity(decomp):
         raise UncoveredNode(f"free dof {bad} has zero weight in every subdomain")
     weights = [d / total[sub.dofs] for sub, d in zip(decomp.subdomains, dist_per_sub)]
     return PartitionOfUnity(weights=weights)
-
-
-def pu_apply(pu, decomp, i, v_local):
-    """Nodal multiplication by chi_i of a vector on dofs(omega_i^*): the
-    interpolated product chi_i * v, still indexed by dofs_star."""
-    sub = decomp.subdomains[i]
-    v_local = np.asarray(v_local)
-    if v_local.shape[0] != sub.dofs_star.size:
-        raise DimensionMismatch(
-            f"vector length {v_local.shape[0]} != dofs(omega_{i}^*) size {sub.dofs_star.size}"
-        )
-    return pu.on_star(sub) * v_local
-
-
-def decomposition_summary(decomp):
-    """JSON-ready summary: per-subdomain cell/dof counts plus the coloring
-    constants."""
-    return {
-        "px": decomp.px,
-        "py": decomp.py,
-        "overlap_layers": decomp.overlap_layers,
-        "oversampling_layers": decomp.oversampling_layers,
-        "xi": decomp.xi,
-        "xi_star": decomp.xi_star,
-        "subdomains": [
-            {
-                "id": s.id,
-                "cells": (s.box[1] - s.box[0]) * (s.box[3] - s.box[2]),
-                "cells_star": (s.box_star[1] - s.box_star[0]) * (s.box_star[3] - s.box_star[2]),
-                "dofs": int(s.dofs.size),
-                "dofs0": int(s.dofs0.size),
-                "dofs_star": int(s.dofs_star.size),
-                "dofs0_star": int(s.dofs0_star.size),
-                "boundary_star": int(s.boundary_star.size),
-            }
-            for s in decomp.subdomains
-        ],
-    }
-
-
-def export_decomposition_json(path, decomp):
-    with open(path, "w") as fh:
-        json.dump(decomposition_summary(decomp), fh, indent=2)

@@ -77,8 +77,7 @@ class CoefficientField:
         """Read a plain-text raster: first line "nx ny", then ny rows of nx
         values, row cy=0 first."""
         with open(path) as fh:
-            first = fh.readline().split()
-            nx, ny = int(first[0]), int(first[1])
+            nx, ny = map(int, fh.readline().split())
             data = np.loadtxt(fh)
         data = np.atleast_2d(data)
         if data.shape != (ny, nx):
@@ -86,12 +85,6 @@ class CoefficientField:
         if (nx, ny) != (grid.nx, grid.ny):
             raise ValueError(f"raster is {nx}x{ny}, grid is {grid.nx}x{grid.ny}")
         return cls(data, kind="raster")
-
-    def to_raster(self, path):
-        ny, nx = self.values.shape
-        with open(path, "w") as fh:
-            fh.write(f"{nx} {ny}\n")
-            np.savetxt(fh, self.values, fmt="%.17g")
 
 
 def skyscraper_coefficient(grid, contrast, blocks, inclusion_fraction, seed):
@@ -196,9 +189,6 @@ class AssembledSystem:
         full = self.lift.copy()
         full[self.free_to_node] += u_free
         return full
-
-    def restrict(self, u_full):
-        return np.asarray(u_full)[self.free_to_node]
 
     def a_norm(self, v_free):
         return float(np.sqrt(max(v_free @ (self.A_free @ v_free), 0.0)))

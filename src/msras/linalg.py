@@ -16,7 +16,6 @@ import os
 
 import numpy as np
 import scipy
-import scipy.io
 import scipy.linalg
 import scipy.sparse as sparse
 from scipy.sparse.linalg import splu
@@ -90,10 +89,6 @@ class SparseSym:
     def n(self):
         return self.mat.shape[0]
 
-    @classmethod
-    def from_dense(cls, arr, validate=True):
-        return cls(sparse.csr_matrix(np.asarray(arr, dtype=float)), validate=validate)
-
     def to_dense(self):
         return self.mat.toarray()
 
@@ -140,11 +135,6 @@ def factorize(A):
             f"smallest pivot {pivots.min():.3e} vs diag scale {diag_scale:.3e}"
         )
     return SparseFactor(lu, A.n)
-
-
-def solve(factor, rhs):
-    """Solve A x = rhs with a previously computed factor."""
-    return factor.solve(rhs)
 
 
 def extract_submatrix(A, idx):
@@ -226,16 +216,10 @@ def dense_generalized_sym_eig(K, M):
     mu_f = np.clip(mu[kernel_dim:], 0.0, None)
     one_minus = np.maximum(1.0 - mu_f, np.finfo(float).tiny)
     lam = mu_f / one_minus
-    V = X[:, kernel_dim:] / np.sqrt(one_minus)  # (K+M)-orthonormal -> M-orthonormal
+    # (K+M)-orthonormal -> M-orthonormal. x^T M x equals 1 - mu in exact
+    # arithmetic, but 1 - mu cancels when lambda is large; the computed
+    # quadratic form does not.
+    V = X[:, kernel_dim:]
+    m_norm2 = np.einsum("ij,ij->j", V, M @ V)
+    V = V / np.sqrt(np.maximum(m_norm2, np.finfo(float).tiny))
     return DensePencilEig(lam, V, kernel_dim, Qk)
-
-
-def mm_write(path, A):
-    """Export a SparseSym in Matrix Market coordinate format (symmetric)."""
-    scipy.io.mmwrite(str(path), sparse.coo_matrix(sparse.tril(A.mat)), symmetry="symmetric")
-
-
-def mm_read(path):
-    """Import a SparseSym from a Matrix Market coordinate file."""
-    mat = scipy.io.mmread(str(path))
-    return SparseSym(sparse.csr_matrix(mat))

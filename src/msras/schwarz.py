@@ -68,7 +68,9 @@ def build_preconditioner(system, decomp, pu, scheme, coarse=None):
             dofs = sub.dofs0_star
             local_factors.append(interior_factor(decomp, sub.id))
         local_dofs.append(dofs)
-        local_weights.append(pu.at(sub, dofs) if scheme in _PU_WEIGHTED else None)
+        local_weights.append(
+            pu.on_star(sub)[sub.star_positions(dofs)] if scheme in _PU_WEIGHTED else None
+        )
     return PreconditionerState(
         scheme=scheme,
         local_dofs=local_dofs,
@@ -109,15 +111,6 @@ def apply_preconditioner(state, r):
     if state.scheme in _HYBRID:
         return z1 + state.coarse.apply(r - state.system.A_free @ z1)
     return z1 + state.coarse.apply(r)
-
-
-def msgfem_map(state, v):
-    """The one-shot multiscale approximation of v: precondition A v. For the
-    right-hand side a(v, .) this is exactly the coarse-plus-local-solve
-    approximation whose error contracts by the coarse-space bound."""
-    if state.scheme != "hybrid_RAS_msgfem":
-        raise ValueError("approximation map is defined for the hybrid_RAS_msgfem scheme")
-    return apply_preconditioner(state, state.system.A_free @ v)
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Local particular solves, spectral basis construction, and the coarse space.
+"""Spectral basis construction and the coarse space.
 
 The local eigenproblem lives on the discretely a-harmonic subspace of the
 oversampling domain: energy of the partition-of-unity-weighted restriction
@@ -30,7 +30,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sparse
 
-from .decomp import overlap_zone, pu_apply
+from .decomp import overlap_zone
 from .errors import (
     EmptyBoundary,
     FactorizationFailure,
@@ -60,8 +60,8 @@ def local_stiffness(system, box, dofs, cells=None):
 def interior_factor(decomp, i):
     """Factor of the global matrix on dofs0(omega_i^*), the interior dofs of
     the oversampling domain. It is the interior block A11 of the harmonic
-    reduction, the particular-solve matrix and the oversampled Schwarz local
-    solve alike, so it is computed once per decomposition and cached there."""
+    reduction and the oversampled Schwarz local solve (the MS-GFEM particular
+    solve) alike, so it is computed once per decomposition and cached there."""
     sub = decomp.subdomains[i]
 
     def build():
@@ -71,47 +71,6 @@ def interior_factor(decomp, i):
             raise FactorizationFailure(f"subdomain {i}: interior block not SPD: {exc}") from exc
 
     return decomp.factor(("dofs0_star", i), build)
-
-
-def local_particular_solve(system, decomp, i):
-    """Local source solve with zero boundary data on the internal boundary of
-    omega_i^*: solves the principal subsystem on dofs0(omega_i^*) and extends
-    by zero to dofs(omega_i^*)."""
-    sub = decomp.subdomains[i]
-    out = np.zeros(sub.dofs_star.size)
-    out[sub.star_positions(sub.dofs0_star)] = interior_factor(decomp, i).solve(
-        system.f_free[sub.dofs0_star]
-    )
-    return out
-
-
-@dataclass
-class ParticularField:
-    """Per-subdomain particular solutions and their partition-of-unity glue."""
-
-    locals: list
-    glued: np.ndarray  # global free-dof vector
-
-
-def particular_field(system, decomp, pu):
-    locals_ = [local_particular_solve(system, decomp, i) for i in range(decomp.n_subdomains)]
-    glued = np.zeros(system.n_free)
-    for sub, loc in zip(decomp.subdomains, locals_):
-        glued[sub.dofs_star] += pu_apply(pu, decomp, sub.id, loc)
-    return ParticularField(locals=locals_, glued=glued)
-
-
-@dataclass
-class HarmonicMap:
-    """Interface-values-to-harmonic-vector extension for one subdomain."""
-
-    matrix: np.ndarray  # (n_star, n_boundary), columns are harmonic vectors
-    interior_pos: np.ndarray
-    boundary_pos: np.ndarray
-    A_star: sparse.csr_matrix  # local energy matrix on dofs_star
-
-    def extend(self, x_boundary):
-        return self.matrix @ x_boundary
 
 
 def schur_complement(A, keep, elim, solve):
@@ -130,7 +89,8 @@ def reduce_to_harmonic(system, decomp, pu, i):
     """Interface reduction of the local eigenproblem on omega_i^*.
 
     Returns (S, Ptil, H): the interface Schur complement of the local energy,
-    the harmonic-extended PU-weighted Gram matrix, and the extension map. The
+    the harmonic-extended PU-weighted Gram matrix, and the dense extension
+    map, whose columns are harmonic vectors on dofs(omega_i^*). The
     pencil Ptil x = lambda S x has exactly the eigenpairs of the eigenproblem
     on the a-harmonic subspace.
     """
@@ -158,7 +118,7 @@ def reduce_to_harmonic(system, decomp, pu, i):
     Ptil = (chi[:, None] * H).T @ PH
     Ptil = 0.5 * (Ptil + Ptil.T)
 
-    return S, Ptil, HarmonicMap(matrix=H, interior_pos=i1, boundary_pos=i2, A_star=A_star.tocsr())
+    return S, Ptil, H
 
 
 @dataclass
@@ -219,9 +179,7 @@ def solve_local_eigenproblem(S, Ptil, H, m, sub_id=0):
     local energy inner product on the oversampling domain.
     """
     pencil = dense_generalized_sym_eig(Ptil, S)
-    return _assemble_basis(
-        sub_id, "harmonic", pencil, m, H.extend, H.matrix.shape[0]
-    )
+    return _assemble_basis(sub_id, "harmonic", pencil, m, lambda x: H @ x, H.shape[0])
 
 
 def truncate_basis(basis, m):
@@ -299,17 +257,14 @@ def geneo_eigenproblem(system, decomp, pu, i, m):
 
 @dataclass
 class CoarseSpace:
-    """Glued coarse basis with its Galerkin matrix and factorization.
+    """Glued coarse basis with the Cholesky factor of its Galerkin matrix.
 
     lam is the bound sqrt(xi * xi_star * max_i next_eigenvalue) computed from
     the bases this space was built from.
     """
 
     basis: sparse.csc_matrix  # (n_free, m) columns
-    a_coarse: np.ndarray
     cho: tuple
-    xi: int
-    xi_star: int
     max_next_eigenvalue: float
     lam: float
 
@@ -355,16 +310,11 @@ def coarse_space_from_columns(system, columns, xi, xi_star, max_next_eigenvalue)
         keep = np.sort(piv[:rank] - 1)
         cols = cols[:, keep]
         a_c = a_c[np.ix_(keep, keep)]
-    cho = scipy.linalg.cho_factor(a_c)
-    lam = float(np.sqrt(xi * xi_star * max_next_eigenvalue))
     return CoarseSpace(
         basis=cols.tocsc(),
-        a_coarse=a_c,
-        cho=cho,
-        xi=xi,
-        xi_star=xi_star,
+        cho=scipy.linalg.cho_factor(a_c),
         max_next_eigenvalue=max_next_eigenvalue,
-        lam=lam,
+        lam=float(np.sqrt(xi * xi_star * max_next_eigenvalue)),
     )
 
 

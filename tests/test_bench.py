@@ -1,5 +1,7 @@
 import importlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -74,6 +76,20 @@ class TestConfig:
                           "right": {"type": "dirichlet", "value": 0.0},
                           "bottom": {"type": "neumann", "flux": float("inf")},
                           "top": {"type": "neumann", "flux": 0.0}}),
+            # wrong types: a bool is not an integer
+            ("modes", 10.0),
+            ("modes", True),
+            ("px", "4"),
+            ("nx", 16.5),
+            ("seed", True),
+            ("lx", "1.0"),
+            ("coefficient", 5),
+            ("boundary", dict.fromkeys(["left", "right", "bottom", "top"], 1)),
+            ("coefficient", {"kind": "skyscraper", "contrast": 1e3, "blocks": [8],
+                             "fraction": 0.3}),
+            ("source", {"kind": "constant", "value": "abc"}),
+            ("coefficient", {"kind": "raster"}),
+            ("outputs", {"report": 7}),
         ],
     )
     def test_validation(self, field, value):
@@ -83,6 +99,11 @@ class TestConfig:
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"grid_size": 3})
+
+    @pytest.mark.parametrize("document", [[], 3, "nx"])
+    def test_non_object_rejected(self, document):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(document)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -280,6 +301,23 @@ class TestCli:
         path = tmp_path / "bad.json"
         path.write_text('{"nx": 1}')
         assert cli_main(["solve", str(path)]) == 1
+
+    @pytest.mark.parametrize("over", [
+        {"coefficient": {"kind": "raster", "path": "no-such-raster.txt"}},
+        {"modes": 10.0},
+    ])
+    def test_malformed_config_exit_1(self, tmp_path, over):
+        # run as a process: the message, not a traceback, must reach stderr
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**small_cfg().to_dict(), **over}))
+        out = subprocess.run(
+            [sys.executable, "-m", "msras.cli", "solve", str(path)],
+            capture_output=True, text=True, cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(Path(schwarz.__file__).parents[1])},
+        )
+        assert out.returncode == 1
+        assert out.stderr.startswith("configuration error:")
+        assert "Traceback" not in out.stderr
 
     def test_nonconvergence_exit_2(self, tmp_path):
         # additive one-level scheme cannot reach 1e-10 in 3 iterations

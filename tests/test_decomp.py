@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -9,13 +7,10 @@ from msras.decomp import (
     build_decomposition,
     build_partition_of_unity,
     coloring_constant,
-    decomposition_summary,
-    export_decomposition_json,
     overlap_zone,
-    pu_apply,
     pu_distances,
 )
-from msras.errors import DimensionMismatch, GridTooSmall
+from msras.errors import GridTooSmall
 from msras.grid import BoundarySpec, CartesianGrid, element_stiffness
 from msras.spectral import local_stiffness
 from tests.conftest import make_system
@@ -35,7 +30,7 @@ def reconstruct(decomp, pu, v):
     for sub in decomp.subdomains:
         loc = np.zeros(sub.dofs_star.size)
         loc[sub.star_positions(sub.dofs0_star)] = v[sub.dofs0_star]
-        out[sub.dofs_star] += pu_apply(pu, decomp, sub.id, loc)
+        out[sub.dofs_star] += pu.on_star(sub) * loc
     return out
 
 
@@ -163,31 +158,19 @@ class TestPartitionOfUnity:
             assert np.abs(r - v).max() <= 1e-13 * np.abs(v).max()
 
     def test_pu_apply_support(self, decomp16, pu16, rng):
+        # chi_i applied on dofs(omega_i^*) vanishes off the interior of omega_i
         sub = decomp16.subdomains[0]
         v = rng.standard_normal(sub.dofs_star.size)
-        out = pu_apply(pu16, decomp16, 0, v)
+        out = pu16.on_star(sub) * v
         inside = np.isin(sub.dofs_star, sub.dofs0)
         assert np.all(out[~inside] == 0.0)
 
-    def test_pu_apply_dimension_checked(self, decomp16, pu16):
-        with pytest.raises(DimensionMismatch):
-            pu_apply(pu16, decomp16, 0, np.ones(3))
-
     def test_pu_apply_on_ones_gives_chi(self, decomp16, pu16):
+        # chi_i extended by zero: the weights on dofs(omega_i), 0 elsewhere
         sub = decomp16.subdomains[1]
-        out = pu_apply(pu16, decomp16, 1, np.ones(sub.dofs_star.size))
-        assert np.array_equal(out, pu16.on_star(sub))
-
-
-class TestSummary:
-    def test_summary_roundtrip(self, decomp16, tmp_path):
-        path = tmp_path / "dec.json"
-        export_decomposition_json(path, decomp16)
-        data = json.loads(path.read_text())
-        assert data["xi"] == decomp16.xi
-        assert len(data["subdomains"]) == 4
-        s = decomposition_summary(decomp16)["subdomains"][0]
-        assert s["dofs0_star"] <= s["dofs_star"]
+        ref = np.zeros(sub.dofs_star.size)
+        ref[np.isin(sub.dofs_star, sub.dofs)] = pu16.weights[1]
+        assert np.array_equal(pu16.on_star(sub), ref)
 
 
 def box_distances(grid, box, cap):

@@ -14,10 +14,7 @@ from msras.linalg import (
     dense_generalized_sym_eig,
     extract_submatrix,
     factorize,
-    mm_read,
-    mm_write,
     single_blas_thread,
-    solve,
 )
 from tests.conftest import openblas_threads
 
@@ -26,13 +23,13 @@ def random_spd(n, seed):
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((n, n))
     A = A + A.T + 3.0 * n * np.eye(n)  # diagonally dominant
-    return SparseSym.from_dense(A)
+    return SparseSym(A)
 
 
 class TestSparseSym:
     def test_rejects_asymmetric(self):
         with pytest.raises(NotSymmetric):
-            SparseSym.from_dense([[1.0, 2.0], [0.0, 1.0]])
+            SparseSym(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
     def test_rejects_nonsquare(self):
         with pytest.raises(DimensionMismatch):
@@ -40,26 +37,26 @@ class TestSparseSym:
 
     def test_accepts_tiny_asymmetry(self):
         A = np.array([[1.0, 0.5], [0.5 * (1 + 1e-14), 1.0]])
-        SparseSym.from_dense(A)
+        SparseSym(A)
 
 
 class TestFactorize:
     def test_diagonal(self):
-        A = SparseSym.from_dense(np.diag([2.0, 3.0]))
+        A = SparseSym(np.diag([2.0, 3.0]))
         f = factorize(A)
-        assert np.allclose(solve(f, np.array([2.0, 3.0])), [1.0, 1.0])
+        assert np.allclose(f.solve(np.array([2.0, 3.0])), [1.0, 1.0])
 
     def test_scalar_interior_node(self):
         # 1x1 system of the interior node of a 2x2-element unit-coefficient grid
-        A = SparseSym.from_dense([[8.0 / 3.0]])
+        A = SparseSym(np.array([[8.0 / 3.0]]))
         f = factorize(A)
-        assert solve(f, np.array([8.0 / 3.0]))[0] == pytest.approx(1.0, abs=1e-14)
-        assert solve(f, np.array([1.0]))[0] == pytest.approx(0.375, abs=1e-15)
+        assert f.solve(np.array([8.0 / 3.0]))[0] == pytest.approx(1.0, abs=1e-14)
+        assert f.solve(np.array([1.0]))[0] == pytest.approx(0.375, abs=1e-15)
 
     def test_identity(self):
-        f = factorize(SparseSym.from_dense(np.eye(4)))
+        f = factorize(SparseSym(np.eye(4)))
         b = np.array([1.0, -2.0, 3.0, 4.0])
-        assert np.array_equal(solve(f, b), b)
+        assert np.array_equal(f.solve(b), b)
 
     def test_residual_roundtrip_random_spd(self):
         A = random_spd(50, seed=1)
@@ -67,35 +64,35 @@ class TestFactorize:
         rng = np.random.default_rng(2)
         for _ in range(5):
             b = rng.standard_normal(50)
-            x = solve(f, b)
+            x = f.solve(b)
             assert np.linalg.norm(A.mat @ x - b) <= 1e-10 * np.linalg.norm(b)
 
     def test_solve_deterministic(self):
         A = random_spd(30, seed=3)
         f = factorize(A)
         b = np.arange(30, dtype=float)
-        assert np.array_equal(solve(f, b), solve(f, b))
+        assert np.array_equal(f.solve(b), f.solve(b))
 
     def test_zero_pivot_raises(self):
-        A = SparseSym.from_dense(np.diag([1.0, 0.0, 2.0]))
+        A = SparseSym(np.diag([1.0, 0.0, 2.0]))
         with pytest.raises(NotPositiveDefinite):
             factorize(A)
 
     def test_negative_pivot_raises(self):
-        A = SparseSym.from_dense(np.diag([1.0, -2.0]))
+        A = SparseSym(np.diag([1.0, -2.0]))
         with pytest.raises(NotPositiveDefinite):
             factorize(A)
 
     def test_rhs_length_checked(self):
         f = factorize(random_spd(5, seed=4))
         with pytest.raises(DimensionMismatch):
-            solve(f, np.ones(6))
+            f.solve(np.ones(6))
 
     def test_matrix_rhs(self):
         A = random_spd(12, seed=5)
         f = factorize(A)
         B = np.random.default_rng(6).standard_normal((12, 3))
-        X = solve(f, B)
+        X = f.solve(B)
         assert np.linalg.norm(A.mat @ X - B) <= 1e-10 * np.linalg.norm(B)
 
 
@@ -114,7 +111,7 @@ class TestExtractSubmatrix:
         # dense-slicing oracle: picking {1, 3} of a tridiagonal matrix
         # decouples the two diagonal entries
         d = np.array([2.0, 3.0, 4.0, 5.0, 6.0])
-        A = SparseSym.from_dense(np.diag(d) + np.diag(-np.ones(4), 1) + np.diag(-np.ones(4), -1))
+        A = SparseSym(np.diag(d) + np.diag(-np.ones(4), 1) + np.diag(-np.ones(4), -1))
         sub = extract_submatrix(A, [1, 3]).to_dense()
         assert np.array_equal(sub, np.diag([3.0, 5.0]))
 
@@ -194,6 +191,21 @@ class TestDensePencilEig:
         G = pe.eigenvectors.T @ M @ pe.eigenvectors
         assert np.allclose(G, np.eye(10), atol=1e-8)
 
+    def test_m_normalized_across_wide_spectrum(self):
+        # eigenvalues from 1e-3 to 1e6: every vector has unit M-norm to
+        # rounding, also where 1 - mu = 1 / (1 + lambda) cancels
+        rng = np.random.default_rng(15)
+        n = 120
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        M = (Q * rng.uniform(1.0, 2.0, n)) @ Q.T
+        W, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        L = np.linalg.cholesky(0.5 * (M + M.T))
+        K = L @ (W * np.logspace(-3, 6, n)) @ W.T @ L.T
+        pe = dense_generalized_sym_eig(0.5 * (K + K.T), M)
+        assert pe.eigenvalues.size == n
+        V = pe.eigenvectors
+        assert np.abs(np.einsum("ij,ij->j", V, M @ V) - 1.0).max() <= 1e-13
+
     def test_not_symmetric(self):
         with pytest.raises(NotSymmetric):
             dense_generalized_sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]), np.eye(2))
@@ -201,19 +213,6 @@ class TestDensePencilEig:
     def test_zero_lhs(self):
         pe = dense_generalized_sym_eig(np.zeros((4, 4)), np.eye(4))
         assert np.allclose(pe.eigenvalues, 0.0)
-
-
-class TestMatrixMarket:
-    def test_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(15)
-        A = sparse.random(30, 30, 0.2, random_state=16)
-        A = SparseSym((A + A.T).tocsr())
-        path = tmp_path / "a.mtx"
-        mm_write(path, A)
-        header = path.read_text().splitlines()[0]
-        assert header.startswith("%%MatrixMarket matrix coordinate real symmetric")
-        B = mm_read(path)
-        assert abs(A.mat - B.mat).max() == 0.0
 
 
 class TestSingleBlasThread:
@@ -226,7 +225,7 @@ class TestSingleBlasThread:
     def test_restored_after_exception(self, blas_width_two):
         with pytest.raises(NotSymmetric), single_blas_thread():
             assert openblas_threads() == [1] * len(linalg._OPENBLAS)
-            SparseSym.from_dense([[1.0, 2.0], [0.0, 1.0]])
+            SparseSym(np.array([[1.0, 2.0], [0.0, 1.0]]))
         assert openblas_threads() == [2] * len(linalg._OPENBLAS)
 
     def test_nested_blocks_restore_in_turn(self, blas_width_two):

@@ -21,7 +21,6 @@ from msras.schwarz import (
     build_preconditioner,
     contraction_norm,
     gmres,
-    msgfem_map,
     richardson,
     spd_condition_number,
 )
@@ -127,6 +126,17 @@ class TestPreconditioner:
         rhs = 2.0 * apply_preconditioner(state, x) - 3.5 * apply_preconditioner(state, y)
         assert np.linalg.norm(lhs - rhs) <= 1e-13 * np.linalg.norm(rhs)
 
+    def test_ras_weights_are_pu_on_local_dofs(self, small):
+        # chi_i on dofs0(omega_i^*): its weights where that meets dofs(omega_i), 0 elsewhere
+        system, dec, pu, _ = small
+        state = build_preconditioner(system, dec, pu, "RAS")
+        for sub, dofs, w in zip(dec.subdomains, state.local_dofs, state.local_weights,
+                                strict=True):
+            assert np.array_equal(dofs, sub.dofs0_star)
+            ref = np.zeros(dofs.size)
+            ref[np.isin(dofs, sub.dofs)] = pu.weights[sub.id][np.isin(sub.dofs, dofs)]
+            assert np.array_equal(w, ref)
+
     def test_hybrid_requires_coarse(self, small):
         system, dec, pu, _ = small
         state = build_preconditioner(system, dec, pu, "hybrid_RAS_msgfem")
@@ -146,16 +156,14 @@ class TestPreconditioner:
 
 
 class TestMsgfemMap:
+    """The one-shot multiscale approximation of v is the hybrid
+    preconditioner applied to A v."""
+
     def test_zero_maps_to_zero(self, small):
         system, dec, pu, coarse = small
         state = build_preconditioner(system, dec, pu, "hybrid_RAS_msgfem", coarse=coarse)
-        assert np.allclose(msgfem_map(state, np.zeros(system.n_free)), 0.0)
-
-    def test_requires_hybrid_scheme(self, small):
-        system, dec, pu, coarse = small
-        state = build_preconditioner(system, dec, pu, "RAS", coarse=coarse)
-        with pytest.raises(ValueError):
-            msgfem_map(state, np.zeros(system.n_free))
+        zero = np.zeros(system.n_free)
+        assert np.allclose(apply_preconditioner(state, system.A_free @ zero), 0.0)
 
     def test_contraction_property(self, small, rng):
         # ||v - G v||_a <= Lambda ||v||_a for any v
@@ -163,7 +171,7 @@ class TestMsgfemMap:
         state = build_preconditioner(system, dec, pu, "hybrid_RAS_msgfem", coarse=coarse)
         for _ in range(100):
             v = rng.standard_normal(system.n_free)
-            gv = msgfem_map(state, v)
+            gv = apply_preconditioner(state, system.A_free @ v)
             assert system.a_norm(v - gv) <= coarse.lam * system.a_norm(v) * (1 + 1e-10)
 
     def test_exhausted_spectrum_identity(self):
@@ -184,7 +192,7 @@ class TestMsgfemMap:
         state = build_preconditioner(system, dec, pu, "hybrid_RAS_msgfem", coarse=coarse)
         rng = np.random.default_rng(1)
         v = rng.standard_normal(system.n_free)
-        gv = msgfem_map(state, v)
+        gv = apply_preconditioner(state, system.A_free @ v)
         assert system.a_norm(v - gv) <= 1e-8 * system.a_norm(v)
 
 

@@ -5,20 +5,17 @@ import scipy.sparse as sparse
 
 import msras.spectral as spectral
 from msras.bench import compute_bases
-from msras.decomp import pu_apply
-
 from msras.decomp import build_decomposition, build_partition_of_unity
 from msras.errors import EmptyBoundary, FactorizationFailure, RankDeficientCoarse, TooManyModes
 from msras.grid import BoundarySpec, element_stiffness
 from msras.linalg import single_blas_thread
+from msras.schwarz import apply_one_level, build_preconditioner
 from msras.spectral import (
     build_coarse_space,
     coarse_space_from_columns,
     export_spectrum_csv,
     geneo_eigenproblem,
-    local_particular_solve,
     local_stiffness,
-    particular_field,
     reduce_to_harmonic,
     solve_local_eigenproblem,
     truncate_basis,
@@ -66,42 +63,56 @@ class TestLocalAssembly:
         assert np.abs(mine - oracle).max() <= 1e-12 * scale
 
 
+def glued_particular(system, dec, pu):
+    """The one-level RAS apply of the load."""
+    return apply_one_level(build_preconditioner(system, dec, pu, "RAS"), system.f_free)
+
+
 class TestParticularSolve:
+    """The MS-GFEM local particular solves, glued by the partition of unity,
+    are the one-level RAS apply of the load."""
+
     def test_single_subdomain_equals_global_solution(self):
         system = make_system(8)
         dec = build_decomposition(system, 1, 1, 1, 1)
-        phi = local_particular_solve(system, dec, 0)
+        phi = glued_particular(system, dec, build_partition_of_unity(dec))
         assert np.allclose(phi, system.solve_direct(), atol=1e-11)
 
     def test_zero_source_zero_solution(self):
         system = make_system(8, bc=BoundarySpec.all_dirichlet(0.0), source=None)
         dec = build_decomposition(system, 2, 1, 1, 1)
-        for i in range(2):
-            assert np.all(local_particular_solve(system, dec, i) == 0.0)
+        assert np.all(glued_particular(system, dec, build_partition_of_unity(dec)) == 0.0)
 
-    def test_interior_residual_vanishes(self, system16, decomp16):
+    def test_interior_residual_vanishes(self, system16, decomp16, pu16):
         # a(u - phi_i, v) = 0 for v supported inside omega_i^*
-        for i in range(4):
-            sub = decomp16.subdomains[i]
-            phi = local_particular_solve(system16, decomp16, i)
+        state = build_preconditioner(system16, decomp16, pu16, "RAS")
+        for dofs, fac in zip(state.local_dofs, state.local_factors, strict=True):
             full = np.zeros(system16.n_free)
-            full[sub.dofs_star] = phi
+            full[dofs] = fac.solve(system16.f_free[dofs])
             r = system16.f_free - system16.A_free @ full
             scale = np.abs(system16.f_free).max()
-            assert np.abs(r[sub.dofs0_star]).max() <= 1e-10 * scale
+            assert np.abs(r[dofs]).max() <= 1e-10 * scale
 
     def test_glued_field_differs_from_solution(self, system16, decomp16, pu16):
-        field = particular_field(system16, decomp16, pu16)
+        glued = glued_particular(system16, decomp16, pu16)
         u = system16.solve_direct()
-        assert len(field.locals) == 4
-        assert system16.a_norm(field.glued - u) > 1e-3 * system16.a_norm(u)
+        assert system16.a_norm(glued - u) > 1e-3 * system16.a_norm(u)
+
+
+def star_stiffness(system, dec, i):
+    """The local energy on dofs(omega_i^*) and the positions of its interior
+    dofs there."""
+    sub = dec.subdomains[i]
+    return (local_stiffness(system, sub.box_star, sub.dofs_star),
+            sub.star_positions(sub.dofs0_star))
 
 
 class TestReduceToHarmonic:
     def test_harmonic_columns(self, system16, decomp16, pu16):
         S, P, H = reduce_to_harmonic(system16, decomp16, pu16, 0)
-        res = H.A_star[H.interior_pos, :] @ H.matrix
-        scale = np.abs(H.A_star.data).max()
+        A_star, interior = star_stiffness(system16, decomp16, 0)
+        res = A_star[interior, :] @ H
+        scale = np.abs(A_star.data).max()
         assert np.abs(res).max() <= 1e-10 * scale
 
     def test_interface_block_sizes(self, system16, decomp16, pu16):
@@ -109,7 +120,7 @@ class TestReduceToHarmonic:
         S, P, H = reduce_to_harmonic(system16, decomp16, pu16, 1)
         assert S.shape == (sub.boundary_star.size, sub.boundary_star.size)
         assert P.shape == S.shape
-        assert H.matrix.shape == (sub.dofs_star.size, sub.boundary_star.size)
+        assert H.shape == (sub.dofs_star.size, sub.boundary_star.size)
 
     def test_s_spd_with_dirichlet_contact(self, system16, decomp16, pu16):
         S, _, _ = reduce_to_harmonic(system16, decomp16, pu16, 0)
@@ -149,15 +160,16 @@ class TestLocalEigenproblem:
     def test_s_orthonormal_vectors(self, system16, decomp16, pu16):
         S, P, H = reduce_to_harmonic(system16, decomp16, pu16, 0)
         b = solve_local_eigenproblem(S, P, H, 8, sub_id=0)
-        A = H.A_star.toarray()
+        A = star_stiffness(system16, decomp16, 0)[0].toarray()
         G = b.vectors.T @ A @ b.vectors
         assert np.abs(G - np.eye(8)).max() <= 1e-8
 
     def test_vectors_are_harmonic(self, system16, decomp16, pu16):
         S, P, H = reduce_to_harmonic(system16, decomp16, pu16, 2)
         b = solve_local_eigenproblem(S, P, H, 6, sub_id=2)
-        res = H.A_star[H.interior_pos, :] @ b.vectors
-        scale = np.abs(H.A_star.data).max() * np.abs(b.vectors).max()
+        A_star, interior = star_stiffness(system16, decomp16, 2)
+        res = A_star[interior, :] @ b.vectors
+        scale = np.abs(A_star.data).max() * np.abs(b.vectors).max()
         assert np.abs(res).max() <= 1e-8 * scale
 
     def test_exhausted_spectrum(self, system16, decomp16, pu16):
@@ -393,7 +405,7 @@ class TestCoarseSpace:
         for basis in bases:
             sub = decomp16.subdomains[basis.subdomain_id]
             for k in range(basis.n_modes):
-                ref[sub.dofs_star, j] = pu_apply(pu16, decomp16, sub.id, basis.vectors[:, k])
+                ref[sub.dofs_star, j] = pu16.on_star(sub) * basis.vectors[:, k]
                 j += 1
         ref = ref.tocsc()
         seen = []
@@ -419,12 +431,11 @@ class TestCoarseSpace:
         # and the coarse correction from zero reproduces it
         system = make_system(8)
         dec = build_decomposition(system, 1, 1, 1, 1)
-        pu = build_partition_of_unity(dec)
-        field = particular_field(system, dec, pu)
+        glued = glued_particular(system, dec, build_partition_of_unity(dec))
         u = system.solve_direct()
-        assert np.allclose(field.glued, u, atol=1e-10)
+        assert np.allclose(glued, u, atol=1e-10)
         cs = coarse_space_from_columns(
-            system, field.glued[:, None], xi=1, xi_star=1, max_next_eigenvalue=0.0
+            system, glued[:, None], xi=1, xi_star=1, max_next_eigenvalue=0.0
         )
         z = cs.apply(system.f_free)
         assert system.a_norm(z - u) <= 1e-9 * system.a_norm(u)
@@ -439,17 +450,17 @@ class TestCoarseSpace:
 
     def test_zero_energy_columns_dropped(self, system16):
         # the kept block of the one Galerkin product, scaled, is the Galerkin
-        # matrix of the kept columns
+        # matrix of the kept columns: the coarse solve inverts B^T A B
         rng = np.random.default_rng(6)
         cols = np.column_stack([rng.standard_normal(system16.n_free), np.zeros(system16.n_free),
                                 rng.standard_normal(system16.n_free)])
         with pytest.warns(RankDeficientCoarse, match="zero-energy"):
             cs = coarse_space_from_columns(system16, cols, 1, 1, 0.0)
         assert cs.m == 2
-        basis = cs.basis.toarray()
-        ref = basis.T @ (system16.A_free @ basis)
-        assert np.allclose(cs.a_coarse, ref, rtol=0.0, atol=1e-13)
-        assert np.allclose(np.diag(cs.a_coarse), 1.0, rtol=0.0, atol=1e-13)
+        B = cs.basis.toarray()
+        r = rng.standard_normal(system16.n_free)
+        assert np.allclose(B.T @ (system16.A_free @ cs.apply(r)), B.T @ r, rtol=0.0, atol=1e-13)
+        assert np.allclose(np.diag(B.T @ (system16.A_free @ B)), 1.0, rtol=0.0, atol=1e-13)
 
     def test_columns_normalized(self, system16, decomp16, pu16):
         bases = []
@@ -457,7 +468,8 @@ class TestCoarseSpace:
             S, P, H = reduce_to_harmonic(system16, decomp16, pu16, i)
             bases.append(solve_local_eigenproblem(S, P, H, 4, sub_id=i))
         cs = build_coarse_space(system16, decomp16, pu16, bases)
-        assert np.allclose(np.diag(cs.a_coarse), 1.0, atol=1e-10)
+        B = cs.basis.toarray()
+        assert np.allclose(np.diag(B.T @ (system16.A_free @ B)), 1.0, atol=1e-10)
 
     def test_decay_improves_with_oversampling(self, system16):
         # the eigenvalue tail reaches a fixed threshold at a smaller index
