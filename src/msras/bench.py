@@ -16,7 +16,7 @@ import numpy as np
 
 from . import schwarz, spectral
 from .decomp import build_decomposition, build_partition_of_unity
-from .errors import ConfigError, MsrasError
+from .errors import ConfigError, MsrasError, NonpositiveCoefficient
 from .grid import (
     SIDES,
     BoundarySpec,
@@ -215,7 +215,7 @@ def _build_coefficient(cfg, grid):
         )
     try:
         return CoefficientField.from_raster(grid, spec["path"])
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, NonpositiveCoefficient) as exc:
         raise ConfigError(f"coefficient.path {spec['path']!r}: {exc}") from exc
 
 

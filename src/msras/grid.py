@@ -59,8 +59,13 @@ class CoefficientField:
 
     def __init__(self, values, kind="constant"):
         values = np.asarray(values, dtype=float)
-        if np.any(values <= 0.0):
-            raise NonpositiveCoefficient("coefficient values must be positive")
+        bad = ~(np.isfinite(values) & (values > 0.0))  # also NaN, where <= 0 is false
+        if np.any(bad):
+            cy, cx = np.argwhere(bad)[0]
+            raise NonpositiveCoefficient(
+                f"coefficient values must be finite and positive: cell (cx, cy) = "
+                f"({cx}, {cy}) is {values[cy, cx]}"
+            )
         self.values = values  # shape (ny, nx)
         self.kind = kind
         self.alpha = float(values.min())

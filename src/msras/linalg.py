@@ -154,15 +154,18 @@ class DensePencilEig:
     """Finite eigenpairs of K x = lambda M x with M possibly singular.
 
     eigenvalues are sorted descending; eigenvectors[:, j] pairs with
-    eigenvalues[j]. kernel_dim counts the modes with M x ~ 0 (infinite
-    eigenvalues); their basis is kept in kernel_vectors.
+    eigenvalues[j]. They may be only the leading pairs of the pencil:
+    n_finite counts all of its finite pairs. kernel_dim counts the modes
+    with M x ~ 0 (infinite eigenvalues); their basis is kept in
+    kernel_vectors.
     """
 
-    def __init__(self, eigenvalues, eigenvectors, kernel_dim, kernel_vectors):
+    def __init__(self, eigenvalues, eigenvectors, kernel_dim, kernel_vectors, n_finite):
         self.eigenvalues = eigenvalues
         self.eigenvectors = eigenvectors
         self.kernel_dim = kernel_dim
         self.kernel_vectors = kernel_vectors
+        self.n_finite = n_finite
 
 
 def _check_dense_sym(name, M):
@@ -175,9 +178,9 @@ def _check_dense_sym(name, M):
     return 0.5 * (M + M.T)
 
 
-def dense_generalized_sym_eig(K, M):
-    """All finite eigenpairs of the symmetric PSD pencil K x = lambda M x,
-    with M possibly singular (the kernel of M carries infinite eigenvalues).
+def dense_generalized_sym_eig(K, M, n_pairs=None):
+    """Leading eigenpairs of the symmetric PSD pencil K x = lambda M x, with
+    M possibly singular (the kernel of M carries infinite eigenvalues).
 
     Solved through the spectral transform mu = lambda / (1 + lambda): the
     shifted pencil K x = mu (K + M) x has a positive definite right-hand side
@@ -186,6 +189,13 @@ def dense_generalized_sym_eig(K, M):
     the *relative* accuracy of small eigenvalues uniform even when the top
     eigenvalues are 1e6 times larger (high-contrast coefficients do this),
     which a direct Cholesky reduction of M does not.
+
+    The kernel dimension is counted from the eigenvalues of M alone (those
+    at most 1e-12 times the largest). Only the top k = min(n, max(n_pairs,
+    kernel_dim)) pairs of the shifted pencil are computed, kernel first, so
+    the whole kernel is always returned; n_pairs=None computes all n. The
+    kernel vectors are the mu = 1 columns of that solve, normalized to unit
+    length: in exact arithmetic they span ker(M).
 
     Finite eigenvectors are returned M-orthonormal; eigenvalues descend.
     """
@@ -196,23 +206,24 @@ def dense_generalized_sym_eig(K, M):
     n = K.shape[0]
 
     try:
-        ev_m, Q = scipy.linalg.eigh(M)
+        ev_m = scipy.linalg.eigvalsh(M)
     except scipy.linalg.LinAlgError as exc:
         raise NonConvergence(str(exc)) from exc
-    kernel = ev_m <= 1e-12 * max(ev_m[-1], 0.0)
-    kernel_dim = int(np.count_nonzero(kernel))
-    Qk = Q[:, kernel]
+    kernel_dim = int(np.count_nonzero(ev_m <= 1e-12 * max(ev_m[-1], 0.0)))
     if kernel_dim == n:
-        return DensePencilEig(np.zeros(0), np.zeros((n, 0)), kernel_dim, Qk)
+        return DensePencilEig(np.zeros(0), np.zeros((n, 0)), n, np.eye(n), 0)
 
+    k = n if n_pairs is None else min(n, max(n_pairs, kernel_dim))
     try:
-        mu, X = scipy.linalg.eigh(K, K + M)
+        mu, X = scipy.linalg.eigh(K, K + M, subset_by_index=[n - k, n - 1] if k < n else None)
     except scipy.linalg.LinAlgError as exc:
         raise NonConvergence(f"K + M not positive definite or eigensolve failed: {exc}") from exc
-    order = np.argsort(mu)[::-1]
-    mu = mu[order]
-    X = X[:, order]
-    # The kernel_dim largest mu sit at 1; the rest map back to finite lambda.
+    # ascending -> descending: the kernel_dim largest mu sit at 1, the rest
+    # map back to finite lambda
+    mu = mu[::-1]
+    X = X[:, ::-1]
+    Xk = X[:, :kernel_dim]
+    Xk = Xk / np.linalg.norm(Xk, axis=0)
     mu_f = np.clip(mu[kernel_dim:], 0.0, None)
     one_minus = np.maximum(1.0 - mu_f, np.finfo(float).tiny)
     lam = mu_f / one_minus
@@ -222,4 +233,4 @@ def dense_generalized_sym_eig(K, M):
     V = X[:, kernel_dim:]
     m_norm2 = np.einsum("ij,ij->j", V, M @ V)
     V = V / np.sqrt(np.maximum(m_norm2, np.finfo(float).tiny))
-    return DensePencilEig(lam, V, kernel_dim, Qk)
+    return DensePencilEig(lam, V, kernel_dim, Xk, n - kernel_dim)

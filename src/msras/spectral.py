@@ -4,9 +4,12 @@ The local eigenproblem lives on the discretely a-harmonic subspace of the
 oversampling domain: energy of the partition-of-unity-weighted restriction
 against the local energy. It is solved by eliminating the interior block:
 with interior dofs I1 and interface dofs I2 of omega_i^*, harmonic vectors
-are parameterized by their interface values through H = [-A11^{-1} A12; I],
-the local energy becomes the Schur complement S = A22 - A21 A11^{-1} A12 and
-the weighted Gram becomes Ptil = H^T (X A_omega X) H. The pencil
+are parameterized by their interface values through H = [-E; I] with
+E = A11^{-1} A12, the local energy becomes the Schur complement
+S = A22 - A21 E and the weighted Gram becomes Ptil = H^T (X A_omega X) H.
+X = diag(chi) vanishes off omega_i, which lies inside the interior of
+omega_i^*, so Ptil = W^T A_omega[s, s] W over the dofs s where chi != 0,
+with W = -X_s E[s]; H itself is never formed, only applied. The pencil
 Ptil x = lambda S x on the interface is exactly equivalent to the full
 eigenproblem, at a fraction of the dense size.
 
@@ -20,7 +23,8 @@ of omega_i^* (eliminating its interior through the cached sparse interior
 factor), the GenEO pencil on the overlap-zone dofs of omega_i, where its
 left-hand side is nonzero (eliminating the rest through a dense Cholesky).
 Vectors extend back through the map x_eliminated = -E x_kept of the same
-reduction.
+reduction. Each pencil is solved for the m + 1 leading pairs only: the m
+the basis keeps and the next eigenvalue.
 """
 
 import warnings
@@ -89,13 +93,13 @@ def reduce_to_harmonic(system, decomp, pu, i):
     """Interface reduction of the local eigenproblem on omega_i^*.
 
     Returns (S, Ptil, H): the interface Schur complement of the local energy,
-    the harmonic-extended PU-weighted Gram matrix, and the dense extension
-    map, whose columns are harmonic vectors on dofs(omega_i^*). The
-    pencil Ptil x = lambda S x has exactly the eigenpairs of the eigenproblem
-    on the a-harmonic subspace.
+    the harmonic-extended PU-weighted Gram matrix, and the harmonic
+    extension H, a function that takes interface values X (a vector or
+    columns) to the harmonic vectors on dofs(omega_i^*): -E X on the
+    interior dofs, X on the interface. The pencil Ptil x = lambda S x has
+    exactly the eigenpairs of the eigenproblem on the a-harmonic subspace.
     """
     sub = decomp.subdomains[i]
-    n_star = sub.dofs_star.size
     i1 = sub.star_positions(sub.dofs0_star)
     i2 = sub.star_positions(sub.boundary_star)
     if i2.size == 0:
@@ -108,15 +112,20 @@ def reduce_to_harmonic(system, decomp, pu, i):
     # (every cell incident to an interior node lies in omega_i^*)
     S, E = schur_complement(A_star, i2, i1, interior_factor(decomp, i).solve)
 
-    H = np.zeros((n_star, i2.size))
-    H[i1, :] = -E
-    H[i2, :] = np.eye(i2.size)
-
-    A_omega = local_stiffness(system, sub.box, sub.dofs_star)
-    chi = pu.on_star(sub)
-    PH = A_omega @ (chi[:, None] * H)
-    Ptil = (chi[:, None] * H).T @ PH
+    # chi is zero off dofs(omega_i), all of them interior to omega_i^*: the
+    # rows of chi H that are not zero are -chi E on the dofs s where chi != 0
+    chi = pu.weights[i]
+    nz = np.flatnonzero(chi)
+    s = sub.dofs[nz]
+    W = -chi[nz, None] * E[np.searchsorted(sub.dofs0_star, s)]
+    Ptil = W.T @ (local_stiffness(system, sub.box, s) @ W)
     Ptil = 0.5 * (Ptil + Ptil.T)
+
+    def H(X):
+        out = np.empty((sub.dofs_star.size,) + np.shape(X)[1:])
+        out[i1] = -(E @ X)
+        out[i2] = X
+        return out
 
     return S, Ptil, H
 
@@ -139,9 +148,9 @@ class LocalSpectralBasis:
         return self.vectors.shape[1]
 
 
-def _assemble_basis(sub_id, kind, pencil, m, full_of, n_star):
+def _assemble_basis(sub_id, kind, pencil, m, full_of):
     l = pencil.kernel_dim
-    n_finite = pencil.eigenvalues.size
+    n_finite = pencil.n_finite
     if m < l:
         raise TooManyModes(
             f"subdomain {sub_id}: {l} zero-energy modes must be retained, got m={m}"
@@ -150,16 +159,11 @@ def _assemble_basis(sub_id, kind, pencil, m, full_of, n_star):
         raise TooManyModes(
             f"subdomain {sub_id}: requested {m} modes, only {l + n_finite} available"
         )
-    vecs = np.empty((n_star, m))
-    vals = np.empty(m)
-    for j in range(l):
-        v = full_of(pencil.kernel_vectors[:, j])
-        vecs[:, j] = v / np.linalg.norm(v)
-        vals[j] = np.inf
     take = m - l
-    for j in range(take):
-        vecs[:, l + j] = full_of(pencil.eigenvectors[:, j])
-        vals[l + j] = pencil.eigenvalues[j]
+    kernel = full_of(pencil.kernel_vectors)
+    vecs = np.hstack([kernel / np.linalg.norm(kernel, axis=0),
+                      full_of(pencil.eigenvectors[:, :take])])
+    vals = np.concatenate([np.full(l, np.inf), pencil.eigenvalues[:take]])
     next_ev = float(pencil.eigenvalues[take]) if take < n_finite else 0.0
     return LocalSpectralBasis(
         subdomain_id=sub_id,
@@ -172,14 +176,16 @@ def _assemble_basis(sub_id, kind, pencil, m, full_of, n_star):
 
 
 def solve_local_eigenproblem(S, Ptil, H, m, sub_id=0):
-    """Top-m eigenpairs of Ptil x = lambda S x, expanded through H and
-    normalized to unit local energy (kernel modes to unit Euclidean norm).
+    """Top-m eigenpairs of Ptil x = lambda S x, expanded through the
+    harmonic extension H of `reduce_to_harmonic` and normalized to unit
+    local energy (kernel modes to unit Euclidean norm). Only the m + 1
+    leading pairs are solved for: the last gives next_eigenvalue.
 
     The finite eigenvectors come out S-orthonormal, i.e. orthonormal in the
     local energy inner product on the oversampling domain.
     """
-    pencil = dense_generalized_sym_eig(Ptil, S)
-    return _assemble_basis(sub_id, "harmonic", pencil, m, lambda x: H @ x, H.shape[0])
+    pencil = dense_generalized_sym_eig(Ptil, S, n_pairs=m + 1)
+    return _assemble_basis(sub_id, "harmonic", pencil, m, H)
 
 
 def truncate_basis(basis, m):
@@ -242,17 +248,16 @@ def geneo_eigenproblem(system, decomp, pu, i, m):
     S, E = schur_complement(A_omega, gamma, rest,
                             lambda b: scipy.linalg.cho_solve(cho, b, check_finite=False))
 
-    pencil = dense_generalized_sym_eig(K[gamma][:, gamma].toarray(), S)
+    pencil = dense_generalized_sym_eig(K[gamma][:, gamma].toarray(), S, n_pairs=m + 1)
     pos = sub.star_positions(sub.dofs)
-    n_star = sub.dofs_star.size
 
-    def full_of(x):
-        out = np.zeros(n_star)
-        out[pos[gamma]] = x
-        out[pos[rest]] = -(E @ x)
+    def full_of(X):
+        out = np.zeros((sub.dofs_star.size, X.shape[1]))
+        out[pos[gamma]] = X
+        out[pos[rest]] = -(E @ X)
         return out
 
-    return _assemble_basis(i, "geneo", pencil, m, full_of, n_star)
+    return _assemble_basis(i, "geneo", pencil, m, full_of)
 
 
 @dataclass

@@ -8,9 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from msras import schwarz
+from msras import schwarz, spectral
 from msras.bench import (
     ExperimentConfig,
+    Pipeline,
     run_comparison,
     run_single,
     run_spectrum,
@@ -282,6 +283,31 @@ class TestRunSweep:
         with pytest.raises(ConfigError):
             run_sweep(small_cfg(), [], [1])
 
+    @pytest.mark.parametrize("scheme", ["hybrid_RAS_msgfem", "AS2_geneo"])
+    def test_truncated_bases_match_direct_solves(self, monkeypatch, scheme):
+        # the sweep solves each pencil once for max(modes) + 1 pairs and
+        # truncates; every cell must get the eigenvalues and next eigenvalue
+        # of a direct m-mode solve, which asks the pencil for m + 1 pairs.
+        # The shifted pencil resolves mu = lambda / (1 + lambda) to a few
+        # ulps of 1, so lambda below 1e-3 agrees to 1e-15 absolute only
+        cfg = small_cfg(scheme=scheme)
+        swept = []
+        build = spectral.build_coarse_space
+        monkeypatch.setattr(spectral, "build_coarse_space",
+                            lambda system, decomp, pu, bases: swept.append(bases)
+                            or build(system, decomp, pu, bases))
+        modes = [2, 4, 6]
+        sweep = run_sweep(cfg, [2], modes)
+        assert all(not cell.get("failure") for cell in sweep.cells.values())
+        pipe = Pipeline(cfg)
+        decomp, pu = pipe.decompose(2)
+        for m, bases in zip(modes, swept, strict=True):
+            direct = pipe.bases(decomp, pu, scheme, [m] * decomp.n_subdomains)
+            for a, b in zip(bases, direct, strict=True):
+                assert a.n_modes == b.n_modes == m and a.kernel_dim == b.kernel_dim
+                np.testing.assert_allclose(a.eigenvalues, b.eigenvalues, rtol=1e-12, atol=1e-15)
+                assert a.next_eigenvalue == pytest.approx(b.next_eigenvalue, rel=1e-12, abs=1e-15)
+
 
 class TestSpectrumVerb:
     def test_export(self, tmp_path):
@@ -289,6 +315,17 @@ class TestSpectrumVerb:
         bases = run_spectrum(cfg)
         assert len(bases) == 4
         assert (tmp_path / "spec.csv").read_text().startswith("i,k,lambda")
+
+
+def solve_in_process(tmp_path, over):
+    """`msras solve` on small_cfg() updated by `over`, run as a process."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**small_cfg().to_dict(), **over}))
+    return subprocess.run(
+        [sys.executable, "-m", "msras.cli", "solve", str(path)],
+        capture_output=True, text=True, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(Path(schwarz.__file__).parents[1])},
+    )
 
 
 class TestCli:
@@ -308,15 +345,23 @@ class TestCli:
     ])
     def test_malformed_config_exit_1(self, tmp_path, over):
         # run as a process: the message, not a traceback, must reach stderr
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({**small_cfg().to_dict(), **over}))
-        out = subprocess.run(
-            [sys.executable, "-m", "msras.cli", "solve", str(path)],
-            capture_output=True, text=True, cwd=tmp_path,
-            env={**os.environ, "PYTHONPATH": str(Path(schwarz.__file__).parents[1])},
-        )
+        out = solve_in_process(tmp_path, over)
         assert out.returncode == 1
         assert out.stderr.startswith("configuration error:")
+        assert "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-1"])
+    def test_bad_raster_cell_exit_1(self, tmp_path, bad):
+        # NaN passes a "values <= 0" check; each bad cell must end in a
+        # message naming the raster and the cell, not in a failed factorization
+        rows = [["1"] * 16 for _ in range(16)]
+        rows[5][3] = bad
+        raster = tmp_path / "coeff.txt"
+        raster.write_text("16 16\n" + "\n".join(" ".join(r) for r in rows) + "\n")
+        out = solve_in_process(tmp_path, {"coefficient": {"kind": "raster", "path": str(raster)}})
+        assert out.returncode == 1
+        assert out.stderr.startswith("configuration error:")
+        assert str(raster) in out.stderr and "(cx, cy) = (3, 5)" in out.stderr
         assert "Traceback" not in out.stderr
 
     def test_nonconvergence_exit_2(self, tmp_path):

@@ -215,6 +215,63 @@ class TestDensePencilEig:
         assert np.allclose(pe.eigenvalues, 0.0)
 
 
+def planted_pencil(n, kernel_dim, seed):
+    """PSD pencil K x = lambda M x with a planted kernel of M of dimension
+    kernel_dim and finite eigenvalues log-spaced in [1e-3, 1e2]: K and M are
+    congruent, through one random well-conditioned Z, to diagonal matrices."""
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    Zinv = (Q * rng.uniform(1.0, 2.0, n)).T
+    m = np.r_[np.zeros(kernel_dim), np.ones(n - kernel_dim)]
+    k = np.r_[np.ones(kernel_dim), np.logspace(-3, 2, n - kernel_dim)]
+    K = Zinv.T @ (k[:, None] * Zinv)
+    M = Zinv.T @ (m[:, None] * Zinv)
+    return 0.5 * (K + K.T), 0.5 * (M + M.T)
+
+
+class TestPartialPencil:
+    @pytest.mark.parametrize("kernel_dim", [0, 1, 3])
+    def test_leading_pairs_of_full_solve(self, kernel_dim):
+        n = 40
+        K, M = planted_pencil(n, kernel_dim, seed=20 + kernel_dim)
+        full = dense_generalized_sym_eig(K, M)
+        assert full.kernel_dim == kernel_dim and full.eigenvalues.size == n - kernel_dim
+        for n_pairs in (kernel_dim + 1, kernel_dim + 4, 11, n - 1):
+            part = dense_generalized_sym_eig(K, M, n_pairs=n_pairs)
+            take = n_pairs - kernel_dim
+            assert part.kernel_dim == kernel_dim and part.n_finite == n - kernel_dim
+            assert part.eigenvalues.size == take
+            lam = full.eigenvalues[:take]
+            assert np.all(np.abs(part.eigenvalues - lam) <= 1e-12 * lam)
+            V, W = part.eigenvectors, full.eigenvectors[:, :take]
+            sign = np.sign(np.einsum("ij,ij->j", V, W))
+            assert np.abs(V - sign * W).max() <= 1e-8 * np.abs(W).max()
+            assert part.kernel_vectors.shape == (n, kernel_dim)
+            assert np.linalg.norm(M @ part.kernel_vectors) <= 1e-8 * np.linalg.norm(M, 2)
+
+    def test_n_pairs_beyond_n_clamps(self):
+        K, M = planted_pencil(12, 1, seed=30)
+        full = dense_generalized_sym_eig(K, M)
+        part = dense_generalized_sym_eig(K, M, n_pairs=50)
+        assert part.eigenvalues.size == 11 and part.kernel_dim == 1
+        assert np.all(np.abs(part.eigenvalues - full.eigenvalues) <= 1e-12 * full.eigenvalues)
+
+    def test_n_pairs_below_kernel_dim_returns_whole_kernel(self):
+        K, M = planted_pencil(20, 3, seed=31)
+        part = dense_generalized_sym_eig(K, M, n_pairs=1)
+        assert part.kernel_dim == 3 and part.n_finite == 17
+        assert part.eigenvalues.size == 0
+        Qk = part.kernel_vectors
+        assert Qk.shape == (20, 3)
+        assert np.linalg.matrix_rank(Qk) == 3
+        assert np.linalg.norm(M @ Qk) <= 1e-8 * np.linalg.norm(M, 2)
+
+    def test_all_kernel_m(self):
+        pe = dense_generalized_sym_eig(np.eye(5), np.zeros((5, 5)), n_pairs=2)
+        assert pe.kernel_dim == 5 and pe.n_finite == 0 and pe.eigenvalues.size == 0
+        assert np.allclose(pe.kernel_vectors.T @ pe.kernel_vectors, np.eye(5))
+
+
 class TestSingleBlasThread:
     def test_capped_inside_restored_after(self, blas_width_two):
         assert openblas_threads() == [2] * len(linalg._OPENBLAS)

@@ -111,7 +111,7 @@ class TestReduceToHarmonic:
     def test_harmonic_columns(self, system16, decomp16, pu16):
         S, P, H = reduce_to_harmonic(system16, decomp16, pu16, 0)
         A_star, interior = star_stiffness(system16, decomp16, 0)
-        res = A_star[interior, :] @ H
+        res = A_star[interior, :] @ H(np.eye(S.shape[0]))
         scale = np.abs(A_star.data).max()
         assert np.abs(res).max() <= 1e-10 * scale
 
@@ -120,7 +120,10 @@ class TestReduceToHarmonic:
         S, P, H = reduce_to_harmonic(system16, decomp16, pu16, 1)
         assert S.shape == (sub.boundary_star.size, sub.boundary_star.size)
         assert P.shape == S.shape
-        assert H.shape == (sub.dofs_star.size, sub.boundary_star.size)
+        ext = H(np.eye(S.shape[0]))
+        assert ext.shape == (sub.dofs_star.size, sub.boundary_star.size)
+        assert np.array_equal(ext[sub.star_positions(sub.boundary_star)], np.eye(S.shape[0]))
+        assert H(np.ones(S.shape[0])).shape == (sub.dofs_star.size,)
 
     def test_s_spd_with_dirichlet_contact(self, system16, decomp16, pu16):
         S, _, _ = reduce_to_harmonic(system16, decomp16, pu16, 0)
@@ -329,7 +332,8 @@ class TestGeneoReducedPencil:
         sizes = []
         original = spectral.dense_generalized_sym_eig
         monkeypatch.setattr(spectral, "dense_generalized_sym_eig",
-                            lambda K, M: sizes.append(K.shape[0]) or original(K, M))
+                            lambda K, M, n_pairs=None: sizes.append(K.shape[0])
+                            or original(K, M, n_pairs))
         masks = [box_mask(system16.grid, s.box) for s in decomp16.subdomains]
         for i, sub in enumerate(decomp16.subdomains):
             geneo_eigenproblem(system16, decomp16, pu16, i, 5)
