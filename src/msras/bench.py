@@ -480,11 +480,17 @@ def _spectrum_size(system, decomp, pu, i, kind):
 def run_sweep(cfg, ovsp_list, modes_list):
     """Cartesian (oversampling x modes) sweep. Assembly is shared; per
     oversampling value the eigenproblems are solved once for the largest
-    mode count (plus one, for the error bound) and truncated per cell."""
+    mode count (the solve also carries the next eigenvalue, for the error
+    bound) and truncated per cell. Both axes must be free of repeats."""
     if not ovsp_list or not modes_list:
         raise ConfigError("sweep: oversampling and modes lists must be nonempty")
+    if any(s < 1 for s in ovsp_list):
+        raise ConfigError("sweep: oversampling layers must be >= 1")
     if any(m < 0 for m in modes_list):
         raise ConfigError("sweep: modes must be >= 0")
+    for name, axis in (("oversampling", ovsp_list), ("modes", modes_list)):
+        if len(set(axis)) < len(axis):
+            raise ConfigError(f"sweep: repeated {name} value in {list(axis)}")
     pipe = Pipeline(cfg)
     kind = basis_kind(cfg.scheme)
     m_max = max(modes_list)
@@ -493,7 +499,7 @@ def run_sweep(cfg, ovsp_list, modes_list):
         try:
             t = time.perf_counter()
             decomp, pu = pipe.decompose(s)
-            clamped = [min(m_max + 1, _spectrum_size(pipe.system, decomp, pu, i, kind))
+            clamped = [min(m_max, _spectrum_size(pipe.system, decomp, pu, i, kind))
                        for i in range(decomp.n_subdomains)]
             full = pipe.bases(decomp, pu, cfg.scheme, clamped)
             shared_s = time.perf_counter() - t

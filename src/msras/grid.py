@@ -244,8 +244,9 @@ def assemble(grid, coeff, bc, source=None):
     """Assemble the free-dof system for -div(A grad u) = f with the given
     boundary spec.
 
-    The source enters via nodal quadrature hx*hy*f(x_k) weighted by the
-    fraction of surrounding cells present; a constant Neumann flux enters by
+    The source, a callable f(x, y) on node coordinates (None for f = 0),
+    enters via nodal quadrature hx*hy*f(x_k) weighted by the fraction of
+    surrounding cells present; a constant Neumann flux enters by
     trapezoidal edge quadrature. Nonhomogeneous Dirichlet data is eliminated
     by lifting, keeping A_free SPD.
     """
@@ -289,28 +290,18 @@ def assemble(grid, coeff, bc, source=None):
 
     load = np.zeros(n_nodes)
     if source is not None:
-        if callable(source):
-            fvals = source(coords[:, 0], coords[:, 1])
-        else:
-            fvals = np.asarray(source, dtype=float)
-            if fvals.shape != (n_nodes,):
-                raise ValueError("per-node source must have one value per node")
         # boundary weight = (number of incident cells)/4
         wx = np.where((ix == 0) | (ix == nx), 1, 2)
         wy = np.where((iy == 0) | (iy == ny), 1, 2)
-        load = grid.hx * grid.hy * (wx * wy / 4.0) * fvals
+        load = grid.hx * grid.hy * (wx * wy / 4.0) * source(coords[:, 0], coords[:, 1])
 
     for side in SIDES:
         cond = getattr(bc, side)
         if cond[0] != "neumann":
             continue
         q = float(cond[1])
-        if side in ("bottom", "top"):
-            h_edge = grid.hx
-            nodes = np.nonzero(side_nodes[side])[0]
-        else:
-            h_edge = grid.hy
-            nodes = np.nonzero(side_nodes[side])[0]
+        h_edge = grid.hx if side in ("bottom", "top") else grid.hy
+        nodes = np.nonzero(side_nodes[side])[0]
         # trapezoidal rule: each boundary edge gives q*h/2 to both endpoints
         w = np.full(nodes.size, q * h_edge)
         w[0] *= 0.5

@@ -268,8 +268,8 @@ class CoarseSpace:
     the bases this space was built from.
     """
 
-    basis: sparse.csc_matrix  # (n_free, m) columns
-    cho: tuple
+    basis: sparse.csc_matrix  # (n_free, m) unit-energy columns, in pivot order
+    cho: tuple  # (L, True): leading m x m block of the pivoted factor, L L^T = B^T A B
     max_next_eigenvalue: float
     lam: float
 
@@ -286,38 +286,34 @@ class CoarseSpace:
 
 def coarse_space_from_columns(system, columns, xi, xi_star, max_next_eigenvalue):
     """Assemble, rank-filter and factorize a coarse space from explicit
-    global columns (already glued)."""
+    global columns (already glued), decomposing their Galerkin matrix once.
+    Scaled to unit diagonal (a zero-energy column becomes a zero row), it
+    gets one pivoted Cholesky whose tolerance 1e-12 is relative to that unit
+    diagonal. The columns are kept in pivot order up to the rank, so the
+    leading rank x rank block of the factor serves the coarse solve."""
     cols = sparse.csc_matrix(columns)
-    galerkin = cols.T @ (system.A_free @ cols)  # formed once, then scaled and sliced
+    galerkin = cols.T @ (system.A_free @ cols)
     norms = np.sqrt(np.maximum(galerkin.diagonal(), 0.0))
-    keep = norms > 0.0
-    if not np.all(keep):
-        warnings.warn(
-            f"dropping {int((~keep).sum())} zero-energy coarse columns", RankDeficientCoarse
-        )
-        cols = cols[:, keep]
-        galerkin = galerkin[keep][:, keep]
-        norms = norms[keep]
-    scale = sparse.diags(1.0 / norms)
-    cols = cols @ scale
-    a_c = (scale @ galerkin @ scale).toarray()
-    a_c = 0.5 * (a_c + a_c.T)
-
-    n = a_c.shape[0]  # a_c is PSD: its 2-norm is its largest eigenvalue
-    top = scipy.linalg.eigh(a_c, eigvals_only=True, subset_by_index=[n - 1, n - 1])[0]
-    tol = 1e-12 * top
-    _, piv, rank, _ = scipy.linalg.lapack.dpstrf(a_c, tol=tol, lower=1)
+    scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0.0)
+    a_c = sparse.diags(scale) @ galerkin @ sparse.diags(scale)
+    a_c = (0.5 * (a_c + a_c.T)).toarray(order="F")
+    n = a_c.shape[0]
+    L, piv, rank, _ = scipy.linalg.lapack.dpstrf(a_c, tol=1e-12, lower=1, overwrite_a=1)
+    if rank == 0:
+        raise ValueError(f"empty coarse space: none of the {n} columns has positive energy")
     if rank < n:
         warnings.warn(
-            f"coarse basis rank {rank} < {n}; dropping dependent columns",
+            f"coarse basis rank {rank} < {n}; dropping {n - rank} zero-energy or "
+            "dependent coarse columns",
             RankDeficientCoarse,
         )
-        keep = np.sort(piv[:rank] - 1)
-        cols = cols[:, keep]
-        a_c = a_c[np.ix_(keep, keep)]
+    keep = piv[:rank] - 1
+    basis = cols[:, keep]
+    for j, s in enumerate(scale[keep]):  # in place: no temporary the size of the basis
+        basis.data[basis.indptr[j]:basis.indptr[j + 1]] *= s
     return CoarseSpace(
-        basis=cols.tocsc(),
-        cho=scipy.linalg.cho_factor(a_c),
+        basis=basis,
+        cho=(np.asfortranarray(L[:rank, :rank]), True),  # copies only when rank < n
         max_next_eigenvalue=max_next_eigenvalue,
         lam=float(np.sqrt(xi * xi_star * max_next_eigenvalue)),
     )

@@ -283,6 +283,13 @@ class TestRunSweep:
         with pytest.raises(ConfigError):
             run_sweep(small_cfg(), [], [1])
 
+    @pytest.mark.parametrize("ovsp, modes", [([0], [2]), ([1, 1], [2]), ([1], [2, 2])])
+    def test_bad_axes_rejected(self, ovsp, modes):
+        # validated like the config: no oversampling value below 1, and no
+        # repeated value that would solve the same cell twice
+        with pytest.raises(ConfigError):
+            run_sweep(small_cfg(), ovsp, modes)
+
     @pytest.mark.parametrize("scheme", ["hybrid_RAS_msgfem", "AS2_geneo"])
     def test_truncated_bases_match_direct_solves(self, monkeypatch, scheme):
         # the sweep solves each pencil once for max(modes) + 1 pairs and
@@ -317,12 +324,13 @@ class TestSpectrumVerb:
         assert (tmp_path / "spec.csv").read_text().startswith("i,k,lambda")
 
 
-def solve_in_process(tmp_path, over):
-    """`msras solve` on small_cfg() updated by `over`, run as a process."""
+def solve_in_process(tmp_path, over, verb=("solve",)):
+    """`msras <verb>` on small_cfg() updated by `over`, run as a process;
+    `verb` is the verb and the arguments that follow the config path."""
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({**small_cfg().to_dict(), **over}))
     return subprocess.run(
-        [sys.executable, "-m", "msras.cli", "solve", str(path)],
+        [sys.executable, "-m", "msras.cli", verb[0], str(path), *verb[1:]],
         capture_output=True, text=True, cwd=tmp_path,
         env={**os.environ, "PYTHONPATH": str(Path(schwarz.__file__).parents[1])},
     )
@@ -362,6 +370,18 @@ class TestCli:
         assert out.returncode == 1
         assert out.stderr.startswith("configuration error:")
         assert str(raster) in out.stderr and "(cx, cy) = (3, 5)" in out.stderr
+        assert "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("axes", [
+        ["--ovsp", "0", "--modes", "2"],
+        ["--ovsp", "1", "1", "--modes", "2"],
+        ["--ovsp", "1", "--modes", "2", "2"],
+        ["--ovsp", "1", "--modes", "-1"],
+    ])
+    def test_bad_sweep_axes_exit_1(self, tmp_path, axes):
+        out = solve_in_process(tmp_path, {}, ("sweep", *axes))
+        assert out.returncode == 1
+        assert out.stderr.startswith("configuration error:")
         assert "Traceback" not in out.stderr
 
     def test_nonconvergence_exit_2(self, tmp_path):

@@ -144,16 +144,6 @@ class TestAssemble:
                 top=("neumann", 0.0),
             )
 
-    def test_per_node_source_values(self):
-        grid = CartesianGrid(4, 4)
-        vals = np.ones(grid.n_nodes)
-        sys_arr = assemble(grid, CoefficientField.constant(grid), BoundarySpec.all_dirichlet(), source=vals)
-        sys_fun = assemble(
-            grid, CoefficientField.constant(grid), BoundarySpec.all_dirichlet(),
-            source=lambda x, y: np.ones_like(x),
-        )
-        assert np.array_equal(sys_arr.f_free, sys_fun.f_free)
-
 
 class TestSkyscraper:
     def test_contrast_one_is_constant(self):

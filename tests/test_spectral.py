@@ -466,6 +466,44 @@ class TestCoarseSpace:
         assert np.allclose(B.T @ (system16.A_free @ cs.apply(r)), B.T @ r, rtol=0.0, atol=1e-13)
         assert np.allclose(np.diag(B.T @ (system16.A_free @ B)), 1.0, rtol=0.0, atol=1e-13)
 
+    def test_galerkin_matrix_factored_once(self, system16, decomp16, pu16, monkeypatch):
+        # one pivoted Cholesky finds the rank and is the coarse factor: no
+        # dense eigensolve scales its tolerance, and no second factorization.
+        # The kept columns come in pivot order, and the stored factor must
+        # pair with that order: L L^T = B^T A B
+        bases = [solve_local_eigenproblem(*reduce_to_harmonic(system16, decomp16, pu16, i),
+                                          6, sub_id=i) for i in range(4)]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the Galerkin matrix is decomposed once, by dpstrf")
+
+        monkeypatch.setattr(scipy.linalg, "eigh", forbidden)
+        monkeypatch.setattr(scipy.linalg, "cho_factor", forbidden)
+        cs = build_coarse_space(system16, decomp16, pu16, bases)
+        assert cs.m == 24
+        L, lower = cs.cho
+        assert lower and L.flags.f_contiguous
+        L = np.tril(L)
+        B = cs.basis.toarray()
+        assert np.allclose(L @ L.T, B.T @ (system16.A_free @ B), rtol=0.0, atol=1e-12)
+
+    def test_zero_and_duplicate_columns_one_warning(self, system16):
+        rng = np.random.default_rng(8)
+        col = rng.standard_normal(system16.n_free)
+        cols = np.column_stack([col, np.zeros(system16.n_free), 2.0 * col,
+                                rng.standard_normal(system16.n_free)])
+        with pytest.warns(RankDeficientCoarse) as record:
+            cs = coarse_space_from_columns(system16, cols, 1, 1, 0.0)
+        assert len(record) == 1 and "dropping 2 zero-energy or dependent" in str(record[0].message)
+        assert cs.m == 2
+        B = cs.basis.toarray()
+        r = rng.standard_normal(system16.n_free)
+        assert np.allclose(B.T @ (system16.A_free @ cs.apply(r)), B.T @ r, rtol=0.0, atol=1e-13)
+
+    def test_all_zero_columns_rejected(self, system16):
+        with pytest.raises(ValueError, match="empty coarse space"):
+            coarse_space_from_columns(system16, np.zeros((system16.n_free, 3)), 1, 1, 0.0)
+
     def test_columns_normalized(self, system16, decomp16, pu16):
         bases = []
         for i in range(4):
