@@ -14,9 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sparse
+from scipy.sparse.linalg import splu
 
 from .errors import AllNeumann, InvalidBlockCount, NonpositiveCoefficient
-from .linalg import SparseSym, factorize
+from .linalg import SparseSym
 
 SIDES = ("left", "right", "bottom", "top")
 
@@ -198,13 +199,15 @@ class AssembledSystem:
     def a_norm(self, v_free):
         return float(np.sqrt(max(v_free @ (self.A_free @ v_free), 0.0)))
 
-    def factor(self):
-        if self._factor is None:
-            self._factor = factorize(self.A_free)
-        return self._factor
-
     def solve_direct(self):
-        return self.factor().solve(self.f_free)
+        """Reference solution of the global system by a sparse LU with a
+        fill-reducing ordering (SuperLU, cached on first use). The box
+        matrices' banded factor `linalg.factorize` would store the whole
+        band of the global matrix, about one grid row wide."""
+        if self._factor is None:
+            self._factor = splu(self.A_free.mat.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                                diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+        return self._factor.solve(self.f_free)
 
 
 def _dirichlet_value(cond, xs, ys):

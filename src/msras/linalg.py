@@ -1,12 +1,16 @@
-"""Sparse symmetric storage, direct factorization, and a dense generalized
-symmetric eigensolver that tolerates a singular right-hand matrix.
+"""Sparse symmetric storage, banded Cholesky factorization, and a dense
+generalized symmetric eigensolver that tolerates a singular right-hand
+matrix.
 
 Everything downstream (assembly, local solves, coarse solves, eigenproblem
-reductions) goes through this module. Factorizations are SuperLU in symmetric
-mode with a minimum-degree ordering, which for the SPD matrices that occur
-here behaves like a sparse LDL^T with a fill-reducing permutation.
-`single_blas_thread` caps the bundled OpenBLAS at one thread for the small
-subdomain-local kernels.
+reductions) goes through this module. The matrices `factorize` sees are box
+matrices: the free dofs of a rectangle of grid nodes in the global row-major
+numbering, so each row couples only to rows at most about one box width away.
+They are factored in that numbering, without reordering, by LAPACK's banded
+Cholesky (`dpbtrf`), which stores one triangle of the band. The global matrix
+is not factored here: its direct reference solve,
+`grid.AssembledSystem.solve_direct`, uses a sparse LU. `single_blas_thread`
+caps the bundled OpenBLAS at one thread for the small subdomain-local kernels.
 """
 
 import contextlib
@@ -18,7 +22,6 @@ import numpy as np
 import scipy
 import scipy.linalg
 import scipy.sparse as sparse
-from scipy.sparse.linalg import splu
 
 from .errors import (
     DimensionMismatch,
@@ -97,44 +100,56 @@ class SparseSym:
 
 
 class SparseFactor:
-    """Direct factorization of a SparseSym, reusable for many solves."""
+    """Banded Cholesky factor of a SparseSym, reusable for many solves.
 
-    def __init__(self, lu, n):
-        self._lu = lu
-        self.n = n
+    `band` is the (w+1) x n LAPACK lower band storage of L (A = L L^T, w the
+    lower bandwidth): band[i - j, j] = L[i, j] for 0 <= i - j <= w.
+    """
+
+    def __init__(self, band):
+        self.band = band
+        self.n = band.shape[1]
 
     def solve(self, rhs):
+        """A^{-1} rhs for a vector or a block of columns (a Fortran-ordered
+        block is solved without a transposing copy). Columns are solved one
+        by one, so a block solve equals its column solves bit for bit."""
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape[0] != self.n:
             raise DimensionMismatch(f"rhs has leading dimension {rhs.shape[0]}, expected {self.n}")
-        return self._lu.solve(rhs)
+        x, _ = scipy.linalg.lapack.dpbtrs(self.band, rhs[:, None] if rhs.ndim == 1 else rhs,
+                                          lower=1)
+        return x[:, 0] if rhs.ndim == 1 else x
 
 
 def factorize(A):
-    """Factorize an SPD SparseSym for repeated solves.
+    """Banded Cholesky factor of an SPD SparseSym for repeated solves.
 
-    Uses SuperLU in symmetric mode (minimum-degree ordering on A^T + A, no
-    partial pivoting) so the pivots are the usual LDL^T pivots. A zero or
-    negative pivot beyond 1e-14 * max|diag| raises NotPositiveDefinite,
-    which almost always indicates a constrained dof leaked into the free set.
+    The band is read from the lower triangle of A in its own numbering (no
+    reordering), so the factor holds (w+1) * n doubles for lower bandwidth w
+    and suits the banded box matrices of the local problems. A Cholesky that
+    breaks down (LAPACK info > 0) or a squared pivot L[j, j]^2 at most
+    1e-14 * max|diag| raises NotPositiveDefinite, which almost always
+    indicates a constrained dof leaked into the free set.
     """
-    mat = A.mat.tocsc()
-    diag_scale = np.abs(A.mat.diagonal()).max() if A.n else 0.0
-    try:
-        lu = splu(
-            mat,
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0,
-            options=dict(SymmetricMode=True),
-        )
-    except RuntimeError as exc:  # SuperLU reports exact singularity this way
-        raise NotPositiveDefinite(str(exc)) from exc
-    pivots = lu.U.diagonal()
+    mat = A.mat
+    if not mat.has_canonical_format:  # a duplicate entry would overwrite, not add
+        mat = mat.copy()
+        mat.sum_duplicates()
+    offset = np.repeat(np.arange(A.n), np.diff(mat.indptr)) - mat.indices
+    lower = offset >= 0
+    band = np.zeros((int(offset.max(initial=0)) + 1, A.n), order="F")
+    band[offset[lower], mat.indices[lower]] = mat.data[lower]
+    diag_scale = np.abs(band[0]).max(initial=0.0)
+    band, info = scipy.linalg.lapack.dpbtrf(band, lower=1, overwrite_ab=1)
+    if info > 0:
+        raise NotPositiveDefinite(f"leading minor of order {info} is not positive definite")
+    pivots = band[0] ** 2
     if np.any(pivots <= 1e-14 * diag_scale):
         raise NotPositiveDefinite(
             f"smallest pivot {pivots.min():.3e} vs diag scale {diag_scale:.3e}"
         )
-    return SparseFactor(lu, A.n)
+    return SparseFactor(band)
 
 
 def extract_submatrix(A, idx):

@@ -19,7 +19,7 @@ first in the local basis.
 
 Both local eigenproblems are solved on their coupling dofs only, through the
 one Schur reduction `schur_complement`: the harmonic pencil on the interface
-of omega_i^* (eliminating its interior through the cached sparse interior
+of omega_i^* (eliminating its interior through the cached banded interior
 factor), the GenEO pencil on the overlap-zone dofs of omega_i, where its
 left-hand side is nonzero (eliminating the rest through a dense Cholesky).
 Vectors extend back through the map x_eliminated = -E x_kept of the same
@@ -82,9 +82,10 @@ def schur_complement(A, keep, elim, solve):
     matrix A onto the positions `keep`. `solve` applies A_ee^{-1} to a dense
     block of columns. Returns (S, E): E = A_ee^{-1} A_ek and the dense,
     symmetrized Schur complement S = A_kk - A_ke E. A vector on `keep`
-    extends to `elim` as -E x."""
+    extends to `elim` as -E x. The block is handed to `solve` in Fortran
+    order, the column layout of the LAPACK solves."""
     A_ek = A[elim][:, keep]
-    E = solve(A_ek.toarray())
+    E = solve(A_ek.toarray(order="F"))
     S = A[keep][:, keep].toarray() - A_ek.T @ E
     return 0.5 * (S + S.T), E
 

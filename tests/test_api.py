@@ -1,8 +1,14 @@
 """Every name the package exports is reached by the package itself or by the
-benchmark: an export that only its own tests use is dead API."""
+benchmark: an export that only its own tests use is dead API. The global
+matrix keeps its sparse LU, off the banded path of the box matrices."""
 
 import ast
 from pathlib import Path
+
+import numpy as np
+
+from msras import bench, decomp, grid, linalg, schwarz, spectral
+from tests.conftest import make_system
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "msras"
@@ -43,3 +49,25 @@ def test_every_export_is_reached():
     users += list((ROOT / "perfbench").glob("*.py"))
     unreached = exported_names() - referenced_names(users) - TEST_ONLY
     assert not unreached, f"exported but reached by no module or benchmark: {sorted(unreached)}"
+
+
+def test_sparse_lu_only_in_grid():
+    """SuperLU serves the global reference solve alone: no other module of
+    the package or the benchmark names `splu`."""
+    users = [p for p in PACKAGE.glob("*.py") if p.name != "grid.py"]
+    users += list((ROOT / "perfbench").glob("*.py"))
+    named = [p.name for p in users if "splu" in referenced_names([p])]
+    assert not named, f"splu named outside grid.py: {named}"
+
+
+def test_solve_direct_does_not_reach_factorize(monkeypatch):
+    def banned(A):
+        raise AssertionError("the global matrix reached linalg.factorize")
+
+    for module in (bench, decomp, grid, linalg, schwarz, spectral):
+        if hasattr(module, "factorize"):  # the name as each module binds it
+            monkeypatch.setattr(module, "factorize", banned)
+    system = make_system(24, contrast=1e3)
+    u = system.solve_direct()
+    r = system.f_free - system.A_free @ u
+    assert np.linalg.norm(r) <= 1e-10 * np.linalg.norm(system.f_free)

@@ -1,13 +1,21 @@
 import numpy as np
 import pytest
 import scipy.sparse as sparse
+from scipy.sparse.linalg import splu
 
 from msras import linalg
+from msras.decomp import build_decomposition
 from msras.errors import (
     DimensionMismatch,
     IndexOutOfRange,
     NotPositiveDefinite,
     NotSymmetric,
+)
+from msras.grid import (
+    CartesianGrid,
+    CoefficientField,
+    assemble_partial_stiffness,
+    skyscraper_coefficient,
 )
 from msras.linalg import (
     SparseSym,
@@ -16,7 +24,9 @@ from msras.linalg import (
     factorize,
     single_blas_thread,
 )
-from tests.conftest import openblas_threads
+from msras.spectral import local_stiffness
+from tests.conftest import make_system, openblas_threads
+from tests.oracles import refined_sparse_solve
 
 
 def random_spd(n, seed):
@@ -83,6 +93,19 @@ class TestFactorize:
         with pytest.raises(NotPositiveDefinite):
             factorize(A)
 
+    @pytest.mark.parametrize("contrast", [1.0, 1e6])
+    def test_singular_neumann_box_raises(self, contrast):
+        # the pure-Neumann stiffness of a whole 12x9 grid holds the constants
+        # in its kernel; LAPACK either stops on a non-positive leading minor
+        # or finishes with a pivot below 1e-14 * max|diag|, and both raise
+        grid = CartesianGrid(12, 9)
+        coeff = (CoefficientField.constant(grid, 1.0) if contrast == 1.0
+                 else skyscraper_coefficient(grid, contrast, (8, 8), 0.3, 7))
+        n = 13 * 10
+        A = SparseSym(assemble_partial_stiffness(grid, coeff, (0, 12, 0, 9), np.arange(n), n))
+        with pytest.raises(NotPositiveDefinite):
+            factorize(A)
+
     def test_rhs_length_checked(self):
         f = factorize(random_spd(5, seed=4))
         with pytest.raises(DimensionMismatch):
@@ -94,6 +117,62 @@ class TestFactorize:
         B = np.random.default_rng(6).standard_normal((12, 3))
         X = f.solve(B)
         assert np.linalg.norm(A.mat @ X - B) <= 1e-10 * np.linalg.norm(B)
+
+
+@pytest.fixture(scope="module")
+def desk64():
+    """The desk instance: 64^2, 4x4 subdomains, contrast 1e6."""
+    system = make_system(64, contrast=1e6)
+    return system, build_decomposition(system, 4, 4, 2, 4)
+
+
+class TestBandedBoxFactors:
+    def test_interior_solves_agree_with_refined_superlu(self, desk64):
+        # The right-hand sides of the harmonic reduction, A_ee^{-1} A_ek.
+        # Blocks with a floating high-contrast inclusion have cond ~1e8, and
+        # any float64 direct solve of them is off by ~1e-10 forward (SuperLU
+        # under two orderings differs by as much); there the banded solve
+        # must be no further from the refined reference than SuperLU is.
+        system, decomp = desk64
+        for sub in decomp.subdomains:
+            A = extract_submatrix(system.A_free, sub.dofs0_star)
+            i1 = sub.star_positions(sub.dofs0_star)
+            i2 = sub.star_positions(sub.boundary_star)
+            B = local_stiffness(system, sub.box_star, sub.dofs_star)[i1][:, i2].toarray(order="F")
+            X = factorize(A).solve(B)
+            ref = refined_sparse_solve(A.mat, B)
+            err = np.linalg.norm(X - ref) / np.linalg.norm(ref)
+            err_lu = np.linalg.norm(splu(A.mat.tocsc()).solve(B) - ref) / np.linalg.norm(ref)
+            assert err <= max(1e-12, 2.0 * err_lu), (sub.id, err, err_lu)
+            backward = np.linalg.norm(A.mat @ X - B) / (
+                np.linalg.norm(A.mat.data) * np.linalg.norm(X) + np.linalg.norm(B))
+            assert backward <= 1e-14, (sub.id, backward)
+
+    def test_block_solve_equals_column_solves(self, desk64):
+        system, decomp = desk64
+        sub = decomp.subdomains[5]
+        f = factorize(extract_submatrix(system.A_free, sub.dofs0_star))
+        B = np.random.default_rng(16).standard_normal((f.n, 9))
+        for block in (B, np.asfortranarray(B)):
+            X = f.solve(block)
+            for j in range(B.shape[1]):
+                assert np.array_equal(X[:, j], f.solve(B[:, j]))
+
+    @pytest.mark.parametrize("dofs", ["dofs0_star", "dofs0"])
+    def test_factor_is_one_band(self, desk64, dofs):
+        # interior and AS2_geneo blocks alike: one (w+1) x n float64 array,
+        # w the block's lower bandwidth, at most one past the box width
+        system, decomp = desk64
+        for sub in decomp.subdomains:
+            A = extract_submatrix(system.A_free, getattr(sub, dofs))
+            entries = A.mat.tocoo()
+            w = int((entries.row - entries.col).max())
+            f = factorize(A)
+            arrays = [v for v in vars(f).values() if isinstance(v, np.ndarray)]
+            assert len(arrays) == 1 and arrays[0] is f.band
+            assert f.band.dtype == np.float64 and f.band.shape == (w + 1, A.n)
+            x0, x1, _, _ = sub.box_star if dofs == "dofs0_star" else sub.box
+            assert w <= (x1 - x0 + 1) + 1
 
 
 class TestExtractSubmatrix:

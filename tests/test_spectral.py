@@ -6,9 +6,15 @@ import scipy.sparse as sparse
 import msras.spectral as spectral
 from msras.bench import compute_bases
 from msras.decomp import build_decomposition, build_partition_of_unity
-from msras.errors import EmptyBoundary, FactorizationFailure, RankDeficientCoarse, TooManyModes
+from msras.errors import (
+    EmptyBoundary,
+    FactorizationFailure,
+    NotPositiveDefinite,
+    RankDeficientCoarse,
+    TooManyModes,
+)
 from msras.grid import BoundarySpec, element_stiffness
-from msras.linalg import single_blas_thread
+from msras.linalg import SparseSym, single_blas_thread
 from msras.schwarz import apply_one_level, build_preconditioner
 from msras.spectral import (
     build_coarse_space,
@@ -108,6 +114,16 @@ def star_stiffness(system, dec, i):
 
 
 class TestReduceToHarmonic:
+    def test_interior_factor_failure_names_subdomain(self, monkeypatch):
+        # a fresh decomposition, so the failure is not cached in a shared one
+        system = make_system(16, contrast=1e3)
+        dec = build_decomposition(system, 2, 2, 1, 2)
+        monkeypatch.setattr(spectral, "extract_submatrix",
+                            lambda A, idx: SparseSym(np.diag([1.0, 0.0, 2.0])))
+        with pytest.raises(FactorizationFailure, match="subdomain 1: interior block not SPD") as err:
+            spectral.interior_factor(dec, 1)
+        assert isinstance(err.value.__cause__, NotPositiveDefinite)
+
     def test_harmonic_columns(self, system16, decomp16, pu16):
         S, P, H = reduce_to_harmonic(system16, decomp16, pu16, 0)
         A_star, interior = star_stiffness(system16, decomp16, 0)
