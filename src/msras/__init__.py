@@ -41,10 +41,8 @@ from .schwarz import (
     apply_one_level,
     apply_preconditioner,
     build_preconditioner,
-    contraction_norm,
     gmres,
     richardson,
-    spd_condition_number,
 )
 from .spectral import (
     CoarseSpace,

@@ -72,10 +72,6 @@ class Breakdown(MsrasError):
     coefficients in GMRES, a non-finite residual in Richardson."""
 
 
-class TooLarge(MsrasError):
-    """Problem exceeds the size limit of a dense diagnostic."""
-
-
 class ConfigError(MsrasError):
     """Invalid experiment configuration; message carries the config path."""
 

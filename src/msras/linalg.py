@@ -7,10 +7,14 @@ reductions) goes through this module. The matrices `factorize` sees are box
 matrices: the free dofs of a rectangle of grid nodes in the global row-major
 numbering, so each row couples only to rows at most about one box width away.
 They are factored in that numbering, without reordering, by LAPACK's banded
-Cholesky (`dpbtrf`), which stores one triangle of the band. The global matrix
-is not factored here: its direct reference solve,
-`grid.AssembledSystem.solve_direct`, uses a sparse LU. `single_blas_thread`
-caps the bundled OpenBLAS at one thread for the small subdomain-local kernels.
+Cholesky (`dpbtrf`), which stores one triangle of the band. A vector is
+solved by LAPACK's banded substitution (`dpbtrs`); a block of columns by a
+blocked substitution over the same band whose steps are level-3 BLAS
+(`dtrsm`, `dgemm`), so it agrees with its column solves to rounding but not
+bit for bit. The global matrix is not factored here: its direct reference
+solve, `grid.AssembledSystem.solve_direct`, uses a sparse LU.
+`single_blas_thread` caps the bundled OpenBLAS at one thread for the small
+subdomain-local kernels.
 """
 
 import contextlib
@@ -111,15 +115,68 @@ class SparseFactor:
         self.n = band.shape[1]
 
     def solve(self, rhs):
-        """A^{-1} rhs for a vector or a block of columns (a Fortran-ordered
-        block is solved without a transposing copy). Columns are solved one
-        by one, so a block solve equals its column solves bit for bit."""
+        """A^{-1} rhs for a vector or a block of columns, in a new array.
+
+        A vector goes through LAPACK's `dpbtrs`. A block is solved by the
+        blocked substitution of `_block_solve` and returned in C order; it
+        agrees with its column solves to rounding, not bit for bit."""
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape[0] != self.n:
             raise DimensionMismatch(f"rhs has leading dimension {rhs.shape[0]}, expected {self.n}")
-        x, _ = scipy.linalg.lapack.dpbtrs(self.band, rhs[:, None] if rhs.ndim == 1 else rhs,
-                                          lower=1)
-        return x[:, 0] if rhs.ndim == 1 else x
+        if rhs.ndim == 1:
+            x, _ = scipy.linalg.lapack.dpbtrs(self.band, rhs[:, None], lower=1)
+            return x[:, 0]
+        return self._block_solve(rhs)
+
+    def _block_solve(self, rhs):
+        """L L^T X = rhs through block rows of b = w rows of L.
+
+        With w the lower bandwidth, L is block bidiagonal in those rows:
+        lower-triangular diagonal blocks D_k and upper-triangular
+        sub-diagonal blocks O_k. The forward step is
+        Y_k = D_k^{-1} (B_k - O_k Y_{k-1}), the backward step
+        X_k = D_k^{-T} (Y_k - O_{k+1}^T X_{k+1}). X is kept in C order, so a
+        block row X_k is contiguous and its transpose goes to `dtrsm` and
+        `dgemm` as an F-ordered matrix without a copy; the steps are written
+        transposed, X_k^T <- (X_k^T - X_{k-1}^T O_k^T) D_k^{-T}.
+        """
+        band = self.band
+        w, n = band.shape[0] - 1, self.n
+        if w == 0 or rhs.shape[1] == 0:  # a diagonal L, or nothing to solve
+            return np.ascontiguousarray(rhs) / (band[0] ** 2)[:, None]
+        b = w
+        nb = -(-n // b)
+        X = np.zeros((nb * b, rhs.shape[1]))
+        X[:n] = rhs
+        # the band padded to whole blocks with the identity, column-major.
+        # The padded rows stay decoupled because `factorize` leaves the band
+        # entries below the matrix, which LAPACK does not reference, at zero.
+        # L[kb + r, kb + c] sits at flat[kb (w+1) + c w + r], so with b = w
+        # the k-th b x b slice read with strides (w, 1) is D_k^T, and the one
+        # b further on is O_{k+1}^T. Both views read only inside `flat`; the
+        # triangle dtrsm does not read holds other band entries, and the one
+        # dgemm would read is zeroed by the tril copy of the O blocks.
+        padded = np.zeros((w + 1, nb * b), order="F")
+        padded[:, :n] = band
+        padded[0, n:] = 1.0
+        flat = padded.ravel(order="F")
+        step = flat.strides[0]
+        shape, strides = (nb, b, b), (b * (w + 1) * step, w * step, step)
+        Dt = np.lib.stride_tricks.as_strided(flat, shape, strides, writeable=False)
+        Ot = np.tril(np.lib.stride_tricks.as_strided(flat[b:], shape, strides, writeable=False))
+        dgemm, dtrsm = scipy.linalg.blas.dgemm, scipy.linalg.blas.dtrsm
+        for k in range(nb):
+            xk = X[k * b:(k + 1) * b].T
+            if k:
+                dgemm(-1.0, X[(k - 1) * b:k * b].T, Ot[k - 1].T, 1.0, xk, trans_b=1,
+                      overwrite_c=1)
+            dtrsm(1.0, Dt[k].T, xk, side=1, lower=1, trans_a=1, overwrite_b=1)
+        for k in range(nb - 1, -1, -1):
+            xk = X[k * b:(k + 1) * b].T
+            if k < nb - 1:
+                dgemm(-1.0, X[(k + 1) * b:(k + 2) * b].T, Ot[k].T, 1.0, xk, overwrite_c=1)
+            dtrsm(1.0, Dt[k].T, xk, side=1, lower=1, overwrite_b=1)
+        return X[:n]
 
 
 def factorize(A):

@@ -25,7 +25,6 @@ from .errors import (
     DimensionMismatch,
     MissingCoarseSpace,
     Stagnation,
-    TooLarge,
 )
 from .linalg import extract_submatrix, factorize
 from .spectral import interior_factor
@@ -273,39 +272,3 @@ def gmres(state, system, u0=None, target_reduction=1e-10, maxit=200, u_ref=None)
 
     k = converged_at if converged_at is not None else maxit
     return current_iterate(k), history
-
-
-def contraction_norm(state, system, max_dofs=3000):
-    """Exact ||I - B A|| in the energy norm, via dense assembly of the
-    preconditioned operator and a symmetric eigensolve of its similarity
-    transform. Only for small instances."""
-    n = system.n_free
-    if n > max_dofs:
-        raise TooLarge(f"{n} dofs exceeds the dense-oracle limit {max_dofs}")
-    A = system.A_free.to_dense()
-    BA = apply_preconditioner(state, A)  # B applied to the columns of A
-    E = np.eye(n) - BA
-    w, Q = scipy.linalg.eigh(A)
-    w = np.maximum(w, 0.0)
-    half = Q @ (np.sqrt(w)[:, None] * Q.T)
-    inv_half = Q @ ((1.0 / np.sqrt(w))[:, None] * Q.T)
-    T = half @ E @ inv_half
-    s2 = scipy.linalg.eigh(T.T @ T, eigvals_only=True)[-1]
-    return float(np.sqrt(max(s2, 0.0)))
-
-
-def spd_condition_number(state, system, max_dofs=3000):
-    """Spectral condition number of the preconditioned operator B A for a
-    symmetric preconditioner (the additive schemes), via the symmetric form
-    A^(1/2) B A^(1/2)."""
-    n = system.n_free
-    if n > max_dofs:
-        raise TooLarge(f"{n} dofs exceeds the dense-oracle limit {max_dofs}")
-    A = system.A_free.to_dense()
-    B = apply_preconditioner(state, np.eye(n))
-    w, Q = scipy.linalg.eigh(A)
-    w = np.maximum(w, 0.0)
-    half = Q @ (np.sqrt(w)[:, None] * Q.T)
-    C = half @ B @ half
-    ev = scipy.linalg.eigh(0.5 * (C + C.T), eigvals_only=True)
-    return float(ev[-1] / ev[0])

@@ -21,7 +21,9 @@ Both local eigenproblems are solved on their coupling dofs only, through the
 one Schur reduction `schur_complement`: the harmonic pencil on the interface
 of omega_i^* (eliminating its interior through the cached banded interior
 factor), the GenEO pencil on the overlap-zone dofs of omega_i, where its
-left-hand side is nonzero (eliminating the rest through a dense Cholesky).
+left-hand side is nonzero (eliminating the rest through a banded factor of
+the local energy off the overlap zone). Both eliminations are one blocked
+banded solve of all the coupling columns at once.
 Vectors extend back through the map x_eliminated = -E x_kept of the same
 reduction. Each pencil is solved for the m + 1 leading pairs only: the m
 the basis keeps and the next eigenvalue.
@@ -43,7 +45,7 @@ from .errors import (
     TooManyModes,
 )
 from .grid import assemble_partial_stiffness
-from .linalg import dense_generalized_sym_eig, extract_submatrix, factorize
+from .linalg import SparseSym, dense_generalized_sym_eig, extract_submatrix, factorize
 
 
 def local_stiffness(system, box, dofs, cells=None):
@@ -82,10 +84,10 @@ def schur_complement(A, keep, elim, solve):
     matrix A onto the positions `keep`. `solve` applies A_ee^{-1} to a dense
     block of columns. Returns (S, E): E = A_ee^{-1} A_ek and the dense,
     symmetrized Schur complement S = A_kk - A_ke E. A vector on `keep`
-    extends to `elim` as -E x. The block is handed to `solve` in Fortran
-    order, the column layout of the LAPACK solves."""
+    extends to `elim` as -E x. The block is handed to `solve` in C order,
+    the row layout of the blocked banded solve."""
     A_ek = A[elim][:, keep]
-    E = solve(A_ek.toarray(order="F"))
+    E = solve(A_ek.toarray())
     S = A[keep][:, keep].toarray() - A_ek.T @ E
     return 0.5 * (S + S.T), E
 
@@ -240,14 +242,12 @@ def geneo_eigenproblem(system, decomp, pu, i, m):
     rest = np.setdiff1d(np.arange(sub.dofs.size), gamma, assume_unique=True)
     A_omega = local_stiffness(system, sub.box, sub.dofs)
     try:
-        cho = scipy.linalg.cho_factor(A_omega[rest][:, rest].toarray(), lower=True,
-                                      check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
+        factor = factorize(SparseSym(A_omega[rest][:, rest], validate=False))
+    except NotPositiveDefinite as exc:
         raise FactorizationFailure(
             f"subdomain {i}: local energy off the overlap zone not SPD: {exc}"
         ) from exc
-    S, E = schur_complement(A_omega, gamma, rest,
-                            lambda b: scipy.linalg.cho_solve(cho, b, check_finite=False))
+    S, E = schur_complement(A_omega, gamma, rest, factor.solve)
 
     pencil = dense_generalized_sym_eig(K[gamma][:, gamma].toarray(), S, n_pairs=m + 1)
     pos = sub.star_positions(sub.dofs)

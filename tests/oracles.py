@@ -27,12 +27,19 @@ masked stiffness assembly and the GenEO overlap zone as an OR of masks.
 The sparse direct reference solve is SuperLU refined with residuals formed in
 extended precision, so its error is far below the rounding a plain float64
 solve of an ill-conditioned high-contrast block carries.
+
+The dense diagnostics of the preconditioned operator (its energy-norm
+contraction and the condition number of the additive schemes) assemble the
+operator column by column through the package's preconditioner apply and
+decompose it densely, so they serve small instances only.
 """
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
+
+from msras.schwarz import apply_preconditioner
 
 _GP = ((1.0 - 1.0 / np.sqrt(3.0)) / 2.0, (1.0 + 1.0 / np.sqrt(3.0)) / 2.0)
 
@@ -395,3 +402,43 @@ def refined_sparse_solve(A, B, steps=2):
         AX = np.add.reduceat(data * X[A.indices].astype(np.longdouble), A.indptr[:-1], axis=0)
         X = X + lu.solve((B.astype(np.longdouble) - AX).astype(float))
     return X
+
+
+class TooLarge(Exception):
+    """Problem exceeds the size limit of a dense diagnostic."""
+
+
+def contraction_norm(state, system, max_dofs=3000):
+    """Exact ||I - B A|| in the energy norm, via dense assembly of the
+    preconditioned operator and a symmetric eigensolve of its similarity
+    transform. Only for small instances."""
+    n = system.n_free
+    if n > max_dofs:
+        raise TooLarge(f"{n} dofs exceeds the dense-oracle limit {max_dofs}")
+    A = system.A_free.to_dense()
+    BA = apply_preconditioner(state, A)  # B applied to the columns of A
+    E = np.eye(n) - BA
+    w, Q = scipy.linalg.eigh(A)
+    w = np.maximum(w, 0.0)
+    half = Q @ (np.sqrt(w)[:, None] * Q.T)
+    inv_half = Q @ ((1.0 / np.sqrt(w))[:, None] * Q.T)
+    T = half @ E @ inv_half
+    s2 = scipy.linalg.eigh(T.T @ T, eigvals_only=True)[-1]
+    return float(np.sqrt(max(s2, 0.0)))
+
+
+def spd_condition_number(state, system, max_dofs=3000):
+    """Spectral condition number of the preconditioned operator B A for a
+    symmetric preconditioner (the additive schemes), via the symmetric form
+    A^(1/2) B A^(1/2)."""
+    n = system.n_free
+    if n > max_dofs:
+        raise TooLarge(f"{n} dofs exceeds the dense-oracle limit {max_dofs}")
+    A = system.A_free.to_dense()
+    B = apply_preconditioner(state, np.eye(n))
+    w, Q = scipy.linalg.eigh(A)
+    w = np.maximum(w, 0.0)
+    half = Q @ (np.sqrt(w)[:, None] * Q.T)
+    C = half @ B @ half
+    ev = scipy.linalg.eigh(0.5 * (C + C.T), eigvals_only=True)
+    return float(ev[-1] / ev[0])

@@ -18,10 +18,8 @@ from msras.grid import (
 from msras.schwarz import (
     apply_one_level,
     build_preconditioner,
-    contraction_norm,
     gmres,
     richardson,
-    spd_condition_number,
 )
 from msras.spectral import (
     build_coarse_space,
@@ -30,7 +28,12 @@ from msras.spectral import (
     reduce_to_harmonic,
     solve_local_eigenproblem,
 )
-from tests.oracles import geneo_eigs_bruteforce, harmonic_eigs_bruteforce
+from tests.oracles import (
+    contraction_norm,
+    geneo_eigs_bruteforce,
+    harmonic_eigs_bruteforce,
+    spd_condition_number,
+)
 
 DESK = dict(px=4, py=4, overlap=2, ovsp=4, modes=10)
 

@@ -1,6 +1,8 @@
 """Every name the package exports is reached by the package itself or by the
-benchmark: an export that only its own tests use is dead API. The global
-matrix keeps its sparse LU, off the banded path of the box matrices."""
+benchmark: an export that only its own tests use is dead API (the dense
+oracles that only tests use live in `tests/oracles.py`). The global matrix
+keeps its sparse LU, off the banded path of the box matrices, and every
+local factor is a banded Cholesky."""
 
 import ast
 from pathlib import Path
@@ -12,9 +14,6 @@ from tests.conftest import make_system
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "msras"
-
-# dense oracles of the acceptance criteria, kept for the tests that use them
-TEST_ONLY = {"contraction_norm", "spd_condition_number"}
 
 
 def exported_names():
@@ -47,7 +46,7 @@ def referenced_names(paths):
 def test_every_export_is_reached():
     users = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
     users += list((ROOT / "perfbench").glob("*.py"))
-    unreached = exported_names() - referenced_names(users) - TEST_ONLY
+    unreached = exported_names() - referenced_names(users)
     assert not unreached, f"exported but reached by no module or benchmark: {sorted(unreached)}"
 
 
@@ -58,6 +57,13 @@ def test_sparse_lu_only_in_grid():
     users += list((ROOT / "perfbench").glob("*.py"))
     named = [p.name for p in users if "splu" in referenced_names([p])]
     assert not named, f"splu named outside grid.py: {named}"
+
+
+def test_no_dense_cholesky_in_package():
+    """Every local factor goes through `linalg.factorize`: no module of the
+    package names a dense `cho_factor`."""
+    named = [p.name for p in PACKAGE.glob("*.py") if "cho_factor" in referenced_names([p])]
+    assert not named, f"cho_factor named in: {named}"
 
 
 def test_solve_direct_does_not_reach_factorize(monkeypatch):

@@ -443,10 +443,11 @@ class TestBenchmarkTraceSites:
             finally:
                 tr.uninstall()
 
-    @pytest.mark.parametrize("entry,factors", [("run_single", 4), ("run_comparison", 8)])
+    @pytest.mark.parametrize("entry,factors", [("run_single", 4), ("run_comparison", 12)])
     def test_traced_run_factors_each_matrix_once(self, tracer, entry, factors):
         # 2x2 subdomains: one interior factor each, shared by the harmonic
-        # reduction and every oversampled scheme; AS2_geneo adds its own four
+        # reduction and every oversampled scheme; the GenEO pencils add the
+        # four blocks off their overlap zones, and AS2_geneo its own four
         import msras.bench
 
         cfg = small_cfg()

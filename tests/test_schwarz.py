@@ -13,16 +13,13 @@ from msras.errors import (
     DimensionMismatch,
     MissingCoarseSpace,
     Stagnation,
-    TooLarge,
 )
 from msras.schwarz import (
     apply_one_level,
     apply_preconditioner,
     build_preconditioner,
-    contraction_norm,
     gmres,
     richardson,
-    spd_condition_number,
 )
 from msras.spectral import (
     build_coarse_space,
@@ -31,6 +28,7 @@ from msras.spectral import (
     solve_local_eigenproblem,
 )
 from tests.conftest import make_system
+from tests.oracles import TooLarge, contraction_norm, spd_condition_number
 
 
 @pytest.fixture(scope="module")

@@ -124,6 +124,20 @@ class TestReduceToHarmonic:
             spectral.interior_factor(dec, 1)
         assert isinstance(err.value.__cause__, NotPositiveDefinite)
 
+    def test_interface_solve_is_blocked(self, system16, decomp16, pu16, monkeypatch):
+        # E = A11^{-1} A12 runs the level-3 blocked substitution; dpbtrs, one
+        # column at a time, is left to the vector solves of the preconditioner
+        calls = []
+        dpbtrs = scipy.linalg.lapack.dpbtrs
+        monkeypatch.setattr(scipy.linalg.lapack, "dpbtrs",
+                            lambda *args, **kwargs: calls.append(1) or dpbtrs(*args, **kwargs))
+        for i in range(len(decomp16.subdomains)):
+            reduce_to_harmonic(system16, decomp16, pu16, i)
+        assert not calls
+        state = build_preconditioner(system16, decomp16, pu16, "RAS")
+        apply_one_level(state, system16.f_free)
+        assert len(calls) == len(decomp16.subdomains)
+
     def test_harmonic_columns(self, system16, decomp16, pu16):
         S, P, H = reduce_to_harmonic(system16, decomp16, pu16, 0)
         A_star, interior = star_stiffness(system16, decomp16, 0)
@@ -358,12 +372,13 @@ class TestGeneoReducedPencil:
             assert sizes[-1] == np.count_nonzero(in_gamma) < sub.dofs.size
 
     def test_cholesky_failure_is_typed(self, system16, decomp16, pu16, monkeypatch):
-        def fail(*args, **kwargs):
-            raise scipy.linalg.LinAlgError("leading minor not positive definite")
+        def fail(A):
+            raise NotPositiveDefinite("leading minor of order 3 is not positive definite")
 
-        monkeypatch.setattr(scipy.linalg, "cho_factor", fail)
-        with pytest.raises(FactorizationFailure, match="subdomain 1"):
+        monkeypatch.setattr(spectral, "factorize", fail)
+        with pytest.raises(FactorizationFailure, match="subdomain 1: local energy off") as err:
             geneo_eigenproblem(system16, decomp16, pu16, 1, 5)
+        assert isinstance(err.value.__cause__, NotPositiveDefinite)
 
 
 class TestBlasWidth:
