@@ -85,10 +85,6 @@ class ExperimentConfig:
             raise ConfigError(f"{path}: {exc}") from exc
         return cls.from_dict(data)
 
-    def to_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-
     def validate(self):
         for name in ("nx", "ny", "px", "py", "overlap_layers", "oversampling_layers", "maxit",
                      "seed"):
@@ -128,9 +124,15 @@ class ExperimentConfig:
         for name, value in self._data_numbers():
             if value is not None and not (_is_number(value) and math.isfinite(value)):
                 raise ConfigError(f"{name}: must be a finite number, got {value!r}")
+        if self.boundary.get("preset") is None and not any(
+                self.boundary.get(side, {}).get("type") == "dirichlet" for side in SIDES):
+            raise ConfigError("boundary: at least one side must be Dirichlet")
         kind = self.coefficient.get("kind")
         if kind not in ("constant", "skyscraper", "raster"):
             raise ConfigError(f"coefficient.kind: unknown kind {kind!r}")
+        value = self.coefficient.get("value", 1.0)
+        if kind == "constant" and (value is None or value <= 0.0):
+            raise ConfigError(f"coefficient.value: must be positive, got {value!r}")
         if kind == "skyscraper":
             if self.coefficient.get("contrast", 1.0) < 1.0:
                 raise ConfigError("coefficient.contrast: must be >= 1")
@@ -238,8 +240,6 @@ def build_problem(cfg):
     return system
 
 
-# hybrid schemes without a coarse space run as their one-level part
-_ONE_LEVEL = {"hybrid_RAS_msgfem": "RAS", "hybrid_AS": "AS"}
 _TIMING_KEYS = ("assembly_s", "decomposition_s", "eigensolves_s", "coarse_setup_s",
                 "local_factorizations_s", "krylov_s")
 
@@ -325,12 +325,11 @@ class Pipeline:
         return bases, coarse
 
     def preconditioner(self, decomp, pu, scheme, coarse):
-        """The scheme's preconditioner; hybrid schemes fall back to their
-        one-level part without a coarse space."""
-        applied = scheme if coarse is not None else _ONE_LEVEL.get(scheme, scheme)
+        """The scheme's preconditioner; `build_preconditioner` runs a hybrid
+        scheme without a coarse space as its one-level part."""
         with single_blas_thread():
             return self._timed("local_factorizations_s", schwarz.build_preconditioner,
-                               self.system, decomp, pu, applied, coarse)
+                               self.system, decomp, pu, scheme, coarse)
 
     def drive(self, state):
         """Run the configured driver. A typed failure is recorded as

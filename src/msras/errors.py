@@ -59,10 +59,6 @@ class TooManyModes(MsrasError):
     pass
 
 
-class MissingCoarseSpace(MsrasError):
-    pass
-
-
 class Stagnation(MsrasError):
     """Richardson residual failed to decrease for several consecutive steps."""
 

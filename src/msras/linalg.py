@@ -96,9 +96,6 @@ class SparseSym:
     def n(self):
         return self.mat.shape[0]
 
-    def to_dense(self):
-        return self.mat.toarray()
-
     def __matmul__(self, other):
         return self.mat @ other
 

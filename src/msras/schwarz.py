@@ -20,17 +20,12 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import (
-    Breakdown,
-    DimensionMismatch,
-    MissingCoarseSpace,
-    Stagnation,
-)
+from .errors import Breakdown, DimensionMismatch, Stagnation
 from .linalg import extract_submatrix, factorize
 from .spectral import interior_factor
 
 SCHEMES = ("hybrid_RAS_msgfem", "RAS", "AS", "hybrid_AS", "AS2_geneo")
-_HYBRID = ("hybrid_RAS_msgfem", "hybrid_AS")
+_HYBRID = {"hybrid_RAS_msgfem": "RAS", "hybrid_AS": "AS"}  # hybrid -> its one-level part
 _PU_WEIGHTED = ("hybrid_RAS_msgfem", "RAS")
 
 
@@ -50,10 +45,14 @@ def build_preconditioner(system, decomp, pu, scheme, coarse=None):
     MS-GFEM flavours solve on the interior dofs of the oversampling domains,
     sharing the decomposition's cached interior factors with the spectral
     layer; AS2_geneo solves on the interior dofs of the overlap subdomains,
-    factored once per decomposition into the same cache.
+    factored once per decomposition into the same cache. Without a coarse
+    space a hybrid scheme is its one-level part: the state's scheme is then
+    RAS or AS.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
+    if coarse is None:
+        scheme = _HYBRID.get(scheme, scheme)
     local_dofs = []
     local_factors = []
     local_weights = []
@@ -104,8 +103,6 @@ def apply_preconditioner(state, r):
     otherwise. Linear and stateless."""
     z1 = apply_one_level(state, r)
     if state.coarse is None:
-        if state.scheme in _HYBRID:
-            raise MissingCoarseSpace(f"scheme {state.scheme} requires a coarse space")
         return z1
     if state.scheme in _HYBRID:
         return z1 + state.coarse.apply(r - state.system.A_free @ z1)
@@ -200,11 +197,12 @@ def richardson(state, system, v0=None, target_reduction=1e-10, maxit=200, u_ref=
 def gmres(state, system, u0=None, target_reduction=1e-10, maxit=200, u_ref=None):
     """Left-preconditioned GMRES on B A u = B f.
 
-    Arnoldi with modified Gram-Schmidt plus one reorthogonalization pass and
-    Givens-rotation least squares; no restarting. Stops when the
-    preconditioned residual drops below target_reduction times its initial
-    value. A vanishing new Arnoldi vector (happy breakdown) is convergence;
-    non-finite coefficients raise Breakdown.
+    Arnoldi with classical Gram-Schmidt in two block products against the
+    whole basis, run twice (one reorthogonalization pass: "twice is
+    enough"), and Givens-rotation least squares; no restarting. Stops when
+    the preconditioned residual drops below target_reduction times its
+    initial value. A vanishing new Arnoldi vector (happy breakdown) is
+    convergence; non-finite coefficients raise Breakdown.
     """
     if not (0.0 < target_reduction < 1.0):
         raise ValueError("target_reduction must lie in (0, 1)")
@@ -237,13 +235,10 @@ def gmres(state, system, u0=None, target_reduction=1e-10, maxit=200, u_ref=None)
     converged_at = None
     for j in range(maxit):
         w = apply_preconditioner(state, A @ V[:, j])
-        for i in range(j + 1):
-            Hm[i, j] = V[:, i] @ w
-            w -= Hm[i, j] * V[:, i]
-        for i in range(j + 1):  # one reorthogonalization pass
-            c = V[:, i] @ w
-            Hm[i, j] += c
-            w -= c * V[:, i]
+        for _ in range(2):
+            h = V[:, : j + 1].T @ w
+            w -= V[:, : j + 1] @ h
+            Hm[: j + 1, j] += h
         hnext = float(np.linalg.norm(w))
         if not np.isfinite(hnext) or not np.all(np.isfinite(Hm[: j + 2, j])):
             raise Breakdown(f"non-finite Arnoldi coefficients at step {j + 1}")

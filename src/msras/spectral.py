@@ -7,11 +7,14 @@ with interior dofs I1 and interface dofs I2 of omega_i^*, harmonic vectors
 are parameterized by their interface values through H = [-E; I] with
 E = A11^{-1} A12, the local energy becomes the Schur complement
 S = A22 - A21 E and the weighted Gram becomes Ptil = H^T (X A_omega X) H.
-X = diag(chi) vanishes off omega_i, which lies inside the interior of
-omega_i^*, so Ptil = W^T A_omega[s, s] W over the dofs s where chi != 0,
-with W = -X_s E[s]; H itself is never formed, only applied. The pencil
-Ptil x = lambda S x on the interface is exactly equivalent to the full
-eigenproblem, at a fraction of the dense size.
+X = diag(chi) vanishes off the interior dofs s of omega_i, which lie inside
+the interior of omega_i^*, so Ptil = W^T A_omega[s, s] W with W = -X_s E[s];
+H itself is never formed, only applied. On its interior rows a domain's
+local energy is the global matrix bit for bit (every cell incident to an
+interior dof lies in the domain), so A11, A12 and A_omega[s, s] are slices
+of `system.A_free` and only A22 is assembled. The pencil Ptil x = lambda S x
+on the interface is exactly equivalent to the full eigenproblem, at a
+fraction of the dense size.
 
 Zero-energy harmonic modes (constants on subdomains not touching the
 Dirichlet boundary) appear as kernel vectors of S; they are always retained
@@ -22,7 +25,8 @@ one Schur reduction `schur_complement`: the harmonic pencil on the interface
 of omega_i^* (eliminating its interior through the cached banded interior
 factor), the GenEO pencil on the overlap-zone dofs of omega_i, where its
 left-hand side is nonzero (eliminating the rest through a banded factor of
-the local energy off the overlap zone). Both eliminations are one blocked
+the local energy off the overlap zone, assembled on omega_i because it holds
+the Neumann rows of omega_i's boundary). Both eliminations are one blocked
 banded solve of all the coupling columns at once.
 Vectors extend back through the map x_eliminated = -E x_kept of the same
 reduction. Each pencil is solved for the m + 1 leading pairs only: the m
@@ -79,16 +83,16 @@ def interior_factor(decomp, i):
     return decomp.factor(("dofs0_star", i), build)
 
 
-def schur_complement(A, keep, elim, solve):
-    """Exact elimination of the positions `elim` of the sparse symmetric
-    matrix A onto the positions `keep`. `solve` applies A_ee^{-1} to a dense
-    block of columns. Returns (S, E): E = A_ee^{-1} A_ek and the dense,
-    symmetrized Schur complement S = A_kk - A_ke E. A vector on `keep`
-    extends to `elim` as -E x. The block is handed to `solve` in C order,
+def schur_complement(A_ek, A_kk, solve):
+    """Exact elimination of a block of dofs from a sparse symmetric matrix,
+    given its sparse blocks A_ek (eliminated rows, kept columns) and A_kk
+    (kept rows and columns). `solve` applies A_ee^{-1} to a dense block of
+    columns. Returns (S, E): E = A_ee^{-1} A_ek and the dense, symmetrized
+    Schur complement S = A_kk - A_ke E. A vector on the kept dofs extends to
+    the eliminated ones as -E x. The block is handed to `solve` in C order,
     the row layout of the blocked banded solve."""
-    A_ek = A[elim][:, keep]
     E = solve(A_ek.toarray())
-    S = A[keep][:, keep].toarray() - A_ek.T @ E
+    S = A_kk.toarray() - A_ek.T @ E
     return 0.5 * (S + S.T), E
 
 
@@ -103,26 +107,24 @@ def reduce_to_harmonic(system, decomp, pu, i):
     exactly the eigenpairs of the eigenproblem on the a-harmonic subspace.
     """
     sub = decomp.subdomains[i]
-    i1 = sub.star_positions(sub.dofs0_star)
-    i2 = sub.star_positions(sub.boundary_star)
-    if i2.size == 0:
+    if sub.boundary_star.size == 0:
         raise EmptyBoundary(
             f"subdomain {i}: omega^* has no internal boundary (covers the whole domain)"
         )
+    A = system.A_free.mat
+    S, E = schur_complement(A[sub.dofs0_star][:, sub.boundary_star],
+                            local_stiffness(system, sub.box_star, sub.boundary_star),
+                            interior_factor(decomp, i).solve)
 
-    A_star = local_stiffness(system, sub.box_star, sub.dofs_star)
-    # A11 = A_star[i1, i1] is bit-identical to the global matrix on dofs0_star
-    # (every cell incident to an interior node lies in omega_i^*)
-    S, E = schur_complement(A_star, i2, i1, interior_factor(decomp, i).solve)
-
-    # chi is zero off dofs(omega_i), all of them interior to omega_i^*: the
-    # rows of chi H that are not zero are -chi E on the dofs s where chi != 0
-    chi = pu.weights[i]
-    nz = np.flatnonzero(chi)
-    s = sub.dofs[nz]
-    W = -chi[nz, None] * E[np.searchsorted(sub.dofs0_star, s)]
-    Ptil = W.T @ (local_stiffness(system, sub.box, s) @ W)
+    # chi is nonzero exactly on dofs0(omega_i), all of them interior to
+    # omega_i^*: the rows of chi H that are not zero are -chi E there
+    chi = pu.weights[i][np.searchsorted(sub.dofs, sub.dofs0)]
+    W = -chi[:, None] * E[np.searchsorted(sub.dofs0_star, sub.dofs0)]
+    Ptil = W.T @ (A[sub.dofs0][:, sub.dofs0] @ W)
     Ptil = 0.5 * (Ptil + Ptil.T)
+
+    i1 = sub.star_positions(sub.dofs0_star)
+    i2 = sub.star_positions(sub.boundary_star)
 
     def H(X):
         out = np.empty((sub.dofs_star.size,) + np.shape(X)[1:])
@@ -247,7 +249,8 @@ def geneo_eigenproblem(system, decomp, pu, i, m):
         raise FactorizationFailure(
             f"subdomain {i}: local energy off the overlap zone not SPD: {exc}"
         ) from exc
-    S, E = schur_complement(A_omega, gamma, rest, factor.solve)
+    S, E = schur_complement(A_omega[rest][:, gamma], A_omega[gamma][:, gamma],
+                            factor.solve)
 
     pencil = dense_generalized_sym_eig(K[gamma][:, gamma].toarray(), S, n_pairs=m + 1)
     pos = sub.star_positions(sub.dofs)

@@ -24,6 +24,22 @@ def make_system(nx, ny=None, contrast=None, bc=None, source=gaussian_bump_source
     return assemble(grid, coeff, bc, source=source)
 
 
+# (nx, ny, boundary, px, py, overlap, oversampling): the desk instance and
+# all-Dirichlet 37x23 variants, on which the harmonic reduction is pinned
+PINNED_DECOMPOSITIONS = [
+    (64, 64, "mixed", 4, 4, 2, 4),
+    *((37, 23, "dirichlet", 3, 2, ov, os_) for ov in (1, 2, 3) for os_ in (1, 2)),
+]
+
+
+def pinned_instance(nx, ny, bc, px, py, overlap, oversampling):
+    """System, decomposition and partition of unity of a PINNED_DECOMPOSITIONS entry."""
+    spec = BoundarySpec.mixed_flux_channel() if bc == "mixed" else BoundarySpec.all_dirichlet()
+    system = make_system(nx, ny, contrast=1e6, bc=spec)
+    dec = build_decomposition(system, px, py, overlap, oversampling)
+    return system, dec, build_partition_of_unity(dec)
+
+
 @pytest.fixture(scope="session")
 def system16():
     return make_system(16, contrast=1e3)

@@ -415,7 +415,7 @@ def contraction_norm(state, system, max_dofs=3000):
     n = system.n_free
     if n > max_dofs:
         raise TooLarge(f"{n} dofs exceeds the dense-oracle limit {max_dofs}")
-    A = system.A_free.to_dense()
+    A = system.A_free.mat.toarray()
     BA = apply_preconditioner(state, A)  # B applied to the columns of A
     E = np.eye(n) - BA
     w, Q = scipy.linalg.eigh(A)
@@ -434,7 +434,7 @@ def spd_condition_number(state, system, max_dofs=3000):
     n = system.n_free
     if n > max_dofs:
         raise TooLarge(f"{n} dofs exceeds the dense-oracle limit {max_dofs}")
-    A = system.A_free.to_dense()
+    A = system.A_free.mat.toarray()
     B = apply_preconditioner(state, np.eye(n))
     w, Q = scipy.linalg.eigh(A)
     w = np.maximum(w, 0.0)

@@ -1,6 +1,7 @@
-"""Every name the package exports is reached by the package itself or by the
-benchmark: an export that only its own tests use is dead API (the dense
-oracles that only tests use live in `tests/oracles.py`). The global matrix
+"""Every name the package exports, and every public function, class and
+method it defines, is reached by the package itself or by the benchmark: a
+definition that only its own tests use is dead API (the dense oracles that
+only tests use live in `tests/oracles.py`). The global matrix
 keeps its sparse LU, off the banded path of the box matrices, and every
 local factor is a banded Cholesky."""
 
@@ -26,6 +27,21 @@ def exported_names():
     }
 
 
+def public_definitions():
+    """Qualified name -> name of the public functions and classes of the
+    package's modules and of the public methods of those classes."""
+    names = {}
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names[node.name] = node.name
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        names[f"{node.name}.{item.name}"] = item.name
+    return {q: name for q, name in names.items() if not name.startswith("_")}
+
+
 def referenced_names(paths):
     """Names read as a variable, an attribute or an import, and the dotted
     parts of string constants (the benchmark's wrapper sites)."""
@@ -46,8 +62,10 @@ def referenced_names(paths):
 def test_every_export_is_reached():
     users = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
     users += list((ROOT / "perfbench").glob("*.py"))
-    unreached = exported_names() - referenced_names(users)
-    assert not unreached, f"exported but reached by no module or benchmark: {sorted(unreached)}"
+    reached = referenced_names(users)
+    unreached = exported_names() - reached
+    unreached |= {q for q, name in public_definitions().items() if name not in reached}
+    assert not unreached, f"public but reached by no module or benchmark: {sorted(unreached)}"
 
 
 def test_sparse_lu_only_in_grid():

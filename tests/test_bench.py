@@ -49,7 +49,7 @@ class TestConfig:
     def test_roundtrip(self, tmp_path):
         cfg = small_cfg()
         path = tmp_path / "cfg.json"
-        cfg.to_json(path)
+        path.write_text(json.dumps(cfg.to_dict()))
         back = ExperimentConfig.from_json(path)
         assert back.to_dict() == cfg.to_dict()
 
@@ -91,6 +91,11 @@ class TestConfig:
             ("source", {"kind": "constant", "value": "abc"}),
             ("coefficient", {"kind": "raster"}),
             ("outputs", {"report": 7}),
+            ("coefficient", {"kind": "constant", "value": 0.0}),
+            ("coefficient", {"kind": "constant", "value": -2.0}),
+            ("coefficient", {"kind": "constant", "value": None}),
+            ("boundary", dict.fromkeys(["left", "right", "bottom", "top"],
+                                       {"type": "neumann", "flux": 0.0})),
         ],
     )
     def test_validation(self, field, value):
@@ -339,7 +344,7 @@ def solve_in_process(tmp_path, over, verb=("solve",)):
 class TestCli:
     def test_solve_exit_codes(self, tmp_path):
         path = tmp_path / "cfg.json"
-        small_cfg().to_json(path)
+        path.write_text(json.dumps(small_cfg().to_dict()))
         assert cli_main(["solve", str(path)]) == 0
 
     def test_config_error_exit_1(self, tmp_path):
@@ -350,6 +355,9 @@ class TestCli:
     @pytest.mark.parametrize("over", [
         {"coefficient": {"kind": "raster", "path": "no-such-raster.txt"}},
         {"modes": 10.0},
+        {"coefficient": {"kind": "constant", "value": 0.0}},
+        {"boundary": dict.fromkeys(["left", "right", "bottom", "top"],
+                                   {"type": "neumann", "flux": 0.0})},
     ])
     def test_malformed_config_exit_1(self, tmp_path, over):
         # run as a process: the message, not a traceback, must reach stderr
@@ -387,7 +395,7 @@ class TestCli:
     def test_nonconvergence_exit_2(self, tmp_path):
         # additive one-level scheme cannot reach 1e-10 in 3 iterations
         path = tmp_path / "cfg.json"
-        small_cfg(scheme="AS", modes=0, maxit=3).to_json(path)
+        path.write_text(json.dumps(small_cfg(scheme="AS", modes=0, maxit=3).to_dict()))
         assert cli_main(["solve", str(path)]) == 2
 
     def test_breakdown_reported_exit_2(self, tmp_path, monkeypatch):
@@ -397,7 +405,8 @@ class TestCli:
                             lambda state, r: np.full(np.shape(r), np.nan))
         path = tmp_path / "cfg.json"
         report_path = tmp_path / "r.json"
-        small_cfg(scheme="RAS", modes=0, outputs={"report": str(report_path)}).to_json(path)
+        cfg = small_cfg(scheme="RAS", modes=0, outputs={"report": str(report_path)})
+        path.write_text(json.dumps(cfg.to_dict()))
         assert cli_main(["solve", str(path)]) == 2
         report = json.loads(report_path.read_text())
         assert report["failure"].startswith("Breakdown: ")
@@ -408,7 +417,8 @@ class TestCli:
         # reach the written report and the exit code
         path = tmp_path / "cfg.json"
         report_path = tmp_path / "r.json"
-        small_cfg(modes=10000, outputs={"report": str(report_path)}).to_json(path)
+        cfg = small_cfg(modes=10000, outputs={"report": str(report_path)})
+        path.write_text(json.dumps(cfg.to_dict()))
         assert cli_main(["solve", str(path)]) == 2
         assert "FAILED: TooManyModes: " in capsys.readouterr().out
         report = json.loads(report_path.read_text())
@@ -418,7 +428,8 @@ class TestCli:
 
     def test_compare_and_sweep_and_spectrum(self, tmp_path):
         path = tmp_path / "cfg.json"
-        small_cfg(outputs={"spectrum": str(tmp_path / "s.csv")}).to_json(path)
+        cfg = small_cfg(outputs={"spectrum": str(tmp_path / "s.csv")})
+        path.write_text(json.dumps(cfg.to_dict()))
         assert cli_main(["compare", str(path), "--schemes", "hybrid_RAS_msgfem", "RAS"]) == 0
         assert cli_main(["sweep", str(path), "--ovsp", "1", "2", "--modes", "3", "5"]) == 0
         assert cli_main(["spectrum", str(path)]) == 0

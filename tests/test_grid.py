@@ -63,7 +63,7 @@ class TestAssemble:
         bc = BoundarySpec.all_dirichlet(0.0)
         system = assemble(grid, coeff, bc, source=lambda x, y: np.ones_like(x))
         assert system.n_free == 1
-        assert system.A_free.to_dense()[0, 0] == pytest.approx(8.0 / 3.0, abs=1e-14)
+        assert system.A_free.mat.toarray()[0, 0] == pytest.approx(8.0 / 3.0, abs=1e-14)
         assert system.f_free[0] == pytest.approx(0.25, abs=1e-15)
 
     def test_zero_data_zero_solution(self):

@@ -226,14 +226,14 @@ class TestExtractSubmatrix:
     def test_single_index(self):
         A = random_spd(6, seed=8)
         sub = extract_submatrix(A, [3])
-        assert sub.to_dense()[0, 0] == A.to_dense()[3, 3]
+        assert sub.mat.toarray()[0, 0] == A.mat.toarray()[3, 3]
 
     def test_tridiagonal_slice(self):
         # dense-slicing oracle: picking {1, 3} of a tridiagonal matrix
         # decouples the two diagonal entries
         d = np.array([2.0, 3.0, 4.0, 5.0, 6.0])
         A = SparseSym(np.diag(d) + np.diag(-np.ones(4), 1) + np.diag(-np.ones(4), -1))
-        sub = extract_submatrix(A, [1, 3]).to_dense()
+        sub = extract_submatrix(A, [1, 3]).mat.toarray()
         assert np.array_equal(sub, np.diag([3.0, 5.0]))
 
     def test_preserves_symmetry_exactly(self):

@@ -8,12 +8,7 @@ import pytest
 
 import msras
 from msras.decomp import build_decomposition, build_partition_of_unity
-from msras.errors import (
-    Breakdown,
-    DimensionMismatch,
-    MissingCoarseSpace,
-    Stagnation,
-)
+from msras.errors import Breakdown, DimensionMismatch, Stagnation
 from msras.schwarz import (
     apply_one_level,
     apply_preconditioner,
@@ -47,7 +42,7 @@ def small():
 
 def dense_one_level(system, state):
     n = system.n_free
-    A = system.A_free.to_dense()
+    A = system.A_free.mat.toarray()
     B1 = np.zeros((n, n))
     for dofs, w in zip(state.local_dofs, state.local_weights):
         Ai = np.linalg.inv(A[np.ix_(dofs, dofs)])
@@ -57,7 +52,7 @@ def dense_one_level(system, state):
 
 
 def dense_preconditioner(system, state):
-    A = system.A_free.to_dense()
+    A = system.A_free.mat.toarray()
     B1 = dense_one_level(system, state)
     if state.coarse is None:
         return B1
@@ -135,11 +130,14 @@ class TestPreconditioner:
             ref[np.isin(dofs, sub.dofs)] = pu.weights[sub.id][np.isin(sub.dofs, dofs)]
             assert np.array_equal(w, ref)
 
-    def test_hybrid_requires_coarse(self, small):
+    def test_hybrid_without_coarse_is_one_level(self, small, rng):
         system, dec, pu, _ = small
-        state = build_preconditioner(system, dec, pu, "hybrid_RAS_msgfem")
-        with pytest.raises(MissingCoarseSpace):
-            apply_preconditioner(state, np.ones(system.n_free))
+        r = rng.standard_normal(system.n_free)
+        for hybrid, one_level in (("hybrid_RAS_msgfem", "RAS"), ("hybrid_AS", "AS")):
+            state = build_preconditioner(system, dec, pu, hybrid)
+            assert state.scheme == one_level
+            ref = build_preconditioner(system, dec, pu, one_level)
+            assert np.array_equal(apply_preconditioner(state, r), apply_preconditioner(ref, r))
 
     def test_full_coarse_space_gives_exact_inverse(self, small, rng):
         # coarse space spanning everything makes the hybrid correction exact
@@ -275,6 +273,19 @@ class TestGmres:
         u = system.solve_direct()
         assert system.a_norm(sol - u) <= 1e-8 * system.a_norm(u)
         assert hist.res_precond[-1] <= 1e-10 * hist.res_precond[0]
+
+    def test_long_one_level_run(self):
+        # no coarse space: dozens of Arnoldi steps, over which a basis that
+        # loses orthogonality would stall or mislead the residual
+        system = make_system(48, contrast=1e6)
+        dec = build_decomposition(system, 6, 6, 1, 1)
+        state = build_preconditioner(system, dec, build_partition_of_unity(dec), "RAS")
+        sol, hist = gmres(state, system, target_reduction=1e-12)
+        assert hist.n_iterations >= 60
+        assert hist.res_precond[-1] <= 1e-12 * hist.res_precond[0]
+        assert all(b <= a for a, b in zip(hist.res_precond, hist.res_precond[1:]))
+        u = system.solve_direct()
+        assert system.a_norm(sol - u) <= 1e-8 * system.a_norm(u)
 
     def test_dominates_richardson(self, small):
         system, dec, pu, coarse = small

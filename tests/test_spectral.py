@@ -26,7 +26,7 @@ from msras.spectral import (
     solve_local_eigenproblem,
     truncate_basis,
 )
-from tests.conftest import make_system
+from tests.conftest import PINNED_DECOMPOSITIONS, make_system, pinned_instance
 from tests.oracles import (
     box_mask,
     dense_local_stiffness,
@@ -113,7 +113,43 @@ def star_stiffness(system, dec, i):
             sub.star_positions(sub.dofs0_star))
 
 
+def full_assembly_reduction(system, dec, pu, i):
+    """S and Ptil formed from the full local assemblies on omega_i^* and on
+    the dofs where chi_i != 0, sliced locally."""
+    sub = dec.subdomains[i]
+    i1 = sub.star_positions(sub.dofs0_star)
+    i2 = sub.star_positions(sub.boundary_star)
+    A_star = local_stiffness(system, sub.box_star, sub.dofs_star)
+    A_ek = A_star[i1][:, i2]
+    E = spectral.interior_factor(dec, i).solve(A_ek.toarray())
+    S = A_star[i2][:, i2].toarray() - A_ek.T @ E
+    chi = pu.weights[i]
+    nz = np.flatnonzero(chi)
+    s = sub.dofs[nz]
+    W = -chi[nz, None] * E[np.searchsorted(sub.dofs0_star, s)]
+    Ptil = W.T @ (local_stiffness(system, sub.box, s) @ W)
+    return 0.5 * (S + S.T), 0.5 * (Ptil + Ptil.T)
+
+
 class TestReduceToHarmonic:
+    @pytest.mark.parametrize("config", PINNED_DECOMPOSITIONS)
+    def test_global_slices_match_full_assemblies(self, config):
+        # on interior rows of a domain its local energy is the global matrix
+        system, dec, pu = pinned_instance(*config)
+        for i in range(dec.n_subdomains):
+            S, P, _ = reduce_to_harmonic(system, dec, pu, i)
+            S_ref, P_ref = full_assembly_reduction(system, dec, pu, i)
+            assert np.array_equal(S, S_ref) and np.array_equal(P, P_ref), i
+
+    def test_one_local_assembly(self, system16, decomp16, pu16, monkeypatch):
+        calls = []
+        assemble = spectral.local_stiffness
+        monkeypatch.setattr(spectral, "local_stiffness",
+                            lambda *args: calls.append(1) or assemble(*args))
+        for i in range(decomp16.n_subdomains):
+            reduce_to_harmonic(system16, decomp16, pu16, i)
+        assert len(calls) == decomp16.n_subdomains
+
     def test_interior_factor_failure_names_subdomain(self, monkeypatch):
         # a fresh decomposition, so the failure is not cached in a shared one
         system = make_system(16, contrast=1e3)
