@@ -2,9 +2,11 @@
 and oversampling-by-modes sweeps, with machine-readable reports.
 
 One JSON document describes one experiment (grid, coefficient, boundary
-data, source, decomposition, coarse-space size, scheme, solver). Reports
-echo every input parameter, carry per-stage wall times, and are
-deterministic in the config seed except for the timing fields.
+data, source, decomposition, coarse-space size, scheme, solver). Every verb
+runs its schemes through `Pipeline.run`, which gives each scheme one record
+with the same keys in every verb. Reports echo every input parameter, carry
+per-stage wall times, and are deterministic in the config seed except for
+the timing fields.
 """
 
 import json
@@ -31,6 +33,15 @@ from .linalg import single_blas_thread
 
 _DRIVERS = ("richardson", "gmres")
 
+# The keys a nested config object may hold besides the one naming its kind
+# (its preset, or a boundary side's type), by that kind.
+_COEFFICIENT_KEYS = {"constant": ("value",), "raster": ("path",),
+                     "skyscraper": ("contrast", "blocks", "fraction", "seed")}
+_SOURCE_KEYS = {"gaussian_bump": (), "constant": ("value",), "none": ()}
+_PRESET_KEYS = {"mixed_flux_channel": (), "all_dirichlet": ("value",)}
+_SIDE_KEYS = {"dirichlet": ("value",), "neumann": ("flux",)}
+_OUTPUT_KEYS = ("report", "history", "solution", "history_prefix", "sweep", "spectrum")
+
 
 def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
@@ -38,6 +49,22 @@ def _is_int(value):
 
 def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _known_keys(name, spec, allowed):
+    unknown = sorted(set(spec) - set(allowed))
+    if unknown:
+        raise ConfigError(f"{name}: unknown keys {unknown}")
+
+
+def _tagged(name, spec, tag, kinds, default=None):
+    """The kind a nested config object names under `tag`, checked against
+    `kinds`, after checking that the object holds no key its kind lacks."""
+    kind = spec.get(tag, default)
+    if kind not in kinds:
+        raise ConfigError(f"{name}.{tag}: unknown {tag} {kind!r}")
+    _known_keys(name, spec, (tag, *kinds[kind]))
+    return kind
 
 
 @dataclass
@@ -96,9 +123,7 @@ class ExperimentConfig:
         for name in ("coefficient", "boundary", "source", "outputs"):
             if not isinstance(getattr(self, name), dict):
                 raise ConfigError(f"{name}: must be an object")
-        for side in SIDES:
-            if not isinstance(self.boundary.get(side, {}), dict):
-                raise ConfigError(f"boundary.{side}: must be an object")
+        _known_keys("outputs", self.outputs, _OUTPUT_KEYS)
         if not all(isinstance(path, str) for path in self.outputs.values()):
             raise ConfigError("outputs: paths must be strings")
         if self.nx < 2 or self.ny < 2:
@@ -121,17 +146,28 @@ class ExperimentConfig:
             raise ConfigError("solver.target_reduction: must lie in (0, 1)")
         if self.maxit < 1:
             raise ConfigError("solver.maxit: must be >= 1")
-        for name, value in self._data_numbers():
-            if value is not None and not (_is_number(value) and math.isfinite(value)):
-                raise ConfigError(f"{name}: must be a finite number, got {value!r}")
-        if self.boundary.get("preset") is None and not any(
-                self.boundary.get(side, {}).get("type") == "dirichlet" for side in SIDES):
-            raise ConfigError("boundary: at least one side must be Dirichlet")
-        kind = self.coefficient.get("kind")
-        if kind not in ("constant", "skyscraper", "raster"):
-            raise ConfigError(f"coefficient.kind: unknown kind {kind!r}")
+        kind = _tagged("coefficient", self.coefficient, "kind", _COEFFICIENT_KEYS)
+        _tagged("source", self.source, "kind", _SOURCE_KEYS, "none")
+        specs = {"coefficient": self.coefficient, "source": self.source,
+                 "boundary": self.boundary}
+        if self.boundary.get("preset") is None:
+            _known_keys("boundary", self.boundary, ("preset", *SIDES))
+            for side in SIDES:
+                spec = specs[f"boundary.{side}"] = self.boundary.get(side)
+                if not isinstance(spec, dict):
+                    raise ConfigError(f"boundary.{side}: must be an object, got {spec!r}")
+                _tagged(f"boundary.{side}", spec, "type", _SIDE_KEYS)
+            if not any(self.boundary[side]["type"] == "dirichlet" for side in SIDES):
+                raise ConfigError("boundary: at least one side must be Dirichlet")
+        else:
+            _tagged("boundary", self.boundary, "preset", _PRESET_KEYS)
+        for name, spec in specs.items():
+            for key in ("value", "flux", "contrast", "fraction"):
+                value = spec.get(key, 0.0)
+                if not (_is_number(value) and math.isfinite(value)):
+                    raise ConfigError(f"{name}.{key}: must be a finite number, got {value!r}")
         value = self.coefficient.get("value", 1.0)
-        if kind == "constant" and (value is None or value <= 0.0):
+        if kind == "constant" and value <= 0.0:
             raise ConfigError(f"coefficient.value: must be positive, got {value!r}")
         if kind == "skyscraper":
             if self.coefficient.get("contrast", 1.0) < 1.0:
@@ -150,22 +186,7 @@ class ExperimentConfig:
                 raise ConfigError("coefficient.seed: must be an integer")
         if kind == "raster" and not isinstance(self.coefficient.get("path"), str):
             raise ConfigError("coefficient.path: the raster needs a file path")
-        skind = self.source.get("kind", "none")
-        if skind not in ("gaussian_bump", "constant", "none"):
-            raise ConfigError(f"source.kind: unknown kind {skind!r}")
         self.modes_list()  # raises on malformed modes
-
-    def _data_numbers(self):
-        """(path, value) of the coefficient, source and boundary numbers."""
-        yield "coefficient.value", self.coefficient.get("value")
-        yield "coefficient.contrast", self.coefficient.get("contrast")
-        yield "coefficient.fraction", self.coefficient.get("fraction")
-        yield "source.value", self.source.get("value")
-        yield "boundary.value", self.boundary.get("value")
-        for side in SIDES:
-            spec = self.boundary.get(side, {})
-            yield f"boundary.{side}.value", spec.get("value")
-            yield f"boundary.{side}.flux", spec.get("flux")
 
     def modes_list(self):
         n_sub = self.px * self.py
@@ -186,19 +207,13 @@ def _build_boundary(spec):
         return BoundarySpec.mixed_flux_channel()
     if preset == "all_dirichlet":
         return BoundarySpec.all_dirichlet(spec.get("value", 0.0))
-    if preset is not None:
-        raise ConfigError(f"boundary.preset: unknown preset {preset!r}")
     sides = {}
     for side in SIDES:
-        s = spec.get(side)
-        if s is None:
-            raise ConfigError(f"boundary.{side}: missing")
-        if s.get("type") == "dirichlet":
+        s = spec[side]
+        if s["type"] == "dirichlet":
             sides[side] = ("dirichlet", float(s.get("value", 0.0)))
-        elif s.get("type") == "neumann":
-            sides[side] = ("neumann", float(s.get("flux", 0.0)))
         else:
-            raise ConfigError(f"boundary.{side}.type: unknown type")
+            sides[side] = ("neumann", float(s.get("flux", 0.0)))
     return BoundarySpec(**sides)
 
 
@@ -243,6 +258,17 @@ def build_problem(cfg):
 _TIMING_KEYS = ("assembly_s", "decomposition_s", "eigensolves_s", "coarse_setup_s",
                 "local_factorizations_s", "krylov_s")
 
+# The record of one scheme's run before any stage ran, the same for every
+# verb. The last three fields hold objects (the bases, the iteration history
+# and the solution), which a sweep cell drops.
+_RECORD = {
+    "scheme_applied": None, "coarse_dim": 0, "lambda_bound": None,
+    "max_next_eigenvalue": None, "iterations": None, "final_residual": None,
+    "converged": False, "failure": None, "setup_s": 0.0, "solve_s": 0.0,
+    "spectrum": None, "history": None, "solution": None,
+}
+_OBJECTS = ("spectrum", "history", "solution")
+
 
 def basis_kind(scheme):
     """The local eigenproblem behind a scheme's coarse space: the overlap-zone
@@ -262,20 +288,25 @@ def compute_bases(system, decomp, pu, modes, kind="harmonic"):
     return bases
 
 
-def _failure(exc):
-    """The typed failure recorded in reports: "<type>: <message>"."""
-    return f"{type(exc).__name__}: {exc}"
+def _attempt(fn, *args, **kwargs):
+    """(fn(...), None), or (None, "<type>: <message>") when fn raises a typed
+    failure: the one place where a failure becomes a record field."""
+    try:
+        return fn(*args, **kwargs), None
+    except MsrasError as exc:
+        return None, f"{type(exc).__name__}: {exc}"
 
 
 class Pipeline:
     """The staged set-up every verb runs: problem, then decomposition and
-    partition of unity, then local bases, then coarse space, then
-    preconditioner and drive. Each stage's wall time accumulates in
-    `timings`; the interior factors of the oversampling domains are built
-    once per decomposition, before the harmonic eigensolves or the first
-    preconditioner that needs them, and timed as local factorizations.
-    The subdomain-local stages (bases, preconditioner) run on one BLAS
-    thread; the coarse space and the drive keep the caller's setting."""
+    partition of unity, then, per scheme in `run`, local bases, coarse
+    space, preconditioner and the configured driver. Each stage's wall time
+    accumulates in `timings`; the interior factors of the oversampling
+    domains are built once per decomposition, before the harmonic eigensolves
+    or the first preconditioner that needs them, and timed as local
+    factorizations. The subdomain-local stages (bases, preconditioner) run
+    on one BLAS thread; the coarse space and the drive keep the caller's
+    setting."""
 
     def __init__(self, cfg):
         self.cfg = cfg
@@ -324,40 +355,53 @@ class Pipeline:
                              decomp, pu, bases)
         return bases, coarse
 
-    def preconditioner(self, decomp, pu, scheme, coarse):
-        """The scheme's preconditioner; `build_preconditioner` runs a hybrid
-        scheme without a coarse space as its one-level part."""
-        with single_blas_thread():
-            return self._timed("local_factorizations_s", schwarz.build_preconditioner,
-                               self.system, decomp, pu, scheme, coarse)
-
-    def drive(self, state):
-        """Run the configured driver. A typed failure is recorded as
-        "<type>: <message>", not raised. Returns (solution, history,
-        failure, seconds); solution and history are None on failure."""
+    def run(self, decomp, pu, schemes, modes, full=None):
+        """One record per scheme (the keys of `_RECORD`), keyed by scheme, with
+        modes[i] modes on subdomain i. The schemes on one local eigenproblem
+        share its bases and coarse space, set up once (`full` as in
+        `coarse_space`). A typed failure is recorded, not raised: a failed
+        coarse set-up in the record of every scheme that shares it. A record
+        keeps the fields of the stages that ran. setup_s is the scheme's
+        preconditioner build plus, for the first scheme of its eigenproblem,
+        the coarse set-up; solve_s is the drive."""
         cfg = self.cfg
-        driver = schwarz.richardson if cfg.driver == "richardson" else schwarz.gmres
-        t = time.perf_counter()
-        try:
-            solution, history = driver(
-                state, self.system, target_reduction=cfg.target_reduction, maxit=cfg.maxit
-            )
-            failure = None
-        except MsrasError as exc:
-            solution, history = None, None
-            failure = _failure(exc)
-        solve_s = time.perf_counter() - t
-        self.timings["krylov_s"] += solve_s
-        return solution, history, failure, solve_s
-
-
-def _converged(cfg, history):
-    """Convergence in the driver's own stopping quantity: Richardson stops on
-    the Euclidean residual, GMRES on the preconditioned one."""
-    if history is None:
-        return False
-    series = history.res_b if cfg.driver == "richardson" else history.res_precond
-    return series[-1] <= cfg.target_reduction * series[0]
+        spaces = {}  # basis kind -> ((bases, coarse space), failure) of its one set-up
+        records = {}
+        for scheme in schemes:
+            rec = records[scheme] = dict(_RECORD)
+            if scheme not in schwarz.SCHEMES:
+                rec["failure"] = f"unknown scheme {scheme!r}"
+                continue
+            t = time.perf_counter()
+            kind = basis_kind(scheme)
+            if kind not in spaces:
+                spaces[kind] = _attempt(self.coarse_space, decomp, pu, scheme, modes, full)
+            space, rec["failure"] = spaces[kind]
+            if space is not None:
+                rec["spectrum"], coarse = space
+                if coarse is not None:
+                    rec.update(coarse_dim=coarse.m, lambda_bound=coarse.lam,
+                               max_next_eigenvalue=coarse.max_next_eigenvalue)
+                with single_blas_thread():
+                    state, rec["failure"] = _attempt(
+                        self._timed, "local_factorizations_s", schwarz.build_preconditioner,
+                        self.system, decomp, pu, scheme, coarse)
+            rec["setup_s"] = time.perf_counter() - t
+            if rec["failure"] is not None:
+                continue
+            rec["scheme_applied"] = state.scheme
+            driver = schwarz.richardson if cfg.driver == "richardson" else schwarz.gmres
+            t = time.perf_counter()
+            out, rec["failure"] = _attempt(driver, state, self.system,
+                                           target_reduction=cfg.target_reduction,
+                                           maxit=cfg.maxit)
+            rec["solve_s"] = time.perf_counter() - t
+            self.timings["krylov_s"] += rec["solve_s"]
+            if out is not None:
+                rec["solution"], history = out
+                rec.update(history=history, iterations=history.n_iterations,
+                           final_residual=history.res_b[-1], converged=history.converged)
+        return records
 
 
 def run_single(cfg):
@@ -366,91 +410,55 @@ def run_single(cfg):
     assembly is recorded in the report, which is still written; history and
     solution are then None."""
     pipe = Pipeline(cfg)
-    system = pipe.system
-    decomp = coarse = state = solution = history = None
-    try:
-        decomp, pu = pipe.decompose(cfg.oversampling_layers)
-        _, coarse = pipe.coarse_space(decomp, pu, cfg.scheme, cfg.modes_list())
-        state = pipe.preconditioner(decomp, pu, cfg.scheme, coarse)
-    except MsrasError as exc:
-        failure = _failure(exc)  # recorded like a failure of the drive step
+    parts, failure = _attempt(pipe.decompose, cfg.oversampling_layers)
+    if parts is None:
+        decomp, rec = None, dict(_RECORD, failure=failure)
     else:
-        solution, history, failure, _ = pipe.drive(state)
-
+        decomp, pu = parts
+        rec = pipe.run(decomp, pu, [cfg.scheme], cfg.modes_list())[cfg.scheme]
     report = {
         "config": cfg.to_dict(),
-        "scheme_applied": state.scheme if state is not None else None,
-        "n_free_dofs": system.n_free,
+        "scheme_applied": rec["scheme_applied"],
+        "n_free_dofs": pipe.system.n_free,
         "xi": decomp.xi if decomp is not None else None,
         "xi_star": decomp.xi_star if decomp is not None else None,
-        "coarse_dim": coarse.m if coarse is not None else 0,
-        "lambda_bound": coarse.lam if coarse is not None else None,
-        "iterations": history.n_iterations if history is not None else None,
-        "final_residual": history.res_b[-1] if history is not None else None,
-        "converged": _converged(cfg, history),
-        "failure": failure,
+        **{key: rec[key] for key in ("coarse_dim", "lambda_bound", "iterations",
+                                     "final_residual", "converged", "failure")},
         "timings": dict(pipe.timings),
     }
     out = cfg.outputs
     if out.get("report"):
         with open(out["report"], "w") as fh:
             json.dump(report, fh, indent=2)
-    if out.get("history") and history is not None:
-        history.to_csv(out["history"])
-    if out.get("solution") and solution is not None:
-        export_solution_csv(out["solution"], system.grid, system.expand(solution))
-    return report, history, solution
+    if out.get("history") and rec["history"] is not None:
+        rec["history"].to_csv(out["history"])
+    if out.get("solution") and rec["solution"] is not None:
+        export_solution_csv(out["solution"], pipe.system.grid,
+                            pipe.system.expand(rec["solution"]))
+    return report, rec["history"], rec["solution"]
 
 
 def run_comparison(cfg, schemes):
-    """One history per scheme over a shared setup. Schemes on the same local
-    eigenproblem share its bases and coarse space (AS2_geneo has its own),
-    and the oversampled schemes share the interior factors. Per-scheme
-    failures are recorded and the run continues."""
+    """One record per scheme over a shared setup (`Pipeline.run`). Schemes on
+    the same local eigenproblem share its bases and coarse space (AS2_geneo
+    has its own), and the oversampled schemes share the interior factors.
+    Per-scheme failures are recorded and the run continues."""
     pipe = Pipeline(cfg)
     decomp, pu = pipe.decompose(cfg.oversampling_layers)
-    modes = cfg.modes_list()
-    spaces = {}  # basis kind -> (bases, coarse space), or the failure of its set-up
-    results = {}
-    for scheme in schemes:
-        if scheme not in schwarz.SCHEMES:
-            results[scheme] = {"failure": f"unknown scheme {scheme!r}"}
-            continue
-        kind = basis_kind(scheme)
-        if kind not in spaces:
-            try:
-                spaces[kind] = pipe.coarse_space(decomp, pu, scheme, modes)
-            except MsrasError as exc:
-                spaces[kind] = _failure(exc)  # recorded once, not retried per scheme
-        if isinstance(spaces[kind], str):
-            results[scheme] = {"failure": spaces[kind]}
-            continue
-        bases, coarse = spaces[kind]
-        try:
-            state = pipe.preconditioner(decomp, pu, scheme, coarse)
-            solution, history, failure, solve_s = pipe.drive(state)
-            results[scheme] = {
-                "failure": failure,
-                "iterations": history.n_iterations if history else None,
-                "history": history,
-                "solve_s": solve_s,
-                "spectrum": bases,
-            }
-        except MsrasError as exc:
-            results[scheme] = {"failure": _failure(exc)}
-    out_prefix = cfg.outputs.get("history_prefix")
-    if out_prefix:
-        for scheme, res in results.items():
-            if res.get("history") is not None:
-                res["history"].to_csv(f"{out_prefix}{scheme}.csv")
-    return results
+    records = pipe.run(decomp, pu, schemes, cfg.modes_list())
+    prefix = cfg.outputs.get("history_prefix")
+    if prefix:
+        for scheme, rec in records.items():
+            if rec["history"] is not None:
+                rec["history"].to_csv(f"{prefix}{scheme}.csv")
+    return records
 
 
 @dataclass
 class SweepReport:
     ovsp_list: list
     modes_list: list
-    cells: dict  # (ovsp, modes) -> dict
+    cells: dict  # (ovsp, modes) -> the record of that cell, without its objects
 
     def to_csv(self, path):
         with open(path, "w") as fh:
@@ -458,10 +466,10 @@ class SweepReport:
             for s in self.ovsp_list:
                 for m in self.modes_list:
                     c = self.cells[(s, m)]
-                    if c.get("failure"):
+                    if c["failure"]:
                         fh.write(f"{s},{m},FAIL:{c['failure']},,,\n")
                         continue
-                    lam = "" if c["lambda"] is None else f"{c['lambda']:.17g}"
+                    lam = "" if c["lambda_bound"] is None else f"{c['lambda_bound']:.17g}"
                     fh.write(
                         f"{s},{m},{c['iterations']},{lam},"
                         f"{1e3 * c['setup_s']:.6g},{1e3 * c['solve_s']:.6g}\n"
@@ -480,7 +488,8 @@ def run_sweep(cfg, ovsp_list, modes_list):
     """Cartesian (oversampling x modes) sweep. Assembly is shared; per
     oversampling value the eigenproblems are solved once for the largest
     mode count (the solve also carries the next eigenvalue, for the error
-    bound) and truncated per cell. Both axes must be free of repeats."""
+    bound) and truncated per cell, whose setup_s includes that shared
+    stage. Both axes must be free of repeats."""
     if not ovsp_list or not modes_list:
         raise ConfigError("sweep: oversampling and modes lists must be nonempty")
     if any(s < 1 for s in ovsp_list):
@@ -493,42 +502,27 @@ def run_sweep(cfg, ovsp_list, modes_list):
     pipe = Pipeline(cfg)
     kind = basis_kind(cfg.scheme)
     m_max = max(modes_list)
+
+    def shared(s):
+        decomp, pu = pipe.decompose(s)
+        clamped = [min(m_max, _spectrum_size(pipe.system, decomp, pu, i, kind))
+                   for i in range(decomp.n_subdomains)]
+        return decomp, pu, pipe.bases(decomp, pu, cfg.scheme, clamped)
+
     cells = {}
     for s in ovsp_list:
-        try:
-            t = time.perf_counter()
-            decomp, pu = pipe.decompose(s)
-            clamped = [min(m_max, _spectrum_size(pipe.system, decomp, pu, i, kind))
-                       for i in range(decomp.n_subdomains)]
-            full = pipe.bases(decomp, pu, cfg.scheme, clamped)
-            shared_s = time.perf_counter() - t
-        except MsrasError as exc:
-            for m in modes_list:
-                cells[(s, m)] = {"failure": _failure(exc)}
-            continue
+        t = time.perf_counter()
+        parts, failure = _attempt(shared, s)
+        shared_s = time.perf_counter() - t
         for m in modes_list:
-            try:
-                t = time.perf_counter()
-                _, coarse = pipe.coarse_space(decomp, pu, cfg.scheme,
-                                              [m] * decomp.n_subdomains, full)
-                state = pipe.preconditioner(decomp, pu, cfg.scheme, coarse)
-                setup_s = shared_s + (time.perf_counter() - t)
-                solution, history, failure, solve_s = pipe.drive(state)
-                if failure:
-                    cells[(s, m)] = {"failure": failure}
-                    continue
-                cells[(s, m)] = {
-                    "iterations": history.n_iterations,
-                    "lambda": coarse.lam if coarse is not None else None,
-                    "max_next_eigenvalue": coarse.max_next_eigenvalue
-                    if coarse is not None
-                    else None,
-                    "setup_s": setup_s,
-                    "solve_s": solve_s,
-                    "converged": _converged(cfg, history),
-                }
-            except MsrasError as exc:
-                cells[(s, m)] = {"failure": _failure(exc)}
+            if parts is None:
+                rec = dict(_RECORD, failure=failure)
+            else:
+                decomp, pu, full = parts
+                rec = pipe.run(decomp, pu, [cfg.scheme], [m] * decomp.n_subdomains,
+                               full)[cfg.scheme]
+                rec["setup_s"] += shared_s
+            cells[(s, m)] = {key: v for key, v in rec.items() if key not in _OBJECTS}
     report = SweepReport(ovsp_list=list(ovsp_list), modes_list=list(modes_list), cells=cells)
     if cfg.outputs.get("sweep"):
         report.to_csv(cfg.outputs["sweep"])

@@ -52,32 +52,22 @@ def main(argv=None):
 
         if args.verb == "compare":
             results = run_comparison(cfg, args.schemes)
-            ok = True
             for scheme in args.schemes:
                 res = results[scheme]
-                if res.get("failure"):
+                if res["failure"]:
                     print(f"{scheme:>20}: FAILED ({res['failure']})")
-                    ok = False
                 else:
                     print(f"{scheme:>20}: {res['iterations']} iterations "
-                          f"({res['solve_s']:.3f} s)")
-            return 0 if ok else 2
+                          f"({res['solve_s']:.3f} s) converged={res['converged']}")
+            return 0 if all(res["converged"] for res in results.values()) else 2
 
         if args.verb == "sweep":
             report = run_sweep(cfg, args.ovsp, args.modes)
-            any_fail = False
             for s in report.ovsp_list:
-                row = []
-                for m in report.modes_list:
-                    cell = report.cells[(s, m)]
-                    if cell.get("failure"):
-                        row.append("FAIL")
-                        any_fail = True
-                    else:
-                        row.append(str(cell["iterations"]))
-                        any_fail |= not cell["converged"]
-                print(f"ovsp={s}: " + " ".join(row))
-            return 2 if any_fail else 0
+                cells = [report.cells[(s, m)] for m in report.modes_list]
+                print(f"ovsp={s}: " + " ".join(
+                    "FAIL" if c["failure"] else str(c["iterations"]) for c in cells))
+            return 0 if all(cell["converged"] for cell in report.cells.values()) else 2
 
         bases = run_spectrum(cfg)
         print(f"exported spectra of {len(bases)} subdomains "

@@ -56,9 +56,9 @@ class CartesianGrid:
 
 
 class CoefficientField:
-    """Per-cell scalar diffusion coefficient with declared bounds."""
+    """Per-cell scalar diffusion coefficient, finite and positive."""
 
-    def __init__(self, values, kind="constant"):
+    def __init__(self, values):
         values = np.asarray(values, dtype=float)
         bad = ~(np.isfinite(values) & (values > 0.0))  # also NaN, where <= 0 is false
         if np.any(bad):
@@ -68,15 +68,12 @@ class CoefficientField:
                 f"({cx}, {cy}) is {values[cy, cx]}"
             )
         self.values = values  # shape (ny, nx)
-        self.kind = kind
-        self.alpha = float(values.min())
-        self.beta = float(values.max())
 
     @classmethod
     def constant(cls, grid, value=1.0):
         if value <= 0:
             raise NonpositiveCoefficient(f"constant coefficient {value} <= 0")
-        return cls(np.full((grid.ny, grid.nx), float(value)), kind="constant")
+        return cls(np.full((grid.ny, grid.nx), float(value)))
 
     @classmethod
     def from_raster(cls, grid, path):
@@ -90,7 +87,7 @@ class CoefficientField:
             raise ValueError(f"raster body is {data.shape}, header says {(ny, nx)}")
         if (nx, ny) != (grid.nx, grid.ny):
             raise ValueError(f"raster is {nx}x{ny}, grid is {grid.nx}x{grid.ny}")
-        return cls(data, kind="raster")
+        return cls(data)
 
 
 def skyscraper_coefficient(grid, contrast, blocks, inclusion_fraction, seed):
@@ -114,7 +111,7 @@ def skyscraper_coefficient(grid, contrast, blocks, inclusion_fraction, seed):
         for b in picked:
             jx, jy = int(b % bx), int(b // bx)
             values[y_edges[jy] : y_edges[jy + 1], x_edges[jx] : x_edges[jx + 1]] = contrast
-    return CoefficientField(values, kind="skyscraper")
+    return CoefficientField(values)
 
 
 def gaussian_bump_source(x, y):
@@ -184,7 +181,6 @@ class AssembledSystem:
     lift: np.ndarray
     free_to_node: np.ndarray
     node_to_free: np.ndarray
-    dirichlet_nodes: np.ndarray
     _factor: object = field(default=None, repr=False)
 
     @property
@@ -323,7 +319,6 @@ def assemble(grid, coeff, bc, source=None):
         lift=lift,
         free_to_node=free_to_node,
         node_to_free=node_to_free,
-        dirichlet_nodes=dir_nodes,
     )
 
 

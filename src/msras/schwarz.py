@@ -116,7 +116,9 @@ class IterationHistory:
     res_b is the Euclidean residual norm ||f - A v_j||; res_precond the
     preconditioned one ||B(f - A v_j)||; err_a the energy-norm error against
     a supplied reference solution (empty if none was given). time_s holds
-    cumulative wall time.
+    cumulative wall time. converged is set by the driver where it stops: its
+    own stopping quantity (res_b for Richardson, res_precond for GMRES) fell
+    to target_reduction times its initial value.
     """
 
     iters: list = field(default_factory=list)
@@ -124,6 +126,7 @@ class IterationHistory:
     res_precond: list = field(default_factory=list)
     err_a: list = field(default_factory=list)
     time_s: list = field(default_factory=list)
+    converged: bool = False
 
     def record(self, j, res, res_pre, err, t):
         self.iters.append(j)
@@ -170,6 +173,7 @@ def richardson(state, system, v0=None, target_reduction=1e-10, maxit=200, u_ref=
     history.record(0, res0, float(np.linalg.norm(z)), _err_a(system, v, u_ref),
                    time.perf_counter() - t0)
     if res0 == 0.0:
+        history.converged = True
         return v, history
 
     res_prev = res0
@@ -184,6 +188,7 @@ def richardson(state, system, v0=None, target_reduction=1e-10, maxit=200, u_ref=
         history.record(j, res, float(np.linalg.norm(z)), _err_a(system, v, u_ref),
                        time.perf_counter() - t0)
         if res <= target_reduction * res0:
+            history.converged = True
             return v, history
         stalled = stalled + 1 if res >= res_prev else 0
         if stalled >= 5:
@@ -201,8 +206,8 @@ def gmres(state, system, u0=None, target_reduction=1e-10, maxit=200, u_ref=None)
     whole basis, run twice (one reorthogonalization pass: "twice is
     enough"), and Givens-rotation least squares; no restarting. Stops when
     the preconditioned residual drops below target_reduction times its
-    initial value. A vanishing new Arnoldi vector (happy breakdown) is
-    convergence; non-finite coefficients raise Breakdown.
+    initial value, or at a vanishing new Arnoldi vector (happy breakdown);
+    non-finite coefficients raise Breakdown. Returns the last iterate formed.
     """
     if not (0.0 < target_reduction < 1.0):
         raise ValueError("target_reduction must lie in (0, 1)")
@@ -218,6 +223,7 @@ def gmres(state, system, u0=None, target_reduction=1e-10, maxit=200, u_ref=None)
     history.record(0, float(np.linalg.norm(f - A @ u0)), beta,
                    _err_a(system, u0, u_ref), time.perf_counter() - t0)
     if beta == 0.0:
+        history.converged = True
         return u0, history
 
     V = np.zeros((n, maxit + 1), order="F")  # columns contiguous, resident once written
@@ -228,11 +234,6 @@ def gmres(state, system, u0=None, target_reduction=1e-10, maxit=200, u_ref=None)
     g[0] = beta
     V[:, 0] = r0 / beta
 
-    def current_iterate(k):
-        y = scipy.linalg.solve_triangular(Hm[:k, :k], g[:k])
-        return u0 + V[:, :k] @ y
-
-    converged_at = None
     for j in range(maxit):
         w = apply_preconditioner(state, A @ V[:, j])
         for _ in range(2):
@@ -257,13 +258,13 @@ def gmres(state, system, u0=None, target_reduction=1e-10, maxit=200, u_ref=None)
         g[j] = cs[j] * g[j]
 
         res_pre = abs(g[j + 1])
-        uj = current_iterate(j + 1)
+        y = scipy.linalg.solve_triangular(Hm[: j + 1, : j + 1], g[: j + 1])
+        uj = u0 + V[:, : j + 1] @ y
         history.record(j + 1, float(np.linalg.norm(f - A @ uj)), float(res_pre),
                        _err_a(system, uj, u_ref), time.perf_counter() - t0)
         if res_pre <= target_reduction * beta or hnext <= 1e-14 * beta:
-            converged_at = j + 1
             break
         V[:, j + 1] = w / hnext
 
-    k = converged_at if converged_at is not None else maxit
-    return current_iterate(k), history
+    history.converged = bool(res_pre <= target_reduction * beta)
+    return uj, history

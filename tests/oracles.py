@@ -101,7 +101,7 @@ def box_mask(grid, box):
 
 def touches_dirichlet(system, sub):
     """Whether any node incident to the oversampling cells is constrained."""
-    dir_set = set(system.dirichlet_nodes.tolist())
+    dir_set = set(np.flatnonzero(system.node_to_free < 0).tolist())
     cells_star = box_mask(system.grid, sub.box_star)
     ny, nx = cells_star.shape
     for cy in range(ny):
@@ -169,7 +169,7 @@ def geneo_eigs_bruteforce(system, decomp, pu, i, count):
     A_over = dense_local_stiffness(system, overlap, sub.dofs)
     chi = pu.weights[sub.id]
     K = chi[:, None] * A_over * chi[None, :]
-    dir_set = set(system.dirichlet_nodes.tolist())
+    dir_set = set(np.flatnonzero(system.node_to_free < 0).tolist())
     ny, nx = cells.shape
     kernel_dim = 1
     for cy in range(ny):

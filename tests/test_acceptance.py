@@ -250,7 +250,7 @@ def test_criterion_7_trend_reproduction():
             na = sweep.cells[(s, m_a)]["max_next_eigenvalue"]
             nb = sweep.cells[(s, m_b)]["max_next_eigenvalue"]
             if nb < na:
-                assert sweep.cells[(s, m_b)]["lambda"] < sweep.cells[(s, m_a)]["lambda"]
+                assert sweep.cells[(s, m_b)]["lambda_bound"] < sweep.cells[(s, m_a)]["lambda_bound"]
     for m in modes_list:
         for s_a, s_b in zip(ovsp_list, ovsp_list[1:]):
             assert iters[(s_b, m)] <= iters[(s_a, m)] + 1, ("ovsp axis", m, s_a, s_b)

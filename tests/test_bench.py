@@ -18,7 +18,7 @@ from msras.bench import (
     run_sweep,
 )
 from msras.cli import main as cli_main
-from msras.errors import ConfigError
+from msras.errors import ConfigError, UncoveredNode
 from tests.conftest import openblas_threads
 
 
@@ -96,6 +96,40 @@ class TestConfig:
             ("coefficient", {"kind": "constant", "value": None}),
             ("boundary", dict.fromkeys(["left", "right", "bottom", "top"],
                                        {"type": "neumann", "flux": 0.0})),
+            # null numbers
+            ("source", {"kind": "constant", "value": None}),
+            ("boundary", {"preset": "all_dirichlet", "value": None}),
+            ("boundary", {"left": {"type": "dirichlet", "value": None},
+                          "right": {"type": "dirichlet", "value": 0.0},
+                          "bottom": {"type": "neumann", "flux": 0.0},
+                          "top": {"type": "neumann", "flux": 0.0}}),
+            ("boundary", {"left": {"type": "dirichlet", "value": 0.0},
+                          "right": {"type": "dirichlet", "value": 0.0},
+                          "bottom": {"type": "neumann", "flux": None},
+                          "top": {"type": "neumann", "flux": 0.0}}),
+            ("coefficient", {"kind": "skyscraper", "contrast": None, "blocks": [8, 8],
+                             "fraction": 0.3}),
+            ("coefficient", {"kind": "skyscraper", "contrast": 1e3, "blocks": [8, 8],
+                             "fraction": None}),
+            # keys the object's kind does not take, and unknown kinds
+            ("coefficient", {"kind": "skyscraper", "contast": 10}),
+            ("coefficient", {"kind": "constant", "value": 1.0, "contrast": 10}),
+            ("source", {"kind": "gaussian_bump", "value": 1.0}),
+            ("source", {"kind": "dirac"}),
+            ("boundary", {"preset": "mixed_flux_channel", "value": 1.0}),
+            ("boundary", {"preset": "open_channel"}),
+            ("boundary", {"left": {"type": "dirichlet", "value": 0.0, "flux": 1.0},
+                          "right": {"type": "dirichlet", "value": 0.0},
+                          "bottom": {"type": "neumann", "flux": 0.0},
+                          "top": {"type": "neumann", "flux": 0.0}}),
+            ("boundary", {"left": {"type": "dirichlet", "value": 0.0},
+                          "right": {"type": "robin", "value": 0.0},
+                          "bottom": {"type": "neumann", "flux": 0.0},
+                          "top": {"type": "neumann", "flux": 0.0}}),
+            ("boundary", {"left": {"type": "dirichlet", "value": 0.0},
+                          "right": {"type": "dirichlet", "value": 0.0},
+                          "bottom": {"type": "neumann", "flux": 0.0}}),
+            ("outputs", {"reprot": "r.json"}),
         ],
     )
     def test_validation(self, field, value):
@@ -105,6 +139,11 @@ class TestConfig:
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"grid_size": 3})
+
+    def test_unknown_nested_key_named(self):
+        # a misspelt key must not run silently at the default contrast
+        with pytest.raises(ConfigError, match="coefficient: unknown keys \\['contast'\\]"):
+            small_cfg(coefficient={"kind": "skyscraper", "contast": 10})
 
     @pytest.mark.parametrize("document", [[], 3, "nx"])
     def test_non_object_rejected(self, document):
@@ -234,6 +273,51 @@ class TestRunComparison:
             assert body.startswith("iter,res_b,res_precond,err_a,time_ms")
 
 
+# The record every verb gets per scheme from Pipeline.run, and its objects
+RECORD_KEYS = {"scheme_applied", "coarse_dim", "lambda_bound", "max_next_eigenvalue",
+               "iterations", "final_residual", "converged", "failure", "setup_s", "solve_s"}
+RECORD_OBJECTS = {"spectrum", "history", "solution"}
+
+
+class TestOneRecord:
+    def test_verbs_share_one_record(self, monkeypatch):
+        # solve, compare and sweep take every scheme result, failed or not,
+        # from Pipeline.run; a sweep cell drops the objects, and solve's
+        # report keeps its own keys
+        import msras.bench
+
+        runs = []
+        run = Pipeline.run
+        monkeypatch.setattr(Pipeline, "run", lambda self, *args: runs.append(run(self, *args))
+                            or runs[-1])
+        cfg = small_cfg()
+        report, _, _ = run_single(cfg)
+        compared = run_comparison(cfg, ["hybrid_RAS_msgfem", "AS2_geneo", "bogus"])
+        sweep = run_sweep(cfg, [1], [0, 3, 10_000])
+        assert len(runs) == 5
+        assert all(set(rec) == RECORD_KEYS | RECORD_OBJECTS
+                   for records in runs for rec in records.values())
+        assert compared is runs[1]
+        assert compared["bogus"]["failure"] and compared["AS2_geneo"]["converged"]
+        assert sweep.cells[(1, 10_000)]["failure"] and sweep.cells[(1, 3)]["converged"]
+        assert all(set(cell) == RECORD_KEYS for cell in sweep.cells.values())
+        assert set(report) == {"config", "scheme_applied", "n_free_dofs", "xi", "xi_star",
+                               "coarse_dim", "lambda_bound", "iterations", "final_residual",
+                               "converged", "failure", "timings"}
+
+        # a failed decomposition (solve) or shared sweep stage fills the same record
+        def uncovered(decomp):
+            raise UncoveredNode("free dof 0 has zero weight in every subdomain")
+
+        monkeypatch.setattr(msras.bench, "build_partition_of_unity", uncovered)
+        report, history, solution = run_single(cfg)
+        assert report["failure"].startswith("UncoveredNode: ") and history is solution is None
+        assert report["xi"] is None and report["coarse_dim"] == 0
+        cell = run_sweep(cfg, [1], [3]).cells[(1, 3)]
+        assert set(cell) == RECORD_KEYS and cell["failure"].startswith("UncoveredNode: ")
+        assert len(runs) == 5
+
+
 class TestRunSweep:
     def test_single_cell_matches_run_single(self):
         cfg = small_cfg()
@@ -241,12 +325,12 @@ class TestRunSweep:
         sweep = run_sweep(cfg, [cfg.oversampling_layers], [5])
         cell = sweep.cells[(cfg.oversampling_layers, 5)]
         assert cell["iterations"] == report["iterations"]
-        assert cell["lambda"] == pytest.approx(report["lambda_bound"], rel=1e-12)
+        assert cell["lambda_bound"] == pytest.approx(report["lambda_bound"], rel=1e-12)
 
     def test_lambda_monotone_in_modes(self):
         cfg = small_cfg()
         sweep = run_sweep(cfg, [2], [2, 4, 6])
-        lams = [sweep.cells[(2, m)]["lambda"] for m in (2, 4, 6)]
+        lams = [sweep.cells[(2, m)]["lambda_bound"] for m in (2, 4, 6)]
         nexts = [sweep.cells[(2, m)]["max_next_eigenvalue"] for m in (2, 4, 6)]
         for a_l, b_l, a_n, b_n in zip(lams, lams[1:], nexts, nexts[1:]):
             if b_n < a_n:
@@ -358,6 +442,10 @@ class TestCli:
         {"coefficient": {"kind": "constant", "value": 0.0}},
         {"boundary": dict.fromkeys(["left", "right", "bottom", "top"],
                                    {"type": "neumann", "flux": 0.0})},
+        {"source": {"kind": "constant", "value": None}},
+        {"coefficient": {"kind": "skyscraper", "contrast": None}},
+        {"boundary": {"preset": "all_dirichlet", "value": None}},
+        {"coefficient": {"kind": "skyscraper", "contast": 10}},
     ])
     def test_malformed_config_exit_1(self, tmp_path, over):
         # run as a process: the message, not a traceback, must reach stderr
@@ -426,6 +514,17 @@ class TestCli:
         assert report["xi"] == 4 and report["n_free_dofs"] > 0
         assert report["converged"] is False and report["iterations"] is None
 
+    def test_nonconvergence_exit_2_in_every_verb(self, tmp_path, capsys):
+        # the scheme stops at maxit without converging: compare fails like
+        # solve and sweep, and prints the flag
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(small_cfg(scheme="AS", modes=0, maxit=3).to_dict()))
+        assert cli_main(["compare", str(path), "--schemes", "AS"]) == 2
+        out = capsys.readouterr().out
+        assert "AS: 3 iterations" in out and "converged=False" in out
+        assert cli_main(["sweep", str(path), "--ovsp", "2", "--modes", "0"]) == 2
+        assert cli_main(["solve", str(path)]) == 2
+
     def test_compare_and_sweep_and_spectrum(self, tmp_path):
         path = tmp_path / "cfg.json"
         cfg = small_cfg(outputs={"spectrum": str(tmp_path / "s.csv")})
@@ -437,14 +536,25 @@ class TestCli:
 
 class TestBenchmarkTraceSites:
     """The benchmark's tracer hooks package functions by module attribute
-    and binds their argument names; a refactor that moves or renames one
-    must fail here, not only in the benchmark run."""
+    and binds their argument names, and its worker reads the verbs' records;
+    a refactor that moves or renames one must fail here, not only in the
+    benchmark run."""
 
-    @pytest.fixture
-    def tracer(self, monkeypatch):
+    @pytest.fixture(autouse=True)
+    def perfbench_path(self, monkeypatch):
         monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as found
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+    @pytest.fixture
+    def tracer(self):
         return importlib.import_module("tracer")
+
+    @pytest.mark.parametrize("workload", ["msras_256", "compare_128"])
+    def test_worker_smoke_operation_passes(self, workload):
+        # one untraced 32^2 operation in process, checked as the benchmark checks it
+        worker = importlib.import_module("worker")
+        result = worker.run(workload, 7, False, True)
+        assert result["error"] is None and result["failed"] == 0
 
     def test_sites_resolve(self, tracer):
         for sites in (tracer.TRACED_SITES, tracer.OBSERVED_SITES):

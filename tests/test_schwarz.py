@@ -310,6 +310,33 @@ class TestGmres:
         assert float(lines[-1].split(",")[2]) == hist.res_precond[-1]
 
 
+class TestConvergedFlag:
+    """Each driver sets history.converged where it stops, in its own stopping
+    quantity: the Euclidean residual for Richardson, the preconditioned one
+    for GMRES; also when maxit runs out first."""
+
+    @pytest.mark.parametrize("driver, series", [(richardson, "res_b"), (gmres, "res_precond")])
+    @pytest.mark.parametrize("maxit", [1, 2, 200])
+    def test_flag_matches_stopping_series(self, small, driver, series, maxit):
+        system, dec, pu, coarse = small
+        state = build_preconditioner(system, dec, pu, "hybrid_RAS_msgfem", coarse=coarse)
+        _, hist = driver(state, system, target_reduction=1e-10, maxit=maxit)
+        values = getattr(hist, series)
+        assert hist.converged == (values[-1] <= 1e-10 * values[0])
+        assert hist.converged == (maxit == 200)
+
+    @pytest.mark.parametrize("driver", [richardson, gmres])
+    def test_exact_start_is_converged(self, small, driver):
+        import dataclasses
+
+        system, dec, pu, coarse = small
+        u = np.arange(system.n_free, dtype=float)
+        exact = dataclasses.replace(system, f_free=system.A_free @ u)
+        state = build_preconditioner(exact, dec, pu, "hybrid_RAS_msgfem", coarse=coarse)
+        _, hist = driver(state, exact, u)
+        assert hist.n_iterations == 0 and hist.converged
+
+
 _GMRES_RSS = """
 import resource, sys, types
 import numpy as np
