@@ -5,12 +5,13 @@ One JSON document describes one experiment (grid, coefficient, boundary
 data, source, decomposition, coarse-space size, scheme, solver). Every verb
 runs its schemes through `Pipeline.run`, which gives each scheme one record
 with the same keys in every verb. Reports echo every input parameter, carry
-per-stage wall times, and are deterministic in the config seed except for
-the timing fields.
+per-stage wall times and peak memory, and are deterministic in the config
+seed except for those two.
 """
 
 import json
 import math
+import resource
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -255,8 +256,9 @@ def build_problem(cfg):
     return system
 
 
-_TIMING_KEYS = ("assembly_s", "decomposition_s", "eigensolves_s", "coarse_setup_s",
-                "local_factorizations_s", "krylov_s")
+# The stages a Pipeline times, each under "<stage>_s" in its `timings`.
+_STAGES = ("assembly", "decomposition", "eigensolves", "coarse_setup", "local_factorizations",
+           "krylov")
 
 # The record of one scheme's run before any stage ran, the same for every
 # verb. The last three fields hold objects (the bases, the iteration history
@@ -276,13 +278,16 @@ def basis_kind(scheme):
     return "geneo" if scheme == "AS2_geneo" else "harmonic"
 
 
-def compute_bases(system, decomp, pu, modes, kind="harmonic"):
-    """Spectral bases of every subdomain, modes[i] modes on subdomain i."""
+def compute_bases(system, decomp, pu, modes, kind="harmonic", at_most=False):
+    """Spectral bases of every subdomain, modes[i] modes on subdomain i, or
+    with `at_most` as many as its pencil has up to modes[i]."""
     bases = []
     for i, m in zip(range(decomp.n_subdomains), modes, strict=True):
         if kind == "geneo":
-            bases.append(spectral.geneo_eigenproblem(system, decomp, pu, i, m))
+            bases.append(spectral.geneo_eigenproblem(system, decomp, pu, i, m, at_most))
         else:
+            if at_most:
+                m = min(m, decomp.subdomains[i].boundary_star.size)
             S, P, H = spectral.reduce_to_harmonic(system, decomp, pu, i)
             bases.append(spectral.solve_local_eigenproblem(S, P, H, m, sub_id=i))
     return bases
@@ -301,23 +306,30 @@ class Pipeline:
     """The staged set-up every verb runs: problem, then decomposition and
     partition of unity, then, per scheme in `run`, local bases, coarse
     space, preconditioner and the configured driver. Each stage's wall time
-    accumulates in `timings`; the interior factors of the oversampling
-    domains are built once per decomposition, before the harmonic eigensolves
-    or the first preconditioner that needs them, and timed as local
-    factorizations. The subdomain-local stages (bases, preconditioner) run
+    accumulates in `timings`, and `memory_mb` holds the process's peak
+    resident set (ru_maxrss) after the stage last ran, in MB, or None before
+    it ran: a stage whose value exceeds every earlier one set a new peak.
+    The interior factors of the oversampling domains are built once per
+    decomposition, before the harmonic eigensolves or the first
+    preconditioner that needs them, and timed as local factorizations. The subdomain-local stages (bases, preconditioner) run
     on one BLAS thread; the coarse space and the drive keep the caller's
     setting."""
 
     def __init__(self, cfg):
         self.cfg = cfg
-        self.timings = dict.fromkeys(_TIMING_KEYS, 0.0)
-        self.system = self._timed("assembly_s", build_problem, cfg)
+        self.timings = {f"{stage}_s": 0.0 for stage in _STAGES}
+        self.memory_mb = dict.fromkeys(_STAGES)
+        self.system = self._timed("assembly", build_problem, cfg)
 
-    def _timed(self, key, fn, *args):
+    def _timed(self, stage, fn, *args):
         t = time.perf_counter()
         out = fn(*args)
-        self.timings[key] += time.perf_counter() - t
+        self._record(stage, time.perf_counter() - t)
         return out
+
+    def _record(self, stage, seconds):
+        self.timings[f"{stage}_s"] += seconds
+        self.memory_mb[stage] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
     def decompose(self, oversampling_layers):
         """(decomposition, partition of unity) at one oversampling depth."""
@@ -328,17 +340,18 @@ class Pipeline:
                                          oversampling_layers)
             return decomp, build_partition_of_unity(decomp)
 
-        return self._timed("decomposition_s", build)
+        return self._timed("decomposition", build)
 
-    def bases(self, decomp, pu, scheme, modes):
-        """Local bases of the scheme's eigenproblem, modes[i] on subdomain i."""
+    def bases(self, decomp, pu, scheme, modes, at_most=False):
+        """Local bases of the scheme's eigenproblem, modes[i] on subdomain i
+        (at most, with `at_most`; see `compute_bases`)."""
         kind = basis_kind(scheme)
         with single_blas_thread():
             if kind == "harmonic":
                 for i in range(decomp.n_subdomains):
-                    self._timed("local_factorizations_s", spectral.interior_factor, decomp, i)
-            return self._timed("eigensolves_s", compute_bases, self.system, decomp, pu, modes,
-                               kind)
+                    self._timed("local_factorizations", spectral.interior_factor, decomp, i)
+            return self._timed("eigensolves", compute_bases, self.system, decomp, pu, modes,
+                               kind, at_most)
 
     def coarse_space(self, decomp, pu, scheme, modes, full=None):
         """(bases, coarse space) with modes[i] modes on subdomain i, or
@@ -351,7 +364,7 @@ class Pipeline:
             bases = self.bases(decomp, pu, scheme, modes)
         else:
             bases = [spectral.truncate_basis(b, m) for b, m in zip(full, modes, strict=True)]
-        coarse = self._timed("coarse_setup_s", spectral.build_coarse_space, self.system,
+        coarse = self._timed("coarse_setup", spectral.build_coarse_space, self.system,
                              decomp, pu, bases)
         return bases, coarse
 
@@ -369,9 +382,6 @@ class Pipeline:
         records = {}
         for scheme in schemes:
             rec = records[scheme] = dict(_RECORD)
-            if scheme not in schwarz.SCHEMES:
-                rec["failure"] = f"unknown scheme {scheme!r}"
-                continue
             t = time.perf_counter()
             kind = basis_kind(scheme)
             if kind not in spaces:
@@ -384,7 +394,7 @@ class Pipeline:
                                max_next_eigenvalue=coarse.max_next_eigenvalue)
                 with single_blas_thread():
                     state, rec["failure"] = _attempt(
-                        self._timed, "local_factorizations_s", schwarz.build_preconditioner,
+                        self._timed, "local_factorizations", schwarz.build_preconditioner,
                         self.system, decomp, pu, scheme, coarse)
             rec["setup_s"] = time.perf_counter() - t
             if rec["failure"] is not None:
@@ -396,7 +406,7 @@ class Pipeline:
                                            target_reduction=cfg.target_reduction,
                                            maxit=cfg.maxit)
             rec["solve_s"] = time.perf_counter() - t
-            self.timings["krylov_s"] += rec["solve_s"]
+            self._record("krylov", rec["solve_s"])
             if out is not None:
                 rec["solution"], history = out
                 rec.update(history=history, iterations=history.n_iterations,
@@ -425,6 +435,7 @@ def run_single(cfg):
         **{key: rec[key] for key in ("coarse_dim", "lambda_bound", "iterations",
                                      "final_residual", "converged", "failure")},
         "timings": dict(pipe.timings),
+        "memory_mb": dict(pipe.memory_mb),
     }
     out = cfg.outputs
     if out.get("report"):
@@ -442,7 +453,11 @@ def run_comparison(cfg, schemes):
     """One record per scheme over a shared setup (`Pipeline.run`). Schemes on
     the same local eigenproblem share its bases and coarse space (AS2_geneo
     has its own), and the oversampled schemes share the interior factors.
-    Per-scheme failures are recorded and the run continues."""
+    Per-scheme failures are recorded and the run continues; an unknown
+    scheme is a ConfigError, raised before any set-up."""
+    unknown = [scheme for scheme in schemes if scheme not in schwarz.SCHEMES]
+    if unknown:
+        raise ConfigError(f"schemes: {unknown} not in {schwarz.SCHEMES}")
     pipe = Pipeline(cfg)
     decomp, pu = pipe.decompose(cfg.oversampling_layers)
     records = pipe.run(decomp, pu, schemes, cfg.modes_list())
@@ -476,14 +491,6 @@ class SweepReport:
                     )
 
 
-def _spectrum_size(system, decomp, pu, i, kind):
-    """Number of eigenpairs of subdomain i's local pencil: the size of the
-    interface of omega_i^*, or of the GenEO coupling dofs of omega_i."""
-    if kind == "geneo":
-        return spectral.geneo_coupling(system, decomp, pu, i)[1].size
-    return decomp.subdomains[i].boundary_star.size
-
-
 def run_sweep(cfg, ovsp_list, modes_list):
     """Cartesian (oversampling x modes) sweep. Assembly is shared; per
     oversampling value the eigenproblems are solved once for the largest
@@ -500,14 +507,12 @@ def run_sweep(cfg, ovsp_list, modes_list):
         if len(set(axis)) < len(axis):
             raise ConfigError(f"sweep: repeated {name} value in {list(axis)}")
     pipe = Pipeline(cfg)
-    kind = basis_kind(cfg.scheme)
     m_max = max(modes_list)
 
     def shared(s):
         decomp, pu = pipe.decompose(s)
-        clamped = [min(m_max, _spectrum_size(pipe.system, decomp, pu, i, kind))
-                   for i in range(decomp.n_subdomains)]
-        return decomp, pu, pipe.bases(decomp, pu, cfg.scheme, clamped)
+        return decomp, pu, pipe.bases(decomp, pu, cfg.scheme, [m_max] * decomp.n_subdomains,
+                                      at_most=True)
 
     cells = {}
     for s in ovsp_list:

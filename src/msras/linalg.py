@@ -143,8 +143,9 @@ class SparseFactor:
             return np.ascontiguousarray(rhs) / (band[0] ** 2)[:, None]
         b = w
         nb = -(-n // b)
-        X = np.zeros((nb * b, rhs.shape[1]))
+        X = np.empty((nb * b, rhs.shape[1]))  # written in full: no zero-fill
         X[:n] = rhs
+        X[n:] = 0.0
         # the band padded to whole blocks with the identity, column-major.
         # The padded rows stay decoupled because `factorize` leaves the band
         # entries below the matrix, which LAPACK does not reference, at zero.
@@ -153,8 +154,9 @@ class SparseFactor:
         # b further on is O_{k+1}^T. Both views read only inside `flat`; the
         # triangle dtrsm does not read holds other band entries, and the one
         # dgemm would read is zeroed by the tril copy of the O blocks.
-        padded = np.zeros((w + 1, nb * b), order="F")
+        padded = np.empty((w + 1, nb * b), order="F")
         padded[:, :n] = band
+        padded[:, n:] = 0.0
         padded[0, n:] = 1.0
         flat = padded.ravel(order="F")
         step = flat.strides[0]

@@ -226,7 +226,12 @@ def gmres(state, system, u0=None, target_reduction=1e-10, maxit=200, u_ref=None)
         history.converged = True
         return u0, history
 
-    V = np.zeros((n, maxit + 1), order="F")  # columns contiguous, resident once written
+    # Column-major and never zero-filled: a column is read only after it is
+    # written, so only the written columns become resident. np.zeros would
+    # write every column whenever the basis comes from the heap, as it does
+    # in a repeated solve once freed bases have raised the allocator's mmap
+    # threshold above its size.
+    V = np.empty((n, maxit + 1), order="F")
     Hm = np.zeros((maxit + 1, maxit))
     cs = np.zeros(maxit)
     sn = np.zeros(maxit)

@@ -35,6 +35,7 @@ the basis keeps and the next eigenvalue.
 
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.linalg
@@ -228,10 +229,11 @@ def geneo_coupling(system, decomp, pu, i):
     return K, gamma if gamma.size else np.arange(sub.dofs.size)
 
 
-def geneo_eigenproblem(system, decomp, pu, i, m):
+def geneo_eigenproblem(system, decomp, pu, i, m, at_most=False):
     """Overlap-zone eigenproblem on omega_i (no oversampling, no harmonic
     constraint): PU-weighted energy over the overlap zone against the full
-    local energy, K x = lambda A_omega x on the free dofs of omega_i.
+    local energy, K x = lambda A_omega x on the free dofs of omega_i. With
+    `at_most`, m caps the number of modes at the |Gamma| the pencil has.
 
     K vanishes off the coupling dofs Gamma, so for lambda != 0 the other
     rows I force x_I = -A_II^{-1} A_IGamma x_Gamma, and the pencil is exactly
@@ -241,6 +243,8 @@ def geneo_eigenproblem(system, decomp, pu, i, m):
     kinds."""
     sub = decomp.subdomains[i]
     K, gamma = geneo_coupling(system, decomp, pu, i)
+    if at_most:
+        m = min(m, gamma.size)
     rest = np.setdiff1d(np.arange(sub.dofs.size), gamma, assume_unique=True)
     A_omega = local_stiffness(system, sub.box, sub.dofs)
     try:
@@ -288,15 +292,76 @@ class CoarseSpace:
         return self.basis @ scipy.linalg.cho_solve(self.cho, rc, check_finite=False)
 
 
+# Stored entries of B per block of columns of the Galerkin product B^T A B:
+# its largest temporaries, A B_k and its transpose, hold about as many.
+_GALERKIN_BLOCK_NNZ = 2**18
+
+
+def _row_block(M, a, b):
+    """Rows a:b of the csr matrix M, sharing its arrays."""
+    s, e = M.indptr[a], M.indptr[b]
+    return sparse.csr_matrix((M.data[s:e], M.indices[s:e], M.indptr[a:b + 1] - s),
+                             shape=(b - a, M.shape[1]))
+
+
+def _galerkin(A, cols):
+    """B^T A B for the csc columns B and the symmetric csr matrix A, one block
+    of columns B_k at a time, so that neither AB nor a csr copy of B is ever
+    formed. A B_k is taken as (B_k^T A)^T, and only the columns of B whose
+    rows overlap the rows of A B_k enter B^T (A B_k). Every entry is summed
+    over the same terms in the same order as in B^T (A B), so the two agree
+    to the bit when A is symmetric to the bit."""
+    n, m = cols.shape
+    cols.sort_indices()
+    Bt = cols.T  # csr: row c is column c of B
+    nonempty = np.diff(cols.indptr) > 0
+    first, last = np.full(m, n), np.full(m, -1)
+    first[nonempty] = cols.indices[cols.indptr[:-1][nonempty]]
+    last[nonempty] = cols.indices[cols.indptr[1:][nonempty] - 1]
+    entry_rows, entry_cols, entry_vals = [], [], []
+    edges = np.linspace(0, m, -(-cols.nnz // _GALERKIN_BLOCK_NNZ) + 1).astype(int)
+    for c0, c1 in zip(edges[:-1], edges[1:]):
+        ABt = _row_block(Bt, c0, c1) @ A
+        if ABt.nnz == 0:
+            continue
+        near = np.flatnonzero((first <= ABt.indices.max()) & (last >= ABt.indices.min()))
+        a, b = near[0], near[-1] + 1
+        block = (_row_block(Bt, a, b) @ ABt.T.tocsr()).tocoo()
+        entry_rows.append(block.row + a)
+        entry_cols.append(block.col + c0)
+        entry_vals.append(block.data)
+    if not entry_vals:
+        return sparse.csr_matrix((m, m))
+    entries = (np.concatenate(entry_vals),
+               (np.concatenate(entry_rows), np.concatenate(entry_cols)))
+    return sparse.csr_matrix(entries, shape=(m, m))
+
+
+def _taken(cols, order=None, scale=None):
+    """Columns order[k] of cols, times scale[k]; cols itself without order."""
+    if order is None:
+        return cols
+    out = cols[:, order]
+    for j, s in enumerate(scale):  # in place: no temporary the size of the basis
+        out.data[out.indptr[j]:out.indptr[j + 1]] *= s
+    return out
+
+
 def coarse_space_from_columns(system, columns, xi, xi_star, max_next_eigenvalue):
-    """Assemble, rank-filter and factorize a coarse space from explicit
-    global columns (already glued), decomposing their Galerkin matrix once.
-    Scaled to unit diagonal (a zero-energy column becomes a zero row), it
-    gets one pivoted Cholesky whose tolerance 1e-12 is relative to that unit
-    diagonal. The columns are kept in pivot order up to the rank, so the
-    leading rank x rank block of the factor serves the coarse solve."""
-    cols = sparse.csc_matrix(columns)
-    galerkin = cols.T @ (system.A_free @ cols)
+    """Assemble, rank-filter and factorize a coarse space from global columns,
+    decomposing their Galerkin matrix once. `columns` is an (n_free, m)
+    matrix, or a function that glues the columns: columns() gives all of them
+    in csc, and columns(order, scale) the csc matrix whose column k is column
+    order[k] times scale[k]. The function is called once for each, so the
+    given and the pivot-ordered columns are never held together.
+
+    Scaled to unit diagonal (a zero-energy column becomes a zero row), the
+    Galerkin matrix gets one pivoted Cholesky whose tolerance 1e-12 is
+    relative to that unit diagonal. The scaled columns are kept in pivot
+    order up to the rank, so the leading rank x rank block of the factor
+    serves the coarse solve."""
+    glue = columns if callable(columns) else partial(_taken, sparse.csc_matrix(columns))
+    galerkin = _galerkin(system.A_free.mat, glue())
     norms = np.sqrt(np.maximum(galerkin.diagonal(), 0.0))
     scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0.0)
     a_c = sparse.diags(scale) @ galerkin @ sparse.diags(scale)
@@ -312,36 +377,61 @@ def coarse_space_from_columns(system, columns, xi, xi_star, max_next_eigenvalue)
             RankDeficientCoarse,
         )
     keep = piv[:rank] - 1
-    basis = cols[:, keep]
-    for j, s in enumerate(scale[keep]):  # in place: no temporary the size of the basis
-        basis.data[basis.indptr[j]:basis.indptr[j + 1]] *= s
     return CoarseSpace(
-        basis=basis,
+        basis=glue(keep, scale[keep]),
         cho=(np.asfortranarray(L[:rank, :rank]), True),  # copies only when rank < n
         max_next_eigenvalue=max_next_eigenvalue,
         lam=float(np.sqrt(xi * xi_star * max_next_eigenvalue)),
     )
 
 
+def _glued_columns(n_free, bases, supports, order=None, scale=None):
+    """The coarse columns chi_i * phi_{i,j} of `bases`, zero-extended to the
+    n_free free dofs and written straight into one csc matrix: subdomain by
+    subdomain, or column k is column order[k] of that sequence times
+    scale[k]. supports[i] holds the dofs where chi_i > 0, chi_i there and
+    their positions in dofs_star; a column stores exactly those entries."""
+    sizes = np.repeat([rows.size for rows, _, _ in supports], [b.n_modes for b in bases])
+    if order is None:
+        order = np.arange(sizes.size)
+    indptr = np.zeros(len(order) + 1, dtype=np.int64)
+    np.cumsum(sizes[order], out=indptr[1:])
+    index_dtype = np.int32 if max(n_free, indptr[-1]) < 2**31 else np.int64
+    data = np.empty(indptr[-1])
+    indices = np.empty(indptr[-1], dtype=index_dtype)
+    slot = np.full(sizes.size, -1)  # position of each column in `order`
+    slot[order] = np.arange(len(order))
+    first = 0
+    for basis, (rows, chi, pos) in zip(bases, supports, strict=True):
+        k = slot[first:first + basis.n_modes]
+        first += basis.n_modes
+        values = (chi * basis.vectors[pos]).T[k >= 0]
+        k = k[k >= 0]
+        dest = indptr[k, None] + np.arange(rows.size)
+        data[dest] = values if scale is None else values * scale[k, None]
+        indices[dest] = rows
+    return sparse.csc_matrix((data, indices, indptr.astype(index_dtype)),
+                             shape=(n_free, len(order)))
+
+
 def build_coarse_space(system, decomp, pu, bases):
     """Glue local spectral bases into the global coarse space: column (i, j)
     is the zero-extended nodal product chi_i * phi_{i,j}, normalized in the
-    a-norm. Near-duplicate columns are removed by pivoted rank filtering."""
+    a-norm. Near-duplicate columns are removed by pivoted rank filtering.
+    The columns are glued twice, in subdomain order for the Galerkin product
+    and then in pivot order for the basis, rather than copied."""
     total = sum(b.n_modes for b in bases)
     if total < 1:
         raise ValueError("empty coarse space: every subdomain contributed 0 modes")
-    blocks = []
+    max_next = max((b.next_eigenvalue for b in bases), default=0.0)
+    supports = []
     for basis in bases:
         sub = decomp.subdomains[basis.subdomain_id]
-        local = sparse.csc_matrix(pu.on_star(sub)[:, None] * basis.vectors)  # stores no zeros
-        blocks.append(sparse.csc_matrix(
-            (local.data, sub.dofs_star[local.indices], local.indptr),
-            shape=(system.n_free, basis.n_modes),
-        ))
-    max_next = max((b.next_eigenvalue for b in bases), default=0.0)
-    return coarse_space_from_columns(
-        system, sparse.hstack(blocks, format="csc"), decomp.xi, decomp.xi_star, max_next
-    )
+        chi = pu.weights[sub.id]
+        on = np.flatnonzero(chi)
+        supports.append((sub.dofs[on], chi[on, None], sub.star_positions(sub.dofs[on])))
+    columns = partial(_glued_columns, system.n_free, bases, supports)
+    return coarse_space_from_columns(system, columns, decomp.xi, decomp.xi_star, max_next)
 
 
 def export_spectrum_csv(path, bases):

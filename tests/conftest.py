@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import msras
 from msras import linalg
 from msras.decomp import build_decomposition, build_partition_of_unity
 from msras.grid import (
@@ -84,3 +90,36 @@ def blas_width_two():
     yield 2
     for lib, n in zip(linalg._OPENBLAS, previous, strict=True):
         lib.openblas_set_num_threads_local(n)
+
+
+_GMRES_RSS = """
+import resource, sys, types
+import numpy as np
+import scipy.sparse as sparse
+from msras.schwarz import PreconditionerState, gmres
+
+n, maxit, solves = map(int, sys.argv[1:])
+# three distinct eigenvalues and an identity preconditioner: three steps
+A = sparse.diags(np.resize([1.0, 2.0, 3.0], n)).tocsr()
+system = types.SimpleNamespace(A_free=A, f_free=np.ones(n), n_free=n)
+identity = types.SimpleNamespace(solve=lambda r: r)
+state = PreconditionerState("RAS", [np.arange(n)], [identity], [None], None, system)
+for _ in range(solves):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    _, history = gmres(state, system, maxit=maxit)
+    after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    print(history.n_iterations, 1024 * (after - before))
+"""
+
+
+def gmres_rss_growth(n, maxit, solves=1):
+    """(iterations, growth of the peak resident set in bytes) of each of
+    `solves` GMRES solves run one after another in a fresh interpreter, on
+    an n-row diagonal system that converges in three steps. ru_maxrss only
+    grows, so a fresh process is the only clean baseline."""
+    out = subprocess.run(
+        [sys.executable, "-c", _GMRES_RSS, str(n), str(maxit), str(solves)],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(msras.__file__).parents[1])},
+    ).stdout.split()
+    return [(int(out[k]), int(out[k + 1])) for k in range(0, len(out), 2)]

@@ -1,6 +1,7 @@
 import importlib
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -171,10 +172,21 @@ class TestRunSingle:
         cfg = small_cfg()
         r1, h1, _ = run_single(cfg)
         r2, h2, _ = run_single(cfg)
-        r1.pop("timings")
-        r2.pop("timings")
+        for report in (r1, r2):  # wall times and peak memory vary from run to run
+            report.pop("timings")
+            report.pop("memory_mb")
         assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
         assert h1.res_b == h2.res_b
+
+    def test_memory_by_stage(self):
+        # ru_maxrss after each stage, under the names of the timed stages;
+        # the drive runs last, so its value is the run's peak so far
+        report, _, _ = run_single(small_cfg())
+        memory = report["memory_mb"]
+        assert {f"{stage}_s" for stage in memory} == set(report["timings"])
+        assert all(isinstance(mb, float) and mb > 0.0 for mb in memory.values())
+        assert max(memory.values()) == memory["krylov"]
+        assert memory["krylov"] <= resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
     def test_report_carries_all_inputs(self, tmp_path):
         out = {
@@ -245,11 +257,14 @@ class TestRunComparison:
             ms[0].eigenvalues[ms[0].kernel_dim :], ge[0].eigenvalues[ge[0].kernel_dim :]
         )
 
-    def test_bad_scheme_recorded_not_raised(self):
-        cfg = small_cfg()
-        res = run_comparison(cfg, ["hybrid_RAS_msgfem", "bogus"])
-        assert res["bogus"]["failure"]
-        assert res["hybrid_RAS_msgfem"]["failure"] is None
+    def test_bad_scheme_raises_before_setup(self, monkeypatch):
+        # an unknown name is bad input, like an unknown config scheme: it is
+        # rejected before the problem is assembled
+        import msras.bench
+
+        monkeypatch.setattr(msras.bench, "build_problem", lambda cfg: pytest.fail("set up"))
+        with pytest.raises(ConfigError, match="bogus"):
+            run_comparison(small_cfg(), ["hybrid_RAS_msgfem", "bogus"])
 
     def test_setup_failure_recorded_once_per_basis_kind(self, monkeypatch):
         # more modes than any interface carries: the harmonic set-up fails on
@@ -292,18 +307,18 @@ class TestOneRecord:
                             or runs[-1])
         cfg = small_cfg()
         report, _, _ = run_single(cfg)
-        compared = run_comparison(cfg, ["hybrid_RAS_msgfem", "AS2_geneo", "bogus"])
+        compared = run_comparison(cfg, ["hybrid_RAS_msgfem", "AS2_geneo"])
         sweep = run_sweep(cfg, [1], [0, 3, 10_000])
         assert len(runs) == 5
         assert all(set(rec) == RECORD_KEYS | RECORD_OBJECTS
                    for records in runs for rec in records.values())
         assert compared is runs[1]
-        assert compared["bogus"]["failure"] and compared["AS2_geneo"]["converged"]
+        assert compared["AS2_geneo"]["converged"]
         assert sweep.cells[(1, 10_000)]["failure"] and sweep.cells[(1, 3)]["converged"]
         assert all(set(cell) == RECORD_KEYS for cell in sweep.cells.values())
         assert set(report) == {"config", "scheme_applied", "n_free_dofs", "xi", "xi_star",
                                "coarse_dim", "lambda_bound", "iterations", "final_residual",
-                               "converged", "failure", "timings"}
+                               "converged", "failure", "timings", "memory_mb"}
 
         # a failed decomposition (solve) or shared sweep stage fills the same record
         def uncovered(decomp):
@@ -319,6 +334,19 @@ class TestOneRecord:
 
 
 class TestRunSweep:
+    def test_geneo_coupling_formed_once_per_oversampling(self, monkeypatch):
+        # the shared stage sizes each GenEO pencil by the coupling it solves,
+        # not by a second coupling formed only to count Gamma
+        calls = []
+        coupling = spectral.geneo_coupling
+        monkeypatch.setattr(spectral, "geneo_coupling",
+                            lambda *args: calls.append(args[-1]) or coupling(*args))
+        sweep = run_sweep(small_cfg(scheme="AS2_geneo"), [1, 2], [3, 10_000])
+        assert calls == [0, 1, 2, 3] * 2
+        for s in (1, 2):
+            assert sweep.cells[(s, 3)]["converged"]
+            assert sweep.cells[(s, 10_000)]["failure"].startswith("TooManyModes: ")
+
     def test_single_cell_matches_run_single(self):
         cfg = small_cfg()
         report, _, _ = run_single(cfg)
@@ -479,6 +507,12 @@ class TestCli:
         assert out.returncode == 1
         assert out.stderr.startswith("configuration error:")
         assert "Traceback" not in out.stderr
+
+    def test_unknown_compare_scheme_exit_1(self, tmp_path):
+        out = solve_in_process(tmp_path, {}, ("compare", "--schemes", "RAS", "bogus"))
+        assert out.returncode == 1
+        assert out.stderr.startswith("configuration error:") and "bogus" in out.stderr
+        assert "Traceback" not in out.stderr and out.stdout == ""
 
     def test_nonconvergence_exit_2(self, tmp_path):
         # additive one-level scheme cannot reach 1e-10 in 3 iterations

@@ -1,12 +1,6 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-import msras
 from msras.decomp import build_decomposition, build_partition_of_unity
 from msras.errors import Breakdown, DimensionMismatch, Stagnation
 from msras.schwarz import (
@@ -22,7 +16,7 @@ from msras.spectral import (
     reduce_to_harmonic,
     solve_local_eigenproblem,
 )
-from tests.conftest import make_system
+from tests.conftest import gmres_rss_growth, make_system
 from tests.oracles import TooLarge, contraction_norm, spd_condition_number
 
 
@@ -337,25 +331,6 @@ class TestConvergedFlag:
         assert hist.n_iterations == 0 and hist.converged
 
 
-_GMRES_RSS = """
-import resource, sys, types
-import numpy as np
-import scipy.sparse as sparse
-from msras.schwarz import PreconditionerState, gmres
-
-n, maxit = int(sys.argv[1]), int(sys.argv[2])
-# three distinct eigenvalues and an identity preconditioner: three steps
-A = sparse.diags(np.resize([1.0, 2.0, 3.0], n)).tocsr()
-system = types.SimpleNamespace(A_free=A, f_free=np.ones(n), n_free=n)
-identity = types.SimpleNamespace(solve=lambda r: r)
-state = PreconditionerState("RAS", [np.arange(n)], [identity], [None], None, system)
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-_, history = gmres(state, system, maxit=maxit)
-after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-print(history.n_iterations, 1024 * (after - before))
-"""
-
-
 class TestGmresMemory:
     def test_krylov_basis_grows_with_iterations_not_maxit(self):
         # a row of the maxit-wide basis is under one page, so a row-major
@@ -363,13 +338,20 @@ class TestGmresMemory:
         n, maxit = 80_000, 500
         basis_bytes = 8 * n * (maxit + 1)
         assert basis_bytes >= 300e6
-        out = subprocess.run(
-            [sys.executable, "-c", _GMRES_RSS, str(n), str(maxit)],
-            capture_output=True, text=True, check=True,
-            env={**os.environ, "PYTHONPATH": str(Path(msras.__file__).parents[1])},
-        ).stdout.split()
-        assert int(out[0]) <= 3
-        assert int(out[1]) < basis_bytes / 10, f"peak RSS grew {int(out[1]) / 1e6:.0f} MB"
+        ((iterations, growth),) = gmres_rss_growth(n, maxit)
+        assert iterations <= 3
+        assert growth < basis_bytes / 10, f"peak RSS grew {growth / 1e6:.0f} MB"
+
+    def test_repeated_solves_do_not_zero_fill_the_basis(self):
+        # a 25.7 MB basis: once earlier bases are freed, the allocator
+        # serves it from the heap, where zero-filling makes every column
+        # resident although three are written
+        n, maxit = 16_000, 200
+        basis_bytes = 8 * n * (maxit + 1)
+        runs = gmres_rss_growth(n, maxit, solves=4)
+        assert [iterations for iterations, _ in runs] == [3] * 4
+        growth = [g for _, g in runs]
+        assert max(growth) < basis_bytes / 4, f"peak RSS grew {[g // 2**20 for g in growth]} MiB"
 
 
 class TestDenseDiagnostics:

@@ -488,7 +488,7 @@ class TestCoarseSpace:
 
         monkeypatch.setattr(spectral, "coarse_space_from_columns", capture)
         build_coarse_space(system16, decomp16, pu16, bases)
-        (cols,) = seen
+        cols = seen[0]()  # the glue, called for the columns in subdomain order
         # chi_i vanishes on the internal boundary of omega_i: those zeros are not stored
         glued_size = sum(decomp16.subdomains[b.subdomain_id].dofs_star.size * b.n_modes
                          for b in bases)
@@ -532,6 +532,25 @@ class TestCoarseSpace:
         r = rng.standard_normal(system16.n_free)
         assert np.allclose(B.T @ (system16.A_free @ cs.apply(r)), B.T @ r, rtol=0.0, atol=1e-13)
         assert np.allclose(np.diag(B.T @ (system16.A_free @ B)), 1.0, rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("block_nnz", [1, 300, 2**18])
+    def test_blocked_galerkin_matches_full_product_to_the_bit(self, system16, decomp16, pu16,
+                                                              monkeypatch, block_nnz):
+        # B^T A B by blocks of columns, each against the columns whose rows
+        # reach it, sums the same terms in the same order as B^T (A B)
+        bases = [solve_local_eigenproblem(*reduce_to_harmonic(system16, decomp16, pu16, i),
+                                          6, sub_id=i) for i in range(4)]
+        seen = []
+        original = spectral.coarse_space_from_columns
+        monkeypatch.setattr(spectral, "coarse_space_from_columns",
+                            lambda system, cols, *rest: seen.append(cols) or original(
+                                system, cols, *rest))
+        build_coarse_space(system16, decomp16, pu16, bases)
+        cols = seen[0]()
+        monkeypatch.setattr(spectral, "_GALERKIN_BLOCK_NNZ", block_nnz)
+        A = system16.A_free.mat
+        assert np.array_equal(spectral._galerkin(A, cols).toarray(),
+                              (cols.T @ (A @ cols)).toarray())
 
     def test_galerkin_matrix_factored_once(self, system16, decomp16, pu16, monkeypatch):
         # one pivoted Cholesky finds the rank and is the coarse factor: no
