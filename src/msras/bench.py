@@ -311,9 +311,9 @@ class Pipeline:
     it ran: a stage whose value exceeds every earlier one set a new peak.
     The interior factors of the oversampling domains are built once per
     decomposition, before the harmonic eigensolves or the first
-    preconditioner that needs them, and timed as local factorizations. The subdomain-local stages (bases, preconditioner) run
-    on one BLAS thread; the coarse space and the drive keep the caller's
-    setting."""
+    preconditioner that needs them, and timed as local factorizations. The
+    subdomain-local stages (bases, preconditioner) run on one BLAS thread;
+    the coarse space and the drive keep the caller's setting."""
 
     def __init__(self, cfg):
         self.cfg = cfg
@@ -453,11 +453,13 @@ def run_comparison(cfg, schemes):
     """One record per scheme over a shared setup (`Pipeline.run`). Schemes on
     the same local eigenproblem share its bases and coarse space (AS2_geneo
     has its own), and the oversampled schemes share the interior factors.
-    Per-scheme failures are recorded and the run continues; an unknown
-    scheme is a ConfigError, raised before any set-up."""
+    Per-scheme failures are recorded and the run continues; an unknown or
+    repeated scheme is a ConfigError, raised before any set-up."""
     unknown = [scheme for scheme in schemes if scheme not in schwarz.SCHEMES]
     if unknown:
         raise ConfigError(f"schemes: {unknown} not in {schwarz.SCHEMES}")
+    if len(set(schemes)) < len(schemes):
+        raise ConfigError(f"schemes: repeated scheme in {list(schemes)}")
     pipe = Pipeline(cfg)
     decomp, pu = pipe.decompose(cfg.oversampling_layers)
     records = pipe.run(decomp, pu, schemes, cfg.modes_list())

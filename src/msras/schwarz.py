@@ -161,6 +161,8 @@ def richardson(state, system, v0=None, target_reduction=1e-10, maxit=200, u_ref=
     on a non-finite residual."""
     if not (0.0 < target_reduction < 1.0):
         raise ValueError("target_reduction must lie in (0, 1)")
+    if maxit < 1:
+        raise ValueError("maxit must be >= 1")
     A = system.A_free
     f = system.f_free
     v = np.zeros(system.n_free) if v0 is None else np.array(v0, dtype=float)
@@ -211,6 +213,8 @@ def gmres(state, system, u0=None, target_reduction=1e-10, maxit=200, u_ref=None)
     """
     if not (0.0 < target_reduction < 1.0):
         raise ValueError("target_reduction must lie in (0, 1)")
+    if maxit < 1:
+        raise ValueError("maxit must be >= 1")
     A = system.A_free
     f = system.f_free
     n = system.n_free

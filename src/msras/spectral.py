@@ -31,11 +31,16 @@ banded solve of all the coupling columns at once.
 Vectors extend back through the map x_eliminated = -E x_kept of the same
 reduction. Each pencil is solved for the m + 1 leading pairs only: the m
 the basis keeps and the next eigenvalue.
+
+The coarse space glues the chi-weighted local vectors once, subdomain by
+subdomain, into one csc matrix B. Its Galerkin matrix B^T A B is written by
+blocks of columns straight into one dense array, which is scaled to unit
+diagonal and symmetrized in place and then overwritten by its pivoted
+Cholesky factor; the pivot order gives the columns the coarse solve keeps.
 """
 
 import warnings
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 import scipy.linalg
@@ -272,29 +277,39 @@ def geneo_eigenproblem(system, decomp, pu, i, m, at_most=False):
 class CoarseSpace:
     """Glued coarse basis with the Cholesky factor of its Galerkin matrix.
 
-    lam is the bound sqrt(xi * xi_star * max_i next_eigenvalue) computed from
-    the bases this space was built from.
+    The basis holds every glued column, scaled to unit energy, in glue
+    order; `keep` lists the columns the pivoted factorization kept, in pivot
+    order, and the factor pairs with them: L L^T = B_k^T A B_k for
+    B_k = basis[:, keep]. The dropped columns (zero-energy or dependent)
+    take no part in the solve. lam is the bound
+    sqrt(xi * xi_star * max_i next_eigenvalue) computed from the bases this
+    space was built from.
     """
 
-    basis: sparse.csc_matrix  # (n_free, m) unit-energy columns, in pivot order
-    cho: tuple  # (L, True): leading m x m block of the pivoted factor, L L^T = B^T A B
+    basis: sparse.csc_matrix  # (n_free, n) glued columns, unit energy where nonzero
+    keep: np.ndarray  # the rank kept columns of basis, in pivot order: piv[:rank] - 1
+    cho: tuple  # (L, True): leading rank x rank block of the pivoted factor
     max_next_eigenvalue: float
     lam: float
 
     @property
     def m(self):
-        return self.basis.shape[1]
+        return self.keep.size
 
     def apply(self, r):
         """R_S^T A_S^{-1} R_S r for a vector or a stack of columns. Non-finite
         input propagates (the drivers report it as a breakdown)."""
-        rc = self.basis.T @ r
-        return self.basis @ scipy.linalg.cho_solve(self.cho, rc, check_finite=False)
+        rc = (self.basis.T @ r)[self.keep]
+        y = np.zeros((self.basis.shape[1],) + rc.shape[1:])
+        y[self.keep] = scipy.linalg.cho_solve(self.cho, rc, check_finite=False)
+        return self.basis @ y
 
 
 # Stored entries of B per block of columns of the Galerkin product B^T A B:
 # its largest temporaries, A B_k and its transpose, hold about as many.
-_GALERKIN_BLOCK_NNZ = 2**18
+_GALERKIN_BLOCK_NNZ = 2**17
+# Columns per block of the in-place symmetrization of the Galerkin matrix.
+_SYMMETRIZE_BLOCK = 256
 
 
 def _row_block(M, a, b):
@@ -305,12 +320,13 @@ def _row_block(M, a, b):
 
 
 def _galerkin(A, cols):
-    """B^T A B for the csc columns B and the symmetric csr matrix A, one block
-    of columns B_k at a time, so that neither AB nor a csr copy of B is ever
-    formed. A B_k is taken as (B_k^T A)^T, and only the columns of B whose
-    rows overlap the rows of A B_k enter B^T (A B_k). Every entry is summed
-    over the same terms in the same order as in B^T (A B), so the two agree
-    to the bit when A is symmetric to the bit."""
+    """B^T A B for the csc columns B and the symmetric csr matrix A, as a
+    dense F-ordered array, one block of columns B_k at a time, so that
+    neither AB nor a csr copy of B is ever formed. A B_k is taken as
+    (B_k^T A)^T, and only the columns of B whose rows overlap the rows of
+    A B_k enter B^T (A B_k); the other entries stay zero. Every entry is
+    summed over the same terms in the same order as in B^T (A B), so the two
+    agree to the bit when A is symmetric to the bit."""
     n, m = cols.shape
     cols.sort_indices()
     Bt = cols.T  # csr: row c is column c of B
@@ -318,7 +334,7 @@ def _galerkin(A, cols):
     first, last = np.full(m, n), np.full(m, -1)
     first[nonempty] = cols.indices[cols.indptr[:-1][nonempty]]
     last[nonempty] = cols.indices[cols.indptr[1:][nonempty] - 1]
-    entry_rows, entry_cols, entry_vals = [], [], []
+    out = np.zeros((m, m), order="F")
     edges = np.linspace(0, m, -(-cols.nnz // _GALERKIN_BLOCK_NNZ) + 1).astype(int)
     for c0, c1 in zip(edges[:-1], edges[1:]):
         ABt = _row_block(Bt, c0, c1) @ A
@@ -326,47 +342,32 @@ def _galerkin(A, cols):
             continue
         near = np.flatnonzero((first <= ABt.indices.max()) & (last >= ABt.indices.min()))
         a, b = near[0], near[-1] + 1
-        block = (_row_block(Bt, a, b) @ ABt.T.tocsr()).tocoo()
-        entry_rows.append(block.row + a)
-        entry_cols.append(block.col + c0)
-        entry_vals.append(block.data)
-    if not entry_vals:
-        return sparse.csr_matrix((m, m))
-    entries = (np.concatenate(entry_vals),
-               (np.concatenate(entry_rows), np.concatenate(entry_cols)))
-    return sparse.csr_matrix(entries, shape=(m, m))
-
-
-def _taken(cols, order=None, scale=None):
-    """Columns order[k] of cols, times scale[k]; cols itself without order."""
-    if order is None:
-        return cols
-    out = cols[:, order]
-    for j, s in enumerate(scale):  # in place: no temporary the size of the basis
-        out.data[out.indptr[j]:out.indptr[j + 1]] *= s
+        out[a:b, c0:c1] = (_row_block(Bt, a, b) @ ABt.T.tocsr()).toarray()
     return out
 
 
 def coarse_space_from_columns(system, columns, xi, xi_star, max_next_eigenvalue):
-    """Assemble, rank-filter and factorize a coarse space from global columns,
-    decomposing their Galerkin matrix once. `columns` is an (n_free, m)
-    matrix, or a function that glues the columns: columns() gives all of them
-    in csc, and columns(order, scale) the csc matrix whose column k is column
-    order[k] times scale[k]. The function is called once for each, so the
-    given and the pivot-ordered columns are never held together.
+    """Assemble, rank-filter and factorize a coarse space from the global
+    columns of an (n_free, n) matrix, decomposing their Galerkin matrix
+    once. A csc `columns` is taken over, not copied: it is scaled in place
+    and becomes the basis.
 
-    Scaled to unit diagonal (a zero-energy column becomes a zero row), the
-    Galerkin matrix gets one pivoted Cholesky whose tolerance 1e-12 is
-    relative to that unit diagonal. The scaled columns are kept in pivot
-    order up to the rank, so the leading rank x rank block of the factor
-    serves the coarse solve."""
-    glue = columns if callable(columns) else partial(_taken, sparse.csc_matrix(columns))
-    galerkin = _galerkin(system.A_free.mat, glue())
-    norms = np.sqrt(np.maximum(galerkin.diagonal(), 0.0))
+    The Galerkin matrix is written into one dense array, scaled there to
+    unit diagonal (a zero-energy column becomes a zero row), its lower
+    triangle symmetrized in place, and overwritten by one pivoted Cholesky
+    whose tolerance 1e-12 is relative to that unit diagonal. The leading
+    rank x rank block of the factor serves the coarse solve through the
+    pivot order `keep`."""
+    cols = sparse.csc_matrix(columns)
+    a_c = _galerkin(system.A_free.mat, cols)
+    norms = np.sqrt(np.maximum(a_c.diagonal(), 0.0))
     scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0.0)
-    a_c = sparse.diags(scale) @ galerkin @ sparse.diags(scale)
-    a_c = (0.5 * (a_c + a_c.T)).toarray(order="F")
+    a_c *= scale[:, None]
+    a_c *= scale
     n = a_c.shape[0]
+    for j0 in range(0, n, _SYMMETRIZE_BLOCK):  # dpstrf reads the lower triangle only
+        j1 = min(j0 + _SYMMETRIZE_BLOCK, n)
+        a_c[j0:, j0:j1] = 0.5 * (a_c[j0:, j0:j1] + a_c[j0:j1, j0:].T)
     L, piv, rank, _ = scipy.linalg.lapack.dpstrf(a_c, tol=1e-12, lower=1, overwrite_a=1)
     if rank == 0:
         raise ValueError(f"empty coarse space: none of the {n} columns has positive energy")
@@ -376,62 +377,53 @@ def coarse_space_from_columns(system, columns, xi, xi_star, max_next_eigenvalue)
             "dependent coarse columns",
             RankDeficientCoarse,
         )
-    keep = piv[:rank] - 1
+    for j, s in enumerate(scale):  # in place: no temporary the size of the basis
+        cols.data[cols.indptr[j]:cols.indptr[j + 1]] *= s
     return CoarseSpace(
-        basis=glue(keep, scale[keep]),
+        basis=cols,
+        keep=piv[:rank] - 1,
         cho=(np.asfortranarray(L[:rank, :rank]), True),  # copies only when rank < n
         max_next_eigenvalue=max_next_eigenvalue,
         lam=float(np.sqrt(xi * xi_star * max_next_eigenvalue)),
     )
 
 
-def _glued_columns(n_free, bases, supports, order=None, scale=None):
+def _glued_columns(system, decomp, pu, bases):
     """The coarse columns chi_i * phi_{i,j} of `bases`, zero-extended to the
-    n_free free dofs and written straight into one csc matrix: subdomain by
-    subdomain, or column k is column order[k] of that sequence times
-    scale[k]. supports[i] holds the dofs where chi_i > 0, chi_i there and
-    their positions in dofs_star; a column stores exactly those entries."""
+    free dofs and written straight into one csc matrix, subdomain by
+    subdomain. A column stores exactly the dofs where chi_i > 0."""
+    supports = []  # per basis: those dofs, chi_i there and their positions in dofs_star
+    for basis in bases:
+        sub = decomp.subdomains[basis.subdomain_id]
+        chi = pu.weights[sub.id]
+        on = np.flatnonzero(chi)
+        supports.append((sub.dofs[on], chi[on, None], sub.star_positions(sub.dofs[on])))
     sizes = np.repeat([rows.size for rows, _, _ in supports], [b.n_modes for b in bases])
-    if order is None:
-        order = np.arange(sizes.size)
-    indptr = np.zeros(len(order) + 1, dtype=np.int64)
-    np.cumsum(sizes[order], out=indptr[1:])
-    index_dtype = np.int32 if max(n_free, indptr[-1]) < 2**31 else np.int64
+    indptr = np.zeros(sizes.size + 1, dtype=np.int64)
+    np.cumsum(sizes, out=indptr[1:])
+    index_dtype = np.int32 if max(system.n_free, indptr[-1]) < 2**31 else np.int64
     data = np.empty(indptr[-1])
     indices = np.empty(indptr[-1], dtype=index_dtype)
-    slot = np.full(sizes.size, -1)  # position of each column in `order`
-    slot[order] = np.arange(len(order))
     first = 0
     for basis, (rows, chi, pos) in zip(bases, supports, strict=True):
-        k = slot[first:first + basis.n_modes]
+        s, e = indptr[first], indptr[first + basis.n_modes]
         first += basis.n_modes
-        values = (chi * basis.vectors[pos]).T[k >= 0]
-        k = k[k >= 0]
-        dest = indptr[k, None] + np.arange(rows.size)
-        data[dest] = values if scale is None else values * scale[k, None]
-        indices[dest] = rows
+        data[s:e].reshape(basis.n_modes, rows.size)[:] = (chi * basis.vectors[pos]).T
+        indices[s:e].reshape(basis.n_modes, rows.size)[:] = rows
     return sparse.csc_matrix((data, indices, indptr.astype(index_dtype)),
-                             shape=(n_free, len(order)))
+                             shape=(system.n_free, sizes.size))
 
 
 def build_coarse_space(system, decomp, pu, bases):
     """Glue local spectral bases into the global coarse space: column (i, j)
     is the zero-extended nodal product chi_i * phi_{i,j}, normalized in the
     a-norm. Near-duplicate columns are removed by pivoted rank filtering.
-    The columns are glued twice, in subdomain order for the Galerkin product
-    and then in pivot order for the basis, rather than copied."""
-    total = sum(b.n_modes for b in bases)
-    if total < 1:
+    The columns are glued once, in subdomain order."""
+    if sum(b.n_modes for b in bases) < 1:
         raise ValueError("empty coarse space: every subdomain contributed 0 modes")
-    max_next = max((b.next_eigenvalue for b in bases), default=0.0)
-    supports = []
-    for basis in bases:
-        sub = decomp.subdomains[basis.subdomain_id]
-        chi = pu.weights[sub.id]
-        on = np.flatnonzero(chi)
-        supports.append((sub.dofs[on], chi[on, None], sub.star_positions(sub.dofs[on])))
-    columns = partial(_glued_columns, system.n_free, bases, supports)
-    return coarse_space_from_columns(system, columns, decomp.xi, decomp.xi_star, max_next)
+    max_next = max(b.next_eigenvalue for b in bases)
+    return coarse_space_from_columns(system, _glued_columns(system, decomp, pu, bases),
+                                     decomp.xi, decomp.xi_star, max_next)
 
 
 def export_spectrum_csv(path, bases):

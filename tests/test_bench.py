@@ -266,6 +266,15 @@ class TestRunComparison:
         with pytest.raises(ConfigError, match="bogus"):
             run_comparison(small_cfg(), ["hybrid_RAS_msgfem", "bogus"])
 
+    def test_repeated_scheme_raises_before_setup(self, monkeypatch):
+        # a repeated scheme would be set up and solved twice, like a
+        # repeated sweep axis value
+        import msras.bench
+
+        monkeypatch.setattr(msras.bench, "build_problem", lambda cfg: pytest.fail("set up"))
+        with pytest.raises(ConfigError, match="repeated scheme"):
+            run_comparison(small_cfg(), ["RAS", "RAS", "AS"])
+
     def test_setup_failure_recorded_once_per_basis_kind(self, monkeypatch):
         # more modes than any interface carries: the harmonic set-up fails on
         # its first subdomain, once, and both harmonic schemes record it
@@ -512,6 +521,12 @@ class TestCli:
         out = solve_in_process(tmp_path, {}, ("compare", "--schemes", "RAS", "bogus"))
         assert out.returncode == 1
         assert out.stderr.startswith("configuration error:") and "bogus" in out.stderr
+        assert "Traceback" not in out.stderr and out.stdout == ""
+
+    def test_repeated_compare_scheme_exit_1(self, tmp_path):
+        out = solve_in_process(tmp_path, {}, ("compare", "--schemes", "RAS", "RAS"))
+        assert out.returncode == 1
+        assert out.stderr.startswith("configuration error:") and "repeated" in out.stderr
         assert "Traceback" not in out.stderr and out.stdout == ""
 
     def test_nonconvergence_exit_2(self, tmp_path):

@@ -50,7 +50,7 @@ def dense_preconditioner(system, state):
     B1 = dense_one_level(system, state)
     if state.coarse is None:
         return B1
-    Rc = state.coarse.basis.toarray()
+    Rc = state.coarse.basis[:, state.coarse.keep].toarray()
     C = Rc @ np.linalg.inv(Rc.T @ A @ Rc) @ Rc.T
     if state.scheme in ("hybrid_RAS_msgfem", "hybrid_AS"):
         return B1 + C @ (np.eye(system.n_free) - A @ B1)
@@ -329,6 +329,14 @@ class TestConvergedFlag:
         state = build_preconditioner(exact, dec, pu, "hybrid_RAS_msgfem", coarse=coarse)
         _, hist = driver(state, exact, u)
         assert hist.n_iterations == 0 and hist.converged
+
+    @pytest.mark.parametrize("driver", [richardson, gmres])
+    @pytest.mark.parametrize("maxit", [0, -1])
+    def test_maxit_below_one_rejected(self, small, driver, maxit):
+        system, dec, pu, coarse = small
+        state = build_preconditioner(system, dec, pu, "hybrid_RAS_msgfem", coarse=coarse)
+        with pytest.raises(ValueError, match="maxit"):
+            driver(state, system, maxit=maxit)
 
 
 class TestGmresMemory:

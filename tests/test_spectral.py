@@ -26,7 +26,12 @@ from msras.spectral import (
     solve_local_eigenproblem,
     truncate_basis,
 )
-from tests.conftest import PINNED_DECOMPOSITIONS, make_system, pinned_instance
+from tests.conftest import (
+    PINNED_DECOMPOSITIONS,
+    coarse_rss_growth,
+    make_system,
+    pinned_instance,
+)
 from tests.oracles import (
     box_mask,
     dense_local_stiffness,
@@ -440,6 +445,23 @@ class TestBlasWidth:
             assert angles.max() <= 1e-8, (a.subdomain_id, angles.max())
 
 
+def _captured_columns(monkeypatch, system, decomp, pu, bases):
+    """A copy of the glued columns `build_coarse_space` hands to
+    `coarse_space_from_columns`, which scales them in place."""
+    seen = []
+    original = spectral.coarse_space_from_columns
+
+    def capture(system, cols, *rest):
+        seen.append(cols.copy())
+        return original(system, cols, *rest)
+
+    monkeypatch.setattr(spectral, "coarse_space_from_columns", capture)
+    build_coarse_space(system, decomp, pu, bases)
+    monkeypatch.setattr(spectral, "coarse_space_from_columns", original)
+    (cols,) = seen
+    return cols
+
+
 class TestCoarseSpace:
     def test_empty_rejected(self, system16, decomp16, pu16):
         with pytest.raises(ValueError):
@@ -479,16 +501,7 @@ class TestCoarseSpace:
                 ref[sub.dofs_star, j] = pu16.on_star(sub) * basis.vectors[:, k]
                 j += 1
         ref = ref.tocsc()
-        seen = []
-        original = spectral.coarse_space_from_columns
-
-        def capture(system, cols, *rest):
-            seen.append(cols)
-            return original(system, cols, *rest)
-
-        monkeypatch.setattr(spectral, "coarse_space_from_columns", capture)
-        build_coarse_space(system16, decomp16, pu16, bases)
-        cols = seen[0]()  # the glue, called for the columns in subdomain order
+        cols = _captured_columns(monkeypatch, system16, decomp16, pu16, bases)
         # chi_i vanishes on the internal boundary of omega_i: those zeros are not stored
         glued_size = sum(decomp16.subdomains[b.subdomain_id].dofs_star.size * b.n_modes
                          for b in bases)
@@ -527,8 +540,8 @@ class TestCoarseSpace:
                                 rng.standard_normal(system16.n_free)])
         with pytest.warns(RankDeficientCoarse, match="zero-energy"):
             cs = coarse_space_from_columns(system16, cols, 1, 1, 0.0)
-        assert cs.m == 2
-        B = cs.basis.toarray()
+        assert cs.m == 2 and 1 not in cs.keep
+        B = cs.basis[:, cs.keep].toarray()
         r = rng.standard_normal(system16.n_free)
         assert np.allclose(B.T @ (system16.A_free @ cs.apply(r)), B.T @ r, rtol=0.0, atol=1e-13)
         assert np.allclose(np.diag(B.T @ (system16.A_free @ B)), 1.0, rtol=0.0, atol=1e-13)
@@ -537,26 +550,26 @@ class TestCoarseSpace:
     def test_blocked_galerkin_matches_full_product_to_the_bit(self, system16, decomp16, pu16,
                                                               monkeypatch, block_nnz):
         # B^T A B by blocks of columns, each against the columns whose rows
-        # reach it, sums the same terms in the same order as B^T (A B)
+        # reach it, sums the same terms in the same order as B^T (A B); the
+        # entries no block reaches, and the columns without stored entries,
+        # are zero
         bases = [solve_local_eigenproblem(*reduce_to_harmonic(system16, decomp16, pu16, i),
                                           6, sub_id=i) for i in range(4)]
-        seen = []
-        original = spectral.coarse_space_from_columns
-        monkeypatch.setattr(spectral, "coarse_space_from_columns",
-                            lambda system, cols, *rest: seen.append(cols) or original(
-                                system, cols, *rest))
-        build_coarse_space(system16, decomp16, pu16, bases)
-        cols = seen[0]()
+        glued = _captured_columns(monkeypatch, system16, decomp16, pu16, bases)
+        empty = sparse.csc_matrix((system16.n_free, 2))
         monkeypatch.setattr(spectral, "_GALERKIN_BLOCK_NNZ", block_nnz)
         A = system16.A_free.mat
-        assert np.array_equal(spectral._galerkin(A, cols).toarray(),
-                              (cols.T @ (A @ cols)).toarray())
+        for cols in (glued, sparse.hstack([glued[:, :7], empty, glued[:, 7:]], format="csc"),
+                     empty):
+            galerkin = spectral._galerkin(A, cols)
+            assert galerkin.flags.f_contiguous
+            assert np.array_equal(galerkin, (cols.T @ (A @ cols)).toarray())
 
     def test_galerkin_matrix_factored_once(self, system16, decomp16, pu16, monkeypatch):
         # one pivoted Cholesky finds the rank and is the coarse factor: no
         # dense eigensolve scales its tolerance, and no second factorization.
-        # The kept columns come in pivot order, and the stored factor must
-        # pair with that order: L L^T = B^T A B
+        # The stored factor pairs with the kept columns in pivot order:
+        # L L^T = B_k^T A B_k with B_k = basis[:, keep]
         bases = [solve_local_eigenproblem(*reduce_to_harmonic(system16, decomp16, pu16, i),
                                           6, sub_id=i) for i in range(4)]
 
@@ -570,7 +583,7 @@ class TestCoarseSpace:
         L, lower = cs.cho
         assert lower and L.flags.f_contiguous
         L = np.tril(L)
-        B = cs.basis.toarray()
+        B = cs.basis[:, cs.keep].toarray()
         assert np.allclose(L @ L.T, B.T @ (system16.A_free @ B), rtol=0.0, atol=1e-12)
 
     def test_zero_and_duplicate_columns_one_warning(self, system16):
@@ -582,9 +595,47 @@ class TestCoarseSpace:
             cs = coarse_space_from_columns(system16, cols, 1, 1, 0.0)
         assert len(record) == 1 and "dropping 2 zero-energy or dependent" in str(record[0].message)
         assert cs.m == 2
-        B = cs.basis.toarray()
+        B = cs.basis[:, cs.keep].toarray()
         r = rng.standard_normal(system16.n_free)
         assert np.allclose(B.T @ (system16.A_free @ cs.apply(r)), B.T @ r, rtol=0.0, atol=1e-13)
+
+    def test_dropped_columns_mid_order(self, system16):
+        # a zero column and a dependent one between kept ones: the coarse
+        # solve is B_k (B_k^T A B_k)^{-1} B_k^T on the kept columns alone
+        rng = np.random.default_rng(9)
+        a, b, c = rng.standard_normal((3, system16.n_free))
+        cols = np.column_stack([a, b, np.zeros(system16.n_free), a - b, c])
+        with pytest.warns(RankDeficientCoarse, match="dropping 2"):
+            cs = coarse_space_from_columns(system16, cols, 1, 1, 0.0)
+        assert cs.m == 3 and cs.basis.shape[1] == 5
+        assert 2 not in cs.keep and cs.keep.size == np.unique(cs.keep).size
+        B = cs.basis[:, cs.keep].toarray()
+        A = system16.A_free.mat.toarray()
+        r = rng.standard_normal((system16.n_free, 2))
+        expected = B @ np.linalg.solve(B.T @ A @ B, B.T @ r)
+        for k in range(2):
+            z = cs.apply(r[:, k])
+            assert np.linalg.norm(z - expected[:, k]) <= 1e-12 * np.linalg.norm(expected[:, k])
+        z = cs.apply(r)
+        assert np.linalg.norm(z - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_columns_glued_once(self, system16, decomp16, pu16, monkeypatch):
+        bases = [geneo_eigenproblem(system16, decomp16, pu16, i, 5) for i in range(4)]
+        calls = []
+        original = spectral._glued_columns
+        monkeypatch.setattr(spectral, "_glued_columns",
+                            lambda *args: calls.append(args) or original(*args))
+        cs = build_coarse_space(system16, decomp16, pu16, bases)
+        assert len(calls) == 1 and cs.m == 20
+
+    def test_coarse_stage_grows_by_its_live_result(self):
+        # the stage's peak resident set grows by its result (glued basis and
+        # dense factor) and block temporaries, not by A B, a csr copy of the
+        # columns or a second copy of the basis: each of those adds a
+        # basis-sized array, and the basis is most of the result here
+        m, growth, live = coarse_rss_growth(256, 4, 40)
+        assert m == 640
+        assert growth < 1.5 * live, f"peak RSS grew {growth / 1e6:.1f} MB for {live / 1e6:.1f} MB"
 
     def test_all_zero_columns_rejected(self, system16):
         with pytest.raises(ValueError, match="empty coarse space"):
