@@ -288,8 +288,8 @@ def compute_bases(system, decomp, pu, modes, kind="harmonic", at_most=False):
         else:
             if at_most:
                 m = min(m, decomp.subdomains[i].boundary_star.size)
-            S, P, H = spectral.reduce_to_harmonic(system, decomp, pu, i)
-            bases.append(spectral.solve_local_eigenproblem(S, P, H, m, sub_id=i))
+            S, P, W = spectral.reduce_to_harmonic(system, decomp, pu, i)
+            bases.append(spectral.solve_local_eigenproblem(S, P, W, m, sub_id=i))
     return bases
 
 
@@ -365,28 +365,33 @@ class Pipeline:
         else:
             bases = [spectral.truncate_basis(b, m) for b, m in zip(full, modes, strict=True)]
         coarse = self._timed("coarse_setup", spectral.build_coarse_space, self.system,
-                             decomp, pu, bases)
+                             decomp, bases)
         return bases, coarse
 
     def run(self, decomp, pu, schemes, modes, full=None):
         """One record per scheme (the keys of `_RECORD`), keyed by scheme, with
         modes[i] modes on subdomain i. The schemes on one local eigenproblem
         share its bases and coarse space, set up once (`full` as in
-        `coarse_space`). A typed failure is recorded, not raised: a failed
-        coarse set-up in the record of every scheme that shares it. A record
-        keeps the fields of the stages that ran. setup_s is the scheme's
-        preconditioner build plus, for the first scheme of its eigenproblem,
-        the coarse set-up; solve_s is the drive."""
+        `coarse_space`) and released after the last of them. A typed failure
+        is recorded, not raised: a failed coarse set-up in the record of
+        every scheme that shares it. A record keeps the fields of the stages
+        that ran. setup_s is the scheme's preconditioner build plus, for the
+        first scheme of its eigenproblem, the coarse set-up; solve_s is the
+        drive."""
         cfg = self.cfg
+        last = {basis_kind(scheme): scheme for scheme in schemes}
         spaces = {}  # basis kind -> ((bases, coarse space), failure) of its one set-up
         records = {}
         for scheme in schemes:
+            # drop the last scheme's references first: a coarse space its
+            # kind's last scheme popped is then released before the next set-up
+            space = coarse = state = out = None
             rec = records[scheme] = dict(_RECORD)
             t = time.perf_counter()
             kind = basis_kind(scheme)
             if kind not in spaces:
                 spaces[kind] = _attempt(self.coarse_space, decomp, pu, scheme, modes, full)
-            space, rec["failure"] = spaces[kind]
+            space, rec["failure"] = spaces.pop(kind) if last[kind] == scheme else spaces[kind]
             if space is not None:
                 rec["spectrum"], coarse = space
                 if coarse is not None:

@@ -4,12 +4,12 @@ The local eigenproblem lives on the discretely a-harmonic subspace of the
 oversampling domain: energy of the partition-of-unity-weighted restriction
 against the local energy. It is solved by eliminating the interior block:
 with interior dofs I1 and interface dofs I2 of omega_i^*, harmonic vectors
-are parameterized by their interface values through H = [-E; I] with
-E = A11^{-1} A12, the local energy becomes the Schur complement
-S = A22 - A21 E and the weighted Gram becomes Ptil = H^T (X A_omega X) H.
-X = diag(chi) vanishes off the interior dofs s of omega_i, which lie inside
-the interior of omega_i^*, so Ptil = W^T A_omega[s, s] W with W = -X_s E[s];
-H itself is never formed, only applied. On its interior rows a domain's
+are parameterized by their interface values x as [-E x; x] with
+E = A11^{-1} A12, and the local energy becomes the Schur complement
+S = A22 - A21 E. X = diag(chi) vanishes off the interior dofs s of omega_i,
+which lie inside the interior of omega_i^*, so chi times the harmonic vector
+of x is W x on s with W = -X_s E[s], and zero elsewhere; the weighted Gram
+becomes Ptil = W^T A_omega[s, s] W. On its interior rows a domain's
 local energy is the global matrix bit for bit (every cell incident to an
 interior dof lies in the domain), so A11, A12 and A_omega[s, s] are slices
 of `system.A_free` and only A22 is assembled. The pencil Ptil x = lambda S x
@@ -27,16 +27,18 @@ factor), the GenEO pencil on the overlap-zone dofs of omega_i, where its
 left-hand side is nonzero (eliminating the rest through a banded factor of
 the local energy off the overlap zone, assembled on omega_i because it holds
 the Neumann rows of omega_i's boundary). Both eliminations are one blocked
-banded solve of all the coupling columns at once.
-Vectors extend back through the map x_eliminated = -E x_kept of the same
-reduction. Each pencil is solved for the m + 1 leading pairs only: the m
-the basis keeps and the next eigenvalue.
+banded solve of all the coupling columns at once. Each pencil is solved for
+the m + 1 leading pairs only: the m the basis keeps and the next eigenvalue.
 
-The coarse space glues the chi-weighted local vectors once, subdomain by
-subdomain, into one csc matrix B. Its Galerkin matrix B^T A B is written by
-blocks of columns straight into one dense array, which is scaled to unit
-diagonal and symmetrized in place and then overwritten by its pivoted
-Cholesky factor; the pivot order gives the columns the coarse solve keeps.
+A basis keeps only what the coarse space uses of its vectors phi: the
+products chi_i phi on s = dofs0(omega_i), the dofs where chi_i > 0, formed
+as one product of the pencil's vectors with the chi-weighted extension
+matrix of its reduction (W above). The coarse space copies these blocks,
+subdomain by subdomain, into one csc matrix B. Its Galerkin matrix B^T A B
+is written by blocks of columns straight into one dense array, which is
+scaled to unit diagonal and symmetrized in place and then overwritten by its
+pivoted Cholesky factor; the pivot order gives the columns the coarse solve
+keeps.
 """
 
 import warnings
@@ -105,12 +107,12 @@ def schur_complement(A_ek, A_kk, solve):
 def reduce_to_harmonic(system, decomp, pu, i):
     """Interface reduction of the local eigenproblem on omega_i^*.
 
-    Returns (S, Ptil, H): the interface Schur complement of the local energy,
-    the harmonic-extended PU-weighted Gram matrix, and the harmonic
-    extension H, a function that takes interface values X (a vector or
-    columns) to the harmonic vectors on dofs(omega_i^*): -E X on the
-    interior dofs, X on the interface. The pencil Ptil x = lambda S x has
-    exactly the eigenpairs of the eigenproblem on the a-harmonic subspace.
+    Returns (S, Ptil, W): the interface Schur complement of the local energy,
+    the harmonic-extended PU-weighted Gram matrix, and W = -chi E[s], the
+    matrix that takes interface values x to chi_i times their harmonic
+    extension on s = dofs0(omega_i), the dofs where chi_i > 0. The pencil
+    Ptil x = lambda S x has exactly the eigenpairs of the eigenproblem on the
+    a-harmonic subspace.
     """
     sub = decomp.subdomains[i]
     if sub.boundary_star.size == 0:
@@ -123,43 +125,38 @@ def reduce_to_harmonic(system, decomp, pu, i):
                             interior_factor(decomp, i).solve)
 
     # chi is nonzero exactly on dofs0(omega_i), all of them interior to
-    # omega_i^*: the rows of chi H that are not zero are -chi E there
+    # omega_i^*: the rows of the chi-weighted extension that are not zero
+    # are -chi E there
     chi = pu.weights[i][np.searchsorted(sub.dofs, sub.dofs0)]
     W = -chi[:, None] * E[np.searchsorted(sub.dofs0_star, sub.dofs0)]
     Ptil = W.T @ (A[sub.dofs0][:, sub.dofs0] @ W)
-    Ptil = 0.5 * (Ptil + Ptil.T)
-
-    i1 = sub.star_positions(sub.dofs0_star)
-    i2 = sub.star_positions(sub.boundary_star)
-
-    def H(X):
-        out = np.empty((sub.dofs_star.size,) + np.shape(X)[1:])
-        out[i1] = -(E @ X)
-        out[i2] = X
-        return out
-
-    return S, Ptil, H
+    return S, 0.5 * (Ptil + Ptil.T), W
 
 
 @dataclass
 class LocalSpectralBasis:
-    """Retained eigenpairs of a local eigenproblem, as full local vectors on
-    dofs(omega_i^*). Kernel (zero-energy) modes come first with eigenvalue
-    +inf; the remaining eigenvalues are finite and non-increasing."""
+    """Retained eigenpairs of a local eigenproblem, kept as the subdomain's
+    block of coarse columns: glued[:, j] is chi_i phi_{i,j} on dofs0(omega_i),
+    the dofs where chi_i > 0. Kernel (zero-energy) modes come first with
+    eigenvalue +inf; the remaining eigenvalues are finite and
+    non-increasing."""
 
     subdomain_id: int
     kind: str  # "harmonic" or "geneo"
     eigenvalues: np.ndarray
-    vectors: np.ndarray  # (n_star, m)
+    glued: np.ndarray  # (|dofs0|, m)
     next_eigenvalue: float
     kernel_dim: int
 
     @property
     def n_modes(self):
-        return self.vectors.shape[1]
+        return self.glued.shape[1]
 
 
-def _assemble_basis(sub_id, kind, pencil, m, full_of):
+def _assemble_basis(sub_id, kind, pencil, m, G):
+    """The basis of the leading m modes of `pencil`, kernel first, glued
+    through G, the chi-weighted extension of the pencil's vectors to
+    dofs0(omega_i)."""
     l = pencil.kernel_dim
     n_finite = pencil.n_finite
     if m < l:
@@ -171,32 +168,30 @@ def _assemble_basis(sub_id, kind, pencil, m, full_of):
             f"subdomain {sub_id}: requested {m} modes, only {l + n_finite} available"
         )
     take = m - l
-    kernel = full_of(pencil.kernel_vectors)
-    vecs = np.hstack([kernel / np.linalg.norm(kernel, axis=0),
-                      full_of(pencil.eigenvectors[:, :take])])
     vals = np.concatenate([np.full(l, np.inf), pencil.eigenvalues[:take]])
     next_ev = float(pencil.eigenvalues[take]) if take < n_finite else 0.0
     return LocalSpectralBasis(
         subdomain_id=sub_id,
         kind=kind,
         eigenvalues=vals,
-        vectors=vecs,
+        glued=G @ np.hstack([pencil.kernel_vectors, pencil.eigenvectors[:, :take]]),
         next_eigenvalue=next_ev,
         kernel_dim=l,
     )
 
 
-def solve_local_eigenproblem(S, Ptil, H, m, sub_id=0):
-    """Top-m eigenpairs of Ptil x = lambda S x, expanded through the
-    harmonic extension H of `reduce_to_harmonic` and normalized to unit
-    local energy (kernel modes to unit Euclidean norm). Only the m + 1
-    leading pairs are solved for: the last gives next_eigenvalue.
+def solve_local_eigenproblem(S, Ptil, W, m, sub_id=0):
+    """Top-m eigenpairs of Ptil x = lambda S x, glued through the matrix W of
+    `reduce_to_harmonic`. Only the m + 1 leading pairs are solved for: the
+    last gives next_eigenvalue.
 
-    The finite eigenvectors come out S-orthonormal, i.e. orthonormal in the
-    local energy inner product on the oversampling domain.
+    The finite interface vectors come out S-orthonormal, i.e. their harmonic
+    extensions are orthonormal in the local energy inner product on the
+    oversampling domain; kernel vectors have unit Euclidean norm on the
+    interface.
     """
     pencil = dense_generalized_sym_eig(Ptil, S, n_pairs=m + 1)
-    return _assemble_basis(sub_id, "harmonic", pencil, m, H)
+    return _assemble_basis(sub_id, "harmonic", pencil, m, W)
 
 
 def truncate_basis(basis, m):
@@ -213,7 +208,7 @@ def truncate_basis(basis, m):
         subdomain_id=basis.subdomain_id,
         kind=basis.kind,
         eigenvalues=basis.eigenvalues[:m],
-        vectors=basis.vectors[:, :m],
+        glued=basis.glued[:, :m],
         next_eigenvalue=float(basis.eigenvalues[m]),
         kernel_dim=basis.kernel_dim,
     )
@@ -243,9 +238,9 @@ def geneo_eigenproblem(system, decomp, pu, i, m, at_most=False):
     K vanishes off the coupling dofs Gamma, so for lambda != 0 the other
     rows I force x_I = -A_II^{-1} A_IGamma x_Gamma, and the pencil is exactly
     K_GammaGamma x = lambda S x with S the Schur complement of A_omega onto
-    Gamma; kernel vectors extend through the same map. Vectors are then
-    zero-extended to dofs(omega_i^*) so gluing is uniform across basis
-    kinds."""
+    Gamma; kernel vectors extend through the same map. The basis keeps chi_i
+    times these extensions on dofs0(omega_i), where chi_i > 0, the block the
+    coarse space glues for either basis kind."""
     sub = decomp.subdomains[i]
     K, gamma = geneo_coupling(system, decomp, pu, i)
     if at_most:
@@ -262,15 +257,12 @@ def geneo_eigenproblem(system, decomp, pu, i, m, at_most=False):
                             factor.solve)
 
     pencil = dense_generalized_sym_eig(K[gamma][:, gamma].toarray(), S, n_pairs=m + 1)
-    pos = sub.star_positions(sub.dofs)
-
-    def full_of(X):
-        out = np.zeros((sub.dofs_star.size, X.shape[1]))
-        out[pos[gamma]] = X
-        out[pos[rest]] = -(E @ X)
-        return out
-
-    return _assemble_basis(i, "geneo", pencil, m, full_of)
+    G = np.empty((sub.dofs.size, gamma.size))
+    G[gamma] = np.eye(gamma.size)
+    G[rest] = -E
+    chi = pu.weights[i]
+    on = chi > 0.0
+    return _assemble_basis(i, "geneo", pencil, m, chi[on, None] * G[on])
 
 
 @dataclass
@@ -388,33 +380,29 @@ def coarse_space_from_columns(system, columns, xi, xi_star, max_next_eigenvalue)
     )
 
 
-def _glued_columns(system, decomp, pu, bases):
+def _glued_columns(system, decomp, bases):
     """The coarse columns chi_i * phi_{i,j} of `bases`, zero-extended to the
     free dofs and written straight into one csc matrix, subdomain by
-    subdomain. A column stores exactly the dofs where chi_i > 0."""
-    supports = []  # per basis: those dofs, chi_i there and their positions in dofs_star
-    for basis in bases:
-        sub = decomp.subdomains[basis.subdomain_id]
-        chi = pu.weights[sub.id]
-        on = np.flatnonzero(chi)
-        supports.append((sub.dofs[on], chi[on, None], sub.star_positions(sub.dofs[on])))
-    sizes = np.repeat([rows.size for rows, _, _ in supports], [b.n_modes for b in bases])
+    subdomain. A column stores exactly the dofs where chi_i > 0,
+    dofs0(omega_i), the rows of the basis's glued block."""
+    rows = [decomp.subdomains[basis.subdomain_id].dofs0 for basis in bases]
+    sizes = np.repeat([r.size for r in rows], [b.n_modes for b in bases])
     indptr = np.zeros(sizes.size + 1, dtype=np.int64)
     np.cumsum(sizes, out=indptr[1:])
     index_dtype = np.int32 if max(system.n_free, indptr[-1]) < 2**31 else np.int64
     data = np.empty(indptr[-1])
     indices = np.empty(indptr[-1], dtype=index_dtype)
     first = 0
-    for basis, (rows, chi, pos) in zip(bases, supports, strict=True):
+    for basis, r in zip(bases, rows, strict=True):
         s, e = indptr[first], indptr[first + basis.n_modes]
         first += basis.n_modes
-        data[s:e].reshape(basis.n_modes, rows.size)[:] = (chi * basis.vectors[pos]).T
-        indices[s:e].reshape(basis.n_modes, rows.size)[:] = rows
+        data[s:e].reshape(basis.n_modes, r.size)[:] = basis.glued.T
+        indices[s:e].reshape(basis.n_modes, r.size)[:] = r
     return sparse.csc_matrix((data, indices, indptr.astype(index_dtype)),
                              shape=(system.n_free, sizes.size))
 
 
-def build_coarse_space(system, decomp, pu, bases):
+def build_coarse_space(system, decomp, bases):
     """Glue local spectral bases into the global coarse space: column (i, j)
     is the zero-extended nodal product chi_i * phi_{i,j}, normalized in the
     a-norm. Near-duplicate columns are removed by pivoted rank filtering.
@@ -422,7 +410,7 @@ def build_coarse_space(system, decomp, pu, bases):
     if sum(b.n_modes for b in bases) < 1:
         raise ValueError("empty coarse space: every subdomain contributed 0 modes")
     max_next = max(b.next_eigenvalue for b in bases)
-    return coarse_space_from_columns(system, _glued_columns(system, decomp, pu, bases),
+    return coarse_space_from_columns(system, _glued_columns(system, decomp, bases),
                                      decomp.xi, decomp.xi_star, max_next)
 
 

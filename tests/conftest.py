@@ -128,17 +128,16 @@ def gmres_rss_growth(n, maxit, solves=1):
 _COARSE_RSS = """
 import ctypes, os, resource, sys
 import numpy as np
-from msras.decomp import build_decomposition, build_partition_of_unity
+from msras.decomp import build_decomposition
 from msras.spectral import LocalSpectralBasis, build_coarse_space
 from tests.conftest import make_system
 
 nx, parts, modes = map(int, sys.argv[1:])
 system = make_system(nx)
 decomp = build_decomposition(system, parts, parts, 2, 4)
-pu = build_partition_of_unity(decomp)
 rng = np.random.default_rng(0)
 bases = [LocalSpectralBasis(sub.id, "harmonic", np.ones(modes),
-                            rng.standard_normal((sub.dofs_star.size, modes)), 0.1, 0)
+                            rng.standard_normal((sub.dofs0.size, modes)), 0.1, 0)
          for sub in decomp.subdomains]
 
 
@@ -159,7 +158,7 @@ malloc_trim.argtypes, malloc_trim.restype = [ctypes.c_size_t], ctypes.c_int
 malloc_trim(0)
 ballast = np.ones(max(peak() - resident(), 0) // 8)
 before = peak()
-coarse = build_coarse_space(system, decomp, pu, bases)
+coarse = build_coarse_space(system, decomp, bases)
 growth = peak() - before
 B, (L, _) = coarse.basis, coarse.cho
 print(coarse.m, growth, B.data.nbytes + B.indices.nbytes + B.indptr.nbytes + L.nbytes)
@@ -170,7 +169,7 @@ def coarse_rss_growth(nx, parts, modes):
     """(coarse dimension, growth of the peak resident set in bytes, bytes of
     the result's basis and factor) of `build_coarse_space` in a fresh
     interpreter, on the constant-coefficient nx x nx system cut into
-    parts x parts subdomains with `modes` random local vectors each."""
+    parts x parts subdomains with `modes` random glued columns each."""
     out = subprocess.run(
         [sys.executable, "-c", _COARSE_RSS, str(nx), str(parts), str(modes)],
         capture_output=True, text=True, check=True,

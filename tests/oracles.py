@@ -139,6 +139,22 @@ def harmonic_nullspace_pencil(system, decomp, pu, i):
     return A_star, P, W, sub.star_positions(sub.boundary_star)
 
 
+def dense_harmonic_extension(system, decomp, i):
+    """The discrete a-harmonic extension on omega_i^* as a dense
+    (n_star, n_boundary) matrix, from the dense local energy A_star: unit
+    values on the internal-boundary dofs, and on the interior dofs the dense
+    solve that zeroes the interior rows of A_star times it."""
+    sub = decomp.subdomains[i]
+    A_star = dense_local_stiffness(system, box_mask(system.grid, sub.box_star), sub.dofs_star)
+    interior = sub.star_positions(sub.dofs0_star)
+    boundary = sub.star_positions(sub.boundary_star)
+    H = np.zeros((sub.dofs_star.size, boundary.size))
+    H[boundary] = np.eye(boundary.size)
+    H[interior] = -np.linalg.solve(A_star[np.ix_(interior, interior)],
+                                   A_star[np.ix_(interior, boundary)])
+    return H
+
+
 def harmonic_eigs_bruteforce(system, decomp, pu, i, count):
     """Eigenvalues of the local a-harmonic eigenproblem by explicit
     null-space construction of the harmonic space and a dense pencil solve.

@@ -51,9 +51,9 @@ def build_instance(nx, contrast, px, py, overlap, ovsp):
 def spectral_setup(system, decomp, pu, modes):
     bases = []
     for i in range(decomp.n_subdomains):
-        S, P, H = reduce_to_harmonic(system, decomp, pu, i)
-        bases.append(solve_local_eigenproblem(S, P, H, modes, sub_id=i))
-    coarse = build_coarse_space(system, decomp, pu, bases)
+        S, P, W = reduce_to_harmonic(system, decomp, pu, i)
+        bases.append(solve_local_eigenproblem(S, P, W, modes, sub_id=i))
+    coarse = build_coarse_space(system, decomp, bases)
     return bases, coarse
 
 
@@ -92,10 +92,10 @@ def test_criterion_1_contraction_bound():
         reductions = [reduce_to_harmonic(system, decomp, pu, i) for i in range(4)]
         for modes in (5, 10):
             bases = [
-                solve_local_eigenproblem(S, P, H, modes, sub_id=i)
-                for i, (S, P, H) in enumerate(reductions)
+                solve_local_eigenproblem(S, P, W, modes, sub_id=i)
+                for i, (S, P, W) in enumerate(reductions)
             ]
-            coarse = build_coarse_space(system, decomp, pu, bases)
+            coarse = build_coarse_space(system, decomp, bases)
             state = build_preconditioner(system, decomp, pu, "hybrid_RAS_msgfem",
                                          coarse=coarse)
             cn = contraction_norm(state, system)
@@ -141,8 +141,8 @@ def test_criterion_4_eigenproblem_oracles():
     system, decomp, pu = build_instance(32, 1e3, 2, 2, 1, 2)
     worst_h = 0.0
     for i in range(decomp.n_subdomains):
-        S, P, H = reduce_to_harmonic(system, decomp, pu, i)
-        b = solve_local_eigenproblem(S, P, H, 15, sub_id=i)
+        S, P, W = reduce_to_harmonic(system, decomp, pu, i)
+        b = solve_local_eigenproblem(S, P, W, 15, sub_id=i)
         l_o, lam_o = harmonic_eigs_bruteforce(system, decomp, pu, i, 15 - b.kernel_dim)
         assert l_o == b.kernel_dim
         mine = b.eigenvalues[b.kernel_dim : 15]
@@ -169,7 +169,7 @@ def test_criterion_5_geneo_condition_bound():
     for modes in (5, 10):
         bases = [geneo_eigenproblem(system, decomp, pu, i, modes)
                  for i in range(decomp.n_subdomains)]
-        coarse = build_coarse_space(system, decomp, pu, bases)
+        coarse = build_coarse_space(system, decomp, bases)
         state = build_preconditioner(system, decomp, pu, "AS2_geneo", coarse=coarse)
         kappa = spd_condition_number(state, system)
         xi = decomp.xi
@@ -272,7 +272,7 @@ def test_criterion_8_scheme_ranking(desk):
         counts[scheme] = hist.n_iterations
     geneo_bases = [geneo_eigenproblem(system, decomp, pu, i, DESK["modes"])
                    for i in range(decomp.n_subdomains)]
-    geneo_coarse = build_coarse_space(system, decomp, pu, geneo_bases)
+    geneo_coarse = build_coarse_space(system, decomp, geneo_bases)
     state = build_preconditioner(system, decomp, pu, "AS2_geneo", coarse=geneo_coarse)
     sols["AS2_geneo"], hist = gmres(state, system, target_reduction=1e-10, maxit=200)
     counts["AS2_geneo"] = hist.n_iterations

@@ -4,6 +4,7 @@ import os
 import resource
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -289,6 +290,30 @@ class TestRunComparison:
         for scheme in ("hybrid_RAS_msgfem", "RAS"):
             assert res[scheme]["failure"].startswith("TooManyModes: ")
 
+    def test_coarse_space_released_after_its_last_scheme(self, monkeypatch):
+        # the harmonic coarse space serves the first two schemes only: nothing
+        # holds it any more when AS2_geneo's drive starts
+        refs = {}
+        build = spectral.build_coarse_space
+
+        def build_and_watch(system, decomp, bases):
+            coarse = build(system, decomp, bases)
+            refs[bases[0].kind] = weakref.ref(coarse)
+            return coarse
+
+        alive = {}
+        gmres = schwarz.gmres
+
+        def probe(state, *args, **kwargs):
+            alive[state.scheme] = refs["harmonic"]() is not None
+            return gmres(state, *args, **kwargs)
+
+        monkeypatch.setattr(spectral, "build_coarse_space", build_and_watch)
+        monkeypatch.setattr(schwarz, "gmres", probe)
+        res = run_comparison(small_cfg(), ["hybrid_RAS_msgfem", "RAS", "AS2_geneo"])
+        assert all(rec["converged"] for rec in res.values())
+        assert alive == {"hybrid_RAS_msgfem": True, "RAS": True, "AS2_geneo": False}
+
     def test_history_prefix_export(self, tmp_path):
         cfg = small_cfg(outputs={"history_prefix": str(tmp_path / "cmp_")})
         run_comparison(cfg, ["hybrid_RAS_msgfem", "RAS"])
@@ -427,8 +452,8 @@ class TestRunSweep:
         swept = []
         build = spectral.build_coarse_space
         monkeypatch.setattr(spectral, "build_coarse_space",
-                            lambda system, decomp, pu, bases: swept.append(bases)
-                            or build(system, decomp, pu, bases))
+                            lambda system, decomp, bases: swept.append(bases)
+                            or build(system, decomp, bases))
         modes = [2, 4, 6]
         sweep = run_sweep(cfg, [2], modes)
         assert all(not cell.get("failure") for cell in sweep.cells.values())

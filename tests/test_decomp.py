@@ -13,7 +13,7 @@ from msras.decomp import (
 from msras.errors import GridTooSmall
 from msras.grid import BoundarySpec, CartesianGrid, element_stiffness
 from msras.spectral import local_stiffness
-from tests.conftest import PINNED_DECOMPOSITIONS, make_system, pinned_instance
+from tests.conftest import PINNED_DECOMPOSITIONS, make_system
 from tests.oracles import (
     box_mask,
     mask_decomposition,
@@ -157,12 +157,18 @@ class TestPartitionOfUnity:
             r = reconstruct(decomp16, pu16, v)
             assert np.abs(r - v).max() <= 1e-13 * np.abs(v).max()
 
-    @pytest.mark.parametrize("config", PINNED_DECOMPOSITIONS)
+    @pytest.mark.parametrize("config", [*PINNED_DECOMPOSITIONS,
+                                        (20, 50, "neumann_x", 2, 3, 1, 1),
+                                        (20, 50, "neumann_x", 5, 8, 3, 1)])
     def test_support_is_interior_dofs(self, config):
-        # the harmonic reduction takes chi_i's rows from dofs0(omega_i)
-        _, dec, pu = pinned_instance(*config)
+        # supp chi_i = dofs0(omega_i): the harmonic reduction takes chi_i's
+        # rows from dofs0(omega_i), and each basis keeps chi_i phi there
+        # only, on the rows the glue writes it to
+        nx, ny, bc, px, py, overlap, oversampling = config
+        dec = build_decomposition(_system((nx, ny), bc), px, py, overlap, oversampling)
+        pu = build_partition_of_unity(dec)
         for sub in dec.subdomains:
-            assert np.array_equal(sub.dofs[pu.weights[sub.id] != 0.0], sub.dofs0), sub.id
+            assert np.array_equal(sub.dofs[pu.weights[sub.id] > 0.0], sub.dofs0), sub.id
 
     def test_pu_apply_support(self, decomp16, pu16, rng):
         # chi_i applied on dofs(omega_i^*) vanishes off the interior of omega_i

@@ -28,9 +28,9 @@ def small():
     pu = build_partition_of_unity(dec)
     bases = []
     for i in range(4):
-        S, P, H = reduce_to_harmonic(system, dec, pu, i)
-        bases.append(solve_local_eigenproblem(S, P, H, 5, sub_id=i))
-    coarse = build_coarse_space(system, dec, pu, bases)
+        S, P, W = reduce_to_harmonic(system, dec, pu, i)
+        bases.append(solve_local_eigenproblem(S, P, W, 5, sub_id=i))
+    coarse = build_coarse_space(system, dec, bases)
     return system, dec, pu, coarse
 
 
@@ -172,12 +172,12 @@ class TestMsgfemMap:
         pu = build_partition_of_unity(dec)
         bases = []
         for i in range(4):
-            S, P, H = reduce_to_harmonic(system, dec, pu, i)
-            bases.append(solve_local_eigenproblem(S, P, H, S.shape[0], sub_id=i))
+            S, P, W = reduce_to_harmonic(system, dec, pu, i)
+            bases.append(solve_local_eigenproblem(S, P, W, S.shape[0], sub_id=i))
         from msras.errors import RankDeficientCoarse
 
         with pytest.warns(RankDeficientCoarse):
-            coarse = build_coarse_space(system, dec, pu, bases)
+            coarse = build_coarse_space(system, dec, bases)
         assert coarse.lam == 0.0
         state = build_preconditioner(system, dec, pu, "hybrid_RAS_msgfem", coarse=coarse)
         rng = np.random.default_rng(1)

@@ -14,7 +14,7 @@ from msras.errors import (
     TooManyModes,
 )
 from msras.grid import BoundarySpec, element_stiffness
-from msras.linalg import SparseSym, single_blas_thread
+from msras.linalg import SparseSym, dense_generalized_sym_eig, single_blas_thread
 from msras.schwarz import apply_one_level, build_preconditioner
 from msras.spectral import (
     build_coarse_space,
@@ -34,6 +34,7 @@ from tests.conftest import (
 )
 from tests.oracles import (
     box_mask,
+    dense_harmonic_extension,
     dense_local_stiffness,
     geneo_eigs_bruteforce,
     harmonic_eigs_bruteforce,
@@ -118,6 +119,21 @@ def star_stiffness(system, dec, i):
             sub.star_positions(sub.dofs0_star))
 
 
+def extended_vectors(system, dec, pu, i, S, P, b):
+    """The vectors of the harmonic basis b on dofs(omega_i^*): its pencil
+    (P, S) solved again and the eigenvectors, kernel first, extended through
+    the dense oracle extension. Checks first that b keeps chi_i times them
+    on dofs0(omega_i) to 1e-10."""
+    sub = dec.subdomains[i]
+    pencil = dense_generalized_sym_eig(P, S, n_pairs=b.n_modes + 1)
+    V = dense_harmonic_extension(system, dec, i) @ np.hstack(
+        [pencil.kernel_vectors, pencil.eigenvectors[:, : b.n_modes - b.kernel_dim]])
+    on = sub.star_positions(sub.dofs0)
+    glued = pu.on_star(sub)[on, None] * V[on]
+    assert np.abs(b.glued - glued).max() <= 1e-10 * np.abs(glued).max()
+    return V
+
+
 def full_assembly_reduction(system, dec, pu, i):
     """S and Ptil formed from the full local assemblies on omega_i^* and on
     the dofs where chi_i != 0, sliced locally."""
@@ -180,21 +196,24 @@ class TestReduceToHarmonic:
         assert len(calls) == len(decomp16.subdomains)
 
     def test_harmonic_columns(self, system16, decomp16, pu16):
-        S, P, H = reduce_to_harmonic(system16, decomp16, pu16, 0)
+        # W is chi_0 times the harmonic extension, on the dofs where chi_0 > 0
+        sub = decomp16.subdomains[0]
+        _, _, W = reduce_to_harmonic(system16, decomp16, pu16, 0)
+        ext = dense_harmonic_extension(system16, decomp16, 0)
         A_star, interior = star_stiffness(system16, decomp16, 0)
-        res = A_star[interior, :] @ H(np.eye(S.shape[0]))
+        res = A_star[interior, :] @ ext
         scale = np.abs(A_star.data).max()
         assert np.abs(res).max() <= 1e-10 * scale
+        on = sub.star_positions(sub.dofs0)
+        glued = pu16.on_star(sub)[on, None] * ext[on]
+        assert np.abs(W - glued).max() <= 1e-10 * np.abs(glued).max()
 
     def test_interface_block_sizes(self, system16, decomp16, pu16):
         sub = decomp16.subdomains[1]
-        S, P, H = reduce_to_harmonic(system16, decomp16, pu16, 1)
+        S, P, W = reduce_to_harmonic(system16, decomp16, pu16, 1)
         assert S.shape == (sub.boundary_star.size, sub.boundary_star.size)
         assert P.shape == S.shape
-        ext = H(np.eye(S.shape[0]))
-        assert ext.shape == (sub.dofs_star.size, sub.boundary_star.size)
-        assert np.array_equal(ext[sub.star_positions(sub.boundary_star)], np.eye(S.shape[0]))
-        assert H(np.ones(S.shape[0])).shape == (sub.dofs_star.size,)
+        assert W.shape == (sub.dofs0.size, sub.boundary_star.size)
 
     def test_s_spd_with_dirichlet_contact(self, system16, decomp16, pu16):
         S, _, _ = reduce_to_harmonic(system16, decomp16, pu16, 0)
@@ -205,7 +224,7 @@ class TestReduceToHarmonic:
         # dense null-space oracle: interior subdomain -> exactly the constants
         system, dec, pu = interior_case
         i = 4  # middle subdomain of the 3x3 layout
-        S, _, H = reduce_to_harmonic(system, dec, pu, i)
+        S, _, _ = reduce_to_harmonic(system, dec, pu, i)
         ev = np.linalg.eigvalsh(S)
         assert ev[0] <= 1e-12 * ev[-1]
         assert ev[1] > 1e-10 * ev[-1]
@@ -225,34 +244,36 @@ class TestReduceToHarmonic:
 
 class TestLocalEigenproblem:
     def test_monotone_spectrum(self, system16, decomp16, pu16):
-        S, P, H = reduce_to_harmonic(system16, decomp16, pu16, 0)
-        b = solve_local_eigenproblem(S, P, H, 12, sub_id=0)
+        S, P, W = reduce_to_harmonic(system16, decomp16, pu16, 0)
+        b = solve_local_eigenproblem(S, P, W, 12, sub_id=0)
         finite = b.eigenvalues[b.kernel_dim :]
         assert np.all(np.diff(finite) <= 1e-12 * finite[0])
         assert np.all(finite >= 0.0)
 
     def test_s_orthonormal_vectors(self, system16, decomp16, pu16):
-        S, P, H = reduce_to_harmonic(system16, decomp16, pu16, 0)
-        b = solve_local_eigenproblem(S, P, H, 8, sub_id=0)
+        S, P, W = reduce_to_harmonic(system16, decomp16, pu16, 0)
+        b = solve_local_eigenproblem(S, P, W, 8, sub_id=0)
+        V = extended_vectors(system16, decomp16, pu16, 0, S, P, b)
         A = star_stiffness(system16, decomp16, 0)[0].toarray()
-        G = b.vectors.T @ A @ b.vectors
+        G = V.T @ A @ V
         assert np.abs(G - np.eye(8)).max() <= 1e-8
 
     def test_vectors_are_harmonic(self, system16, decomp16, pu16):
-        S, P, H = reduce_to_harmonic(system16, decomp16, pu16, 2)
-        b = solve_local_eigenproblem(S, P, H, 6, sub_id=2)
+        S, P, W = reduce_to_harmonic(system16, decomp16, pu16, 2)
+        b = solve_local_eigenproblem(S, P, W, 6, sub_id=2)
+        V = extended_vectors(system16, decomp16, pu16, 2, S, P, b)
         A_star, interior = star_stiffness(system16, decomp16, 2)
-        res = A_star[interior, :] @ b.vectors
-        scale = np.abs(A_star.data).max() * np.abs(b.vectors).max()
+        res = A_star[interior, :] @ V
+        scale = np.abs(A_star.data).max() * np.abs(V).max()
         assert np.abs(res).max() <= 1e-8 * scale
 
     def test_exhausted_spectrum(self, system16, decomp16, pu16):
-        S, P, H = reduce_to_harmonic(system16, decomp16, pu16, 0)
+        S, P, W = reduce_to_harmonic(system16, decomp16, pu16, 0)
         n2 = S.shape[0]
-        b = solve_local_eigenproblem(S, P, H, n2, sub_id=0)
+        b = solve_local_eigenproblem(S, P, W, n2, sub_id=0)
         assert b.next_eigenvalue == 0.0
         with pytest.raises(TooManyModes):
-            solve_local_eigenproblem(S, P, H, n2 + 1, sub_id=0)
+            solve_local_eigenproblem(S, P, W, n2 + 1, sub_id=0)
 
     def test_kernel_mode_is_constant(self):
         # interior subdomain with constant coefficient: the zero-energy mode
@@ -260,24 +281,24 @@ class TestLocalEigenproblem:
         system = make_system(16)
         dec = build_decomposition(system, 3, 3, 1, 1)
         pu = build_partition_of_unity(dec)
-        S, P, H = reduce_to_harmonic(system, dec, pu, 4)
-        b = solve_local_eigenproblem(S, P, H, 5, sub_id=4)
+        S, P, W = reduce_to_harmonic(system, dec, pu, 4)
+        b = solve_local_eigenproblem(S, P, W, 5, sub_id=4)
         assert b.kernel_dim == 1
         assert b.eigenvalues[0] == np.inf
-        v = b.vectors[:, 0]
+        v = extended_vectors(system, dec, pu, 4, S, P, b)[:, 0]
         assert np.abs(v - v[0]).max() <= 1e-8 * np.abs(v[0])
 
     def test_kernel_must_be_retained(self, interior_case):
         system, dec, pu = interior_case
-        S, P, H = reduce_to_harmonic(system, dec, pu, 4)
+        S, P, W = reduce_to_harmonic(system, dec, pu, 4)
         with pytest.raises(TooManyModes):
-            solve_local_eigenproblem(S, P, H, 0, sub_id=4)
+            solve_local_eigenproblem(S, P, W, 0, sub_id=4)
 
     def test_matches_bruteforce_oracle(self, interior_case):
         system, dec, pu = interior_case
         for i in range(dec.n_subdomains):
-            S, P, H = reduce_to_harmonic(system, dec, pu, i)
-            b = solve_local_eigenproblem(S, P, H, 10, sub_id=i)
+            S, P, W = reduce_to_harmonic(system, dec, pu, i)
+            b = solve_local_eigenproblem(S, P, W, 10, sub_id=i)
             l_o, lam_o = harmonic_eigs_bruteforce(system, dec, pu, i, 10 - b.kernel_dim)
             assert l_o == b.kernel_dim
             mine = b.eigenvalues[b.kernel_dim : 10]
@@ -306,12 +327,12 @@ class TestLocalEigenproblem:
         assert rel.max() <= 1e-9, (int(rel.argmax()), rel.max())
 
     def test_truncate(self, system16, decomp16, pu16):
-        S, P, H = reduce_to_harmonic(system16, decomp16, pu16, 0)
-        b = solve_local_eigenproblem(S, P, H, 11, sub_id=0)
+        S, P, W = reduce_to_harmonic(system16, decomp16, pu16, 0)
+        b = solve_local_eigenproblem(S, P, W, 11, sub_id=0)
         t = truncate_basis(b, 6)
         assert t.n_modes == 6
         assert t.next_eigenvalue == b.eigenvalues[6]
-        assert np.array_equal(t.vectors, b.vectors[:, :6])
+        assert np.array_equal(t.glued, b.glued[:, :6])
         with pytest.raises(TooManyModes):
             truncate_basis(t, 8)
 
@@ -360,9 +381,33 @@ def geneo_desk():
                                       kref).toarray()
         chi = pu.weights[i]
         b = geneo_eigenproblem(system, dec, pu, i, 10)
-        cases.append((chi[:, None] * A_over * chi[None, :], A,
-                      b.vectors[sub.star_positions(sub.dofs)], b))
+        # the basis keeps v on supp chi as glued / chi; K v = lambda A v
+        # zeroes the rows of A v where chi = 0 (for the kernel, A v = 0), so
+        # v there is the dense solve that zeroes them
+        on = chi > 0.0
+        V = np.empty((sub.dofs.size, b.n_modes))
+        V[on] = b.glued / chi[on, None]
+        V[~on] = -np.linalg.solve(A[np.ix_(~on, ~on)], A[np.ix_(~on, on)] @ V[on])
+        cases.append((chi[:, None] * A_over * chi[None, :], A, V, b))
     return system, dec, pu, cases
+
+
+class TestBasisMemory:
+    @pytest.mark.parametrize("kind", ["harmonic", "geneo"])
+    def test_basis_holds_its_glued_block(self, geneo_desk, kind):
+        # a basis keeps chi_i phi on dofs0(omega_i) beside its eigenvalues:
+        # at most |dofs0| m_i + O(m_i) doubles, where full vectors on
+        # omega_i^* would take n_star m_i
+        system, dec, pu, cases = geneo_desk
+        if kind == "geneo":
+            bases = [b for _, _, _, b in cases]
+        else:
+            bases = compute_bases(system, dec, pu, [10] * dec.n_subdomains)
+        for b, sub in zip(bases, dec.subdomains, strict=True):
+            held = sum((a if a.base is None else a.base).nbytes
+                       for a in vars(b).values() if isinstance(a, np.ndarray))
+            assert b.glued.shape == (sub.dofs0.size, b.n_modes)
+            assert held <= 8 * (sub.dofs0.size + 2) * b.n_modes, (b.subdomain_id, held)
 
 
 class TestGeneoReducedPencil:
@@ -441,11 +486,11 @@ class TestBlasWidth:
             lam = np.append(a.eigenvalues[fin], a.next_eigenvalue)
             rel = np.abs(np.append(b.eigenvalues[fin], b.next_eigenvalue) - lam) / np.abs(lam)
             assert rel.max() <= 1e-10, (a.subdomain_id, rel.max())
-            angles = scipy.linalg.subspace_angles(a.vectors, b.vectors)
+            angles = scipy.linalg.subspace_angles(a.glued, b.glued)
             assert angles.max() <= 1e-8, (a.subdomain_id, angles.max())
 
 
-def _captured_columns(monkeypatch, system, decomp, pu, bases):
+def _captured_columns(monkeypatch, system, decomp, bases):
     """A copy of the glued columns `build_coarse_space` hands to
     `coarse_space_from_columns`, which scales them in place."""
     seen = []
@@ -456,7 +501,7 @@ def _captured_columns(monkeypatch, system, decomp, pu, bases):
         return original(system, cols, *rest)
 
     monkeypatch.setattr(spectral, "coarse_space_from_columns", capture)
-    build_coarse_space(system, decomp, pu, bases)
+    build_coarse_space(system, decomp, bases)
     monkeypatch.setattr(spectral, "coarse_space_from_columns", original)
     (cols,) = seen
     return cols
@@ -465,7 +510,7 @@ def _captured_columns(monkeypatch, system, decomp, pu, bases):
 class TestCoarseSpace:
     def test_empty_rejected(self, system16, decomp16, pu16):
         with pytest.raises(ValueError):
-            build_coarse_space(system16, decomp16, pu16, [])
+            build_coarse_space(system16, decomp16, [])
 
     def test_lambda_formula(self, system16):
         cols = np.zeros((system16.n_free, 1))
@@ -476,9 +521,9 @@ class TestCoarseSpace:
     def test_lambda_from_bases(self, system16, decomp16, pu16):
         bases = []
         for i in range(4):
-            S, P, H = reduce_to_harmonic(system16, decomp16, pu16, i)
-            bases.append(solve_local_eigenproblem(S, P, H, 6, sub_id=i))
-        cs = build_coarse_space(system16, decomp16, pu16, bases)
+            S, P, W = reduce_to_harmonic(system16, decomp16, pu16, i)
+            bases.append(solve_local_eigenproblem(S, P, W, 6, sub_id=i))
+        cs = build_coarse_space(system16, decomp16, bases)
         expected = np.sqrt(
             decomp16.xi * decomp16.xi_star * max(b.next_eigenvalue for b in bases)
         )
@@ -498,10 +543,12 @@ class TestCoarseSpace:
         for basis in bases:
             sub = decomp16.subdomains[basis.subdomain_id]
             for k in range(basis.n_modes):
-                ref[sub.dofs_star, j] = pu16.on_star(sub) * basis.vectors[:, k]
+                col = np.zeros(sub.dofs_star.size)
+                col[sub.star_positions(sub.dofs0)] = basis.glued[:, k]
+                ref[sub.dofs_star, j] = col
                 j += 1
         ref = ref.tocsc()
-        cols = _captured_columns(monkeypatch, system16, decomp16, pu16, bases)
+        cols = _captured_columns(monkeypatch, system16, decomp16, bases)
         # chi_i vanishes on the internal boundary of omega_i: those zeros are not stored
         glued_size = sum(decomp16.subdomains[b.subdomain_id].dofs_star.size * b.n_modes
                          for b in bases)
@@ -555,7 +602,7 @@ class TestCoarseSpace:
         # are zero
         bases = [solve_local_eigenproblem(*reduce_to_harmonic(system16, decomp16, pu16, i),
                                           6, sub_id=i) for i in range(4)]
-        glued = _captured_columns(monkeypatch, system16, decomp16, pu16, bases)
+        glued = _captured_columns(monkeypatch, system16, decomp16, bases)
         empty = sparse.csc_matrix((system16.n_free, 2))
         monkeypatch.setattr(spectral, "_GALERKIN_BLOCK_NNZ", block_nnz)
         A = system16.A_free.mat
@@ -578,7 +625,7 @@ class TestCoarseSpace:
 
         monkeypatch.setattr(scipy.linalg, "eigh", forbidden)
         monkeypatch.setattr(scipy.linalg, "cho_factor", forbidden)
-        cs = build_coarse_space(system16, decomp16, pu16, bases)
+        cs = build_coarse_space(system16, decomp16, bases)
         assert cs.m == 24
         L, lower = cs.cho
         assert lower and L.flags.f_contiguous
@@ -625,7 +672,7 @@ class TestCoarseSpace:
         original = spectral._glued_columns
         monkeypatch.setattr(spectral, "_glued_columns",
                             lambda *args: calls.append(args) or original(*args))
-        cs = build_coarse_space(system16, decomp16, pu16, bases)
+        cs = build_coarse_space(system16, decomp16, bases)
         assert len(calls) == 1 and cs.m == 20
 
     def test_coarse_stage_grows_by_its_live_result(self):
@@ -644,9 +691,9 @@ class TestCoarseSpace:
     def test_columns_normalized(self, system16, decomp16, pu16):
         bases = []
         for i in range(4):
-            S, P, H = reduce_to_harmonic(system16, decomp16, pu16, i)
-            bases.append(solve_local_eigenproblem(S, P, H, 4, sub_id=i))
-        cs = build_coarse_space(system16, decomp16, pu16, bases)
+            S, P, W = reduce_to_harmonic(system16, decomp16, pu16, i)
+            bases.append(solve_local_eigenproblem(S, P, W, 4, sub_id=i))
+        cs = build_coarse_space(system16, decomp16, bases)
         B = cs.basis.toarray()
         assert np.allclose(np.diag(B.T @ (system16.A_free @ B)), 1.0, atol=1e-10)
 
@@ -657,8 +704,8 @@ class TestCoarseSpace:
         for s in (1, 3):
             dec = build_decomposition(system16, 2, 2, 1, s)
             pu = build_partition_of_unity(dec)
-            S, P, H = reduce_to_harmonic(system16, dec, pu, 0)
-            b = solve_local_eigenproblem(S, P, H, min(20, S.shape[0]), sub_id=0)
+            S, P, W = reduce_to_harmonic(system16, dec, pu, 0)
+            b = solve_local_eigenproblem(S, P, W, min(20, S.shape[0]), sub_id=0)
             lam = b.eigenvalues[b.kernel_dim :]
             hit = np.nonzero(lam <= 1e-4)[0]
             first_below[s] = hit[0] if hit.size else lam.size
@@ -667,8 +714,8 @@ class TestCoarseSpace:
     def test_spectrum_export(self, system16, decomp16, pu16, tmp_path):
         bases = []
         for i in range(2):
-            S, P, H = reduce_to_harmonic(system16, decomp16, pu16, i)
-            bases.append(solve_local_eigenproblem(S, P, H, 3, sub_id=i))
+            S, P, W = reduce_to_harmonic(system16, decomp16, pu16, i)
+            bases.append(solve_local_eigenproblem(S, P, W, 3, sub_id=i))
         path = tmp_path / "spec.csv"
         export_spectrum_csv(path, bases)
         lines = path.read_text().splitlines()
