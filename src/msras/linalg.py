@@ -7,12 +7,14 @@ reductions) goes through this module. The matrices `factorize` sees are box
 matrices: the free dofs of a rectangle of grid nodes in the global row-major
 numbering, so each row couples only to rows at most about one box width away.
 They are factored in that numbering, without reordering, by LAPACK's banded
-Cholesky (`dpbtrf`), which stores one triangle of the band. A vector is
-solved by LAPACK's banded substitution (`dpbtrs`); a block of columns by a
-blocked substitution over the same band whose steps are level-3 BLAS
-(`dtrsm`, `dgemm`), so it agrees with its column solves to rounding but not
-bit for bit. The global matrix is not factored here: its direct reference
-solve, `grid.AssembledSystem.solve_direct`, uses a sparse LU.
+Cholesky (`dpbtrf`), which stores one triangle of the band; `factor_band`
+factors a matrix that comes in that storage already, the coarse Galerkin
+matrix of `spectral`. A vector is solved by LAPACK's banded substitution
+(`dpbtrs`); a block of columns by a blocked substitution over the same band
+whose steps are level-3 BLAS (`dtrsm`, `dgemm`), so it agrees with its
+column solves to rounding but not bit for bit. The global matrix is not
+factored here: its direct reference solve,
+`grid.AssembledSystem.solve_direct`, uses a sparse LU.
 `single_blas_thread` caps the bundled OpenBLAS at one thread for the small
 subdomain-local kernels.
 """
@@ -101,10 +103,12 @@ class SparseSym:
 
 
 class SparseFactor:
-    """Banded Cholesky factor of a SparseSym, reusable for many solves.
+    """Banded Cholesky factor, reusable for many solves.
 
     `band` is the (w+1) x n LAPACK lower band storage of L (A = L L^T, w the
-    lower bandwidth): band[i - j, j] = L[i, j] for 0 <= i - j <= w.
+    lower bandwidth): band[i - j, j] = L[i, j] for 0 <= i - j <= w. The
+    entries below the matrix (i >= n), which LAPACK does not reference, are
+    zero.
     """
 
     def __init__(self, band):
@@ -147,8 +151,8 @@ class SparseFactor:
         X[:n] = rhs
         X[n:] = 0.0
         # the band padded to whole blocks with the identity, column-major.
-        # The padded rows stay decoupled because `factorize` leaves the band
-        # entries below the matrix, which LAPACK does not reference, at zero.
+        # The padded rows stay decoupled because the band entries below the
+        # matrix are zero.
         # L[kb + r, kb + c] sits at flat[kb (w+1) + c w + r], so with b = w
         # the k-th b x b slice read with strides (w, 1) is D_k^T, and the one
         # b further on is O_{k+1}^T. Both views read only inside `flat`; the
@@ -196,14 +200,21 @@ def factorize(A):
     lower = offset >= 0
     band = np.zeros((int(offset.max(initial=0)) + 1, A.n), order="F")
     band[offset[lower], mat.indices[lower]] = mat.data[lower]
-    diag_scale = np.abs(band[0]).max(initial=0.0)
+    return factor_band(band, 1e-14 * np.abs(band[0]).max(initial=0.0))
+
+
+def factor_band(band, min_pivot):
+    """Banded Cholesky factor of the SPD matrix whose lower band `band` holds
+    ((w+1) x n, F-ordered, zero below the matrix), overwritten in place by
+    LAPACK's `dpbtrf`. A Cholesky that breaks down (info > 0) or a squared
+    pivot L[j, j]^2 at most `min_pivot` raises NotPositiveDefinite."""
     band, info = scipy.linalg.lapack.dpbtrf(band, lower=1, overwrite_ab=1)
     if info > 0:
         raise NotPositiveDefinite(f"leading minor of order {info} is not positive definite")
     pivots = band[0] ** 2
-    if np.any(pivots <= 1e-14 * diag_scale):
+    if np.any(pivots <= min_pivot):
         raise NotPositiveDefinite(
-            f"smallest pivot {pivots.min():.3e} vs diag scale {diag_scale:.3e}"
+            f"smallest pivot {pivots.min():.3e} vs bound {min_pivot:.3e}"
         )
     return SparseFactor(band)
 

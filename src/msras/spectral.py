@@ -34,11 +34,15 @@ A basis keeps only what the coarse space uses of its vectors phi: the
 products chi_i phi on s = dofs0(omega_i), the dofs where chi_i > 0, formed
 as one product of the pencil's vectors with the chi-weighted extension
 matrix of its reduction (W above). The coarse space copies these blocks,
-subdomain by subdomain, into one csc matrix B. Its Galerkin matrix B^T A B
-is written by blocks of columns straight into one dense array, which is
-scaled to unit diagonal and symmetrized in place and then overwritten by its
-pivoted Cholesky factor; the pivot order gives the columns the coarse solve
-keeps.
+subdomain by subdomain, into one csc matrix B. In this glue order B^T A B
+is banded: columns of subdomains a strip of subdomains apart do not meet.
+Its lower band, with a bandwidth bounded from the columns' row ranges
+before any product is formed, is written by blocks of columns straight into
+LAPACK band storage, scaled to unit diagonal in place and overwritten by its
+banded Cholesky factor, so no m x m array is formed. Only a Galerkin matrix
+that factor rejects (zero-energy or dependent columns) is expanded to a
+dense array and decomposed by a pivoted Cholesky, whose pivot order gives
+the columns the coarse solve keeps.
 """
 
 import warnings
@@ -57,7 +61,14 @@ from .errors import (
     TooManyModes,
 )
 from .grid import assemble_partial_stiffness
-from .linalg import SparseSym, dense_generalized_sym_eig, extract_submatrix, factorize
+from .linalg import (
+    SparseFactor,
+    SparseSym,
+    dense_generalized_sym_eig,
+    extract_submatrix,
+    factor_band,
+    factorize,
+)
 
 
 def local_stiffness(system, box, dofs, cells=None):
@@ -270,17 +281,20 @@ class CoarseSpace:
     """Glued coarse basis with the Cholesky factor of its Galerkin matrix.
 
     The basis holds every glued column, scaled to unit energy, in glue
-    order; `keep` lists the columns the pivoted factorization kept, in pivot
-    order, and the factor pairs with them: L L^T = B_k^T A B_k for
-    B_k = basis[:, keep]. The dropped columns (zero-energy or dependent)
+    order; `keep` lists the columns the coarse solve uses, and the banded
+    factor pairs with them in that order: L L^T = B_k^T A B_k for
+    B_k = basis[:, keep]. For a full-rank basis keep is every column in glue
+    order and L has the band of the Galerkin matrix. Otherwise keep is the
+    pivot order of the columns the pivoted factorization kept, and L is
+    stored as a full band; the dropped columns (zero-energy or dependent)
     take no part in the solve. lam is the bound
     sqrt(xi * xi_star * max_i next_eigenvalue) computed from the bases this
     space was built from.
     """
 
     basis: sparse.csc_matrix  # (n_free, n) glued columns, unit energy where nonzero
-    keep: np.ndarray  # the rank kept columns of basis, in pivot order: piv[:rank] - 1
-    cho: tuple  # (L, True): leading rank x rank block of the pivoted factor
+    keep: np.ndarray  # the rank columns of basis the solve uses, in the factor's order
+    factor: SparseFactor  # L of L L^T = B_k^T A B_k, in LAPACK lower band storage
     max_next_eigenvalue: float
     lam: float
 
@@ -293,32 +307,64 @@ class CoarseSpace:
         input propagates (the drivers report it as a breakdown)."""
         rc = (self.basis.T @ r)[self.keep]
         y = np.zeros((self.basis.shape[1],) + rc.shape[1:])
-        y[self.keep] = scipy.linalg.cho_solve(self.cho, rc, check_finite=False)
+        y[self.keep] = self.factor.solve(rc)
         return self.basis @ y
 
 
 # Stored entries of B per block of columns of the Galerkin product B^T A B:
 # its largest temporaries, A B_k and its transpose, hold about as many.
 _GALERKIN_BLOCK_NNZ = 2**17
-# Columns per block of the in-place symmetrization of the Galerkin matrix.
-_SYMMETRIZE_BLOCK = 256
 
 
 def _row_block(M, a, b):
-    """Rows a:b of the csr matrix M, sharing its arrays."""
+    """Rows a:b of the csr matrix M, sharing its arrays. They are set after
+    construction: the constructor copies a view of less than half of an
+    array."""
     s, e = M.indptr[a], M.indptr[b]
-    return sparse.csr_matrix((M.data[s:e], M.indices[s:e], M.indptr[a:b + 1] - s),
-                             shape=(b - a, M.shape[1]))
+    block = sparse.csr_matrix((b - a, M.shape[1]), dtype=M.dtype)
+    block.indptr = M.indptr[a:b + 1] - s
+    block.indices, block.data = M.indices[s:e], M.data[s:e]
+    return block
+
+
+def _reach(A):
+    """The largest |i - j| over the stored entries A[i, j] of the csr matrix
+    A, from the extreme columns of each nonempty row (O(n) memory)."""
+    rows = np.flatnonzero(np.diff(A.indptr))
+    if rows.size == 0:
+        return 0
+    indices, starts = A.indices[:A.indptr[-1]], A.indptr[rows]
+    return int(max((rows - np.minimum.reduceat(indices, starts)).max(),
+                   (np.maximum.reduceat(indices, starts) - rows).max()))
+
+
+def _bandwidth(first, last, reach, n):
+    """A bound w on i - j over the pairs i > j of columns of B that B^T A B
+    couples, from each column's first and last stored row (first = n for an
+    empty column) and the reach of A: column i meets A B_j only if
+    first[i] <= last[j] + reach. For each j the largest such i is found on
+    the minimum of first over the columns from i on, which does not
+    decrease in i."""
+    nonempty = np.flatnonzero(first < n)
+    if nonempty.size == 0:
+        return 0
+    tail_first = np.minimum.accumulate(first[::-1])[::-1]
+    reached = np.searchsorted(tail_first, np.minimum(last[nonempty] + reach, n - 1),
+                              side="right") - 1
+    return int((reached - nonempty).max())
 
 
 def _galerkin(A, cols):
-    """B^T A B for the csc columns B and the symmetric csr matrix A, as a
-    dense F-ordered array, one block of columns B_k at a time, so that
-    neither AB nor a csr copy of B is ever formed. A B_k is taken as
-    (B_k^T A)^T, and only the columns of B whose rows overlap the rows of
-    A B_k enter B^T (A B_k); the other entries stay zero. Every entry is
-    summed over the same terms in the same order as in B^T (A B), so the two
-    agree to the bit when A is symmetric to the bit."""
+    """The lower band of B^T A B for the csc columns B and the symmetric csr
+    matrix A, in LAPACK lower band storage: a (w+1) x m F-ordered array with
+    band[i - j, j] = (B^T A B)[i, j], zero below the matrix. w comes from
+    `_bandwidth` before any product is formed, so no m x m array is. The band
+    is written one block of columns B_k at a time, so that neither AB nor a
+    csr copy of B is ever formed either: A B_k is taken as (B_k^T A)^T, and
+    only the columns i of B with k0 <= i < k1 + w, the rows of the band's
+    columns k0:k1, enter B^T (A B_k). Every entry is summed over the same
+    terms in the same order as in B^T (A B), so the two agree to the bit when
+    A is symmetric to the bit."""
     n, m = cols.shape
     cols.sort_indices()
     Bt = cols.T  # csr: row c is column c of B
@@ -326,55 +372,87 @@ def _galerkin(A, cols):
     first, last = np.full(m, n), np.full(m, -1)
     first[nonempty] = cols.indices[cols.indptr[:-1][nonempty]]
     last[nonempty] = cols.indices[cols.indptr[1:][nonempty] - 1]
-    out = np.zeros((m, m), order="F")
+    w = _bandwidth(first, last, _reach(A), n)
+    band = np.zeros((w + 1, m), order="F")
     edges = np.linspace(0, m, -(-cols.nnz // _GALERKIN_BLOCK_NNZ) + 1).astype(int)
     for c0, c1 in zip(edges[:-1], edges[1:]):
         ABt = _row_block(Bt, c0, c1) @ A
         if ABt.nnz == 0:
             continue
-        near = np.flatnonzero((first <= ABt.indices.max()) & (last >= ABt.indices.min()))
-        a, b = near[0], near[-1] + 1
-        out[a:b, c0:c1] = (_row_block(Bt, a, b) @ ABt.T.tocsr()).toarray()
-    return out
+        G = (_row_block(Bt, c0, min(c1 + w, m)) @ ABt.T.tocsr()).tocoo()
+        lower = G.row >= G.col
+        band[G.row[lower] - G.col[lower], G.col[lower] + c0] = G.data[lower]
+    return band
 
 
-def coarse_space_from_columns(system, columns, xi, xi_star, max_next_eigenvalue):
-    """Assemble, rank-filter and factorize a coarse space from the global
-    columns of an (n_free, n) matrix, decomposing their Galerkin matrix
-    once. A csc `columns` is taken over, not copied: it is scaled in place
-    and becomes the basis.
-
-    The Galerkin matrix is written into one dense array, scaled there to
-    unit diagonal (a zero-energy column becomes a zero row), its lower
-    triangle symmetrized in place, and overwritten by one pivoted Cholesky
-    whose tolerance 1e-12 is relative to that unit diagonal. The leading
-    rank x rank block of the factor serves the coarse solve through the
-    pivot order `keep`."""
-    cols = sparse.csc_matrix(columns)
-    a_c = _galerkin(system.A_free.mat, cols)
-    norms = np.sqrt(np.maximum(a_c.diagonal(), 0.0))
+def _scaled_galerkin(A, cols):
+    """The Galerkin band of `_galerkin`, scaled in place to unit diagonal (a
+    zero-energy column becomes a zero row and column), and the scale of
+    each column."""
+    band = _galerkin(A, cols)
+    norms = np.sqrt(np.maximum(band[0], 0.0))
     scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0.0)
-    a_c *= scale[:, None]
-    a_c *= scale
-    n = a_c.shape[0]
-    for j0 in range(0, n, _SYMMETRIZE_BLOCK):  # dpstrf reads the lower triangle only
-        j1 = min(j0 + _SYMMETRIZE_BLOCK, n)
-        a_c[j0:, j0:j1] = 0.5 * (a_c[j0:, j0:j1] + a_c[j0:j1, j0:].T)
-    L, piv, rank, _ = scipy.linalg.lapack.dpstrf(a_c, tol=1e-12, lower=1, overwrite_a=1)
-    if rank == 0:
-        raise ValueError(f"empty coarse space: none of the {n} columns has positive energy")
-    if rank < n:
+    m = scale.size
+    for d in range(band.shape[0]):  # row j + d of column j
+        band[d, :m - d] *= scale[d:]
+    band *= scale
+    return band, scale
+
+
+def _pivoted_factor(band):
+    """(keep, factor) of a Galerkin matrix the banded factor rejected, from
+    its scaled band: the band expanded to a dense lower triangle, overwritten
+    by one pivoted Cholesky whose tolerance 1e-12 is relative to the unit
+    diagonal. keep is the pivot order of the kept columns, and the leading
+    rank x rank block of the factor is stored as a full band."""
+    w, n = band.shape[0] - 1, band.shape[1]
+    dense = np.zeros((n, n), order="F")
+    for j in range(n):
+        dense[j:j + w + 1, j] = band[:min(w + 1, n - j), j]
+    L, piv, rank, _ = scipy.linalg.lapack.dpstrf(dense, tol=1e-12, lower=1, overwrite_a=1)
+    if 0 < rank < n:
         warnings.warn(
             f"coarse basis rank {rank} < {n}; dropping {n - rank} zero-energy or "
             "dependent coarse columns",
             RankDeficientCoarse,
         )
+    full = np.zeros((rank, rank), order="F")
+    for j in range(rank):
+        full[:rank - j, j] = L[j:rank, j]
+    return piv[:rank] - 1, SparseFactor(full)
+
+
+def coarse_space_from_columns(system, columns, xi, xi_star, max_next_eigenvalue):
+    """Assemble, rank-filter and factorize a coarse space from the global
+    columns of an (n_free, n) matrix. A csc `columns` is taken over, not
+    copied: it is scaled in place and becomes the basis.
+
+    The Galerkin matrix is written into its lower band alone, scaled there
+    to unit diagonal, and overwritten by its banded Cholesky factor, which
+    serves the coarse solve with every column in glue order. Only when that
+    factorization breaks down or meets a squared pivot at most 1e-12, as
+    for zero-energy or dependent columns, is the band formed again (the
+    failed factorization overwrote it), expanded to a dense array and
+    decomposed by one pivoted Cholesky, which keeps the columns of its
+    pivot order up to its rank."""
+    cols = sparse.csc_matrix(columns)
+    A = system.A_free.mat
+    band, scale = _scaled_galerkin(A, cols)
+    keep = np.arange(scale.size)
+    try:
+        factor = factor_band(band, 1e-12)
+    except NotPositiveDefinite:
+        keep, factor = _pivoted_factor(_scaled_galerkin(A, cols)[0])
+    if keep.size == 0:
+        raise ValueError(
+            f"empty coarse space: none of the {scale.size} columns has positive energy"
+        )
     for j, s in enumerate(scale):  # in place: no temporary the size of the basis
         cols.data[cols.indptr[j]:cols.indptr[j + 1]] *= s
     return CoarseSpace(
         basis=cols,
-        keep=piv[:rank] - 1,
-        cho=(np.asfortranarray(L[:rank, :rank]), True),  # copies only when rank < n
+        keep=keep,
+        factor=factor,
         max_next_eigenvalue=max_next_eigenvalue,
         lam=float(np.sqrt(xi * xi_star * max_next_eigenvalue)),
     )

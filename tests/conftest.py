@@ -160,15 +160,15 @@ ballast = np.ones(max(peak() - resident(), 0) // 8)
 before = peak()
 coarse = build_coarse_space(system, decomp, bases)
 growth = peak() - before
-B, (L, _) = coarse.basis, coarse.cho
+B, L = coarse.basis, coarse.factor.band
 print(coarse.m, growth, B.data.nbytes + B.indices.nbytes + B.indptr.nbytes + L.nbytes)
 """
 
 
 def coarse_rss_growth(nx, parts, modes):
     """(coarse dimension, growth of the peak resident set in bytes, bytes of
-    the result's basis and factor) of `build_coarse_space` in a fresh
-    interpreter, on the constant-coefficient nx x nx system cut into
+    the result's basis and of its factor's band) of `build_coarse_space` in a
+    fresh interpreter, on the constant-coefficient nx x nx system cut into
     parts x parts subdomains with `modes` random glued columns each."""
     out = subprocess.run(
         [sys.executable, "-c", _COARSE_RSS, str(nx), str(parts), str(modes)],

@@ -78,10 +78,12 @@ def test_sparse_lu_only_in_grid():
 
 
 def test_no_dense_cholesky_in_package():
-    """Every local factor goes through `linalg.factorize`: no module of the
-    package names a dense `cho_factor`."""
-    named = [p.name for p in PACKAGE.glob("*.py") if "cho_factor" in referenced_names([p])]
-    assert not named, f"cho_factor named in: {named}"
+    """Every local factor goes through `linalg.factorize` and every factor
+    solves through `linalg.SparseFactor`: no module of the package names a
+    dense `cho_factor` or `cho_solve`."""
+    named = [(p.name, name) for p in PACKAGE.glob("*.py")
+             for name in ("cho_factor", "cho_solve") if name in referenced_names([p])]
+    assert not named, f"dense Cholesky named in: {named}"
 
 
 def test_solve_direct_does_not_reach_factorize(monkeypatch):

@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -17,6 +20,7 @@ from msras.grid import BoundarySpec, element_stiffness
 from msras.linalg import SparseSym, dense_generalized_sym_eig, single_blas_thread
 from msras.schwarz import apply_one_level, build_preconditioner
 from msras.spectral import (
+    LocalSpectralBasis,
     build_coarse_space,
     coarse_space_from_columns,
     export_spectrum_csv,
@@ -596,40 +600,61 @@ class TestCoarseSpace:
     @pytest.mark.parametrize("block_nnz", [1, 300, 2**18])
     def test_blocked_galerkin_matches_full_product_to_the_bit(self, system16, decomp16, pu16,
                                                               monkeypatch, block_nnz):
-        # B^T A B by blocks of columns, each against the columns whose rows
-        # reach it, sums the same terms in the same order as B^T (A B); the
-        # entries no block reaches, and the columns without stored entries,
-        # are zero
+        # B^T A B by blocks of columns, each against the columns of its band
+        # rows, sums the same terms in the same order as B^T (A B): the band
+        # is the lower band of the full product to the bit, and every entry
+        # of the full product outside it is zero, so w bounds the coupling.
+        # The columns without stored entries are zero. On 2 x 2 subdomains
+        # every pair of columns may couple; on 4 x 4, in glue order, the
+        # columns of subdomains a strip apart do not, and the band leaves
+        # most of the matrix out
         bases = [solve_local_eigenproblem(*reduce_to_harmonic(system16, decomp16, pu16, i),
                                           6, sub_id=i) for i in range(4)]
         glued = _captured_columns(monkeypatch, system16, decomp16, bases)
         empty = sparse.csc_matrix((system16.n_free, 2))
+        system32 = make_system(32)
+        decomp32 = build_decomposition(system32, 4, 4, 1, 1)
+        rng = np.random.default_rng(3)
+        strips = spectral._glued_columns(system32, decomp32, [
+            LocalSpectralBasis(sub.id, "harmonic", np.ones(3),
+                               rng.standard_normal((sub.dofs0.size, 3)), 0.1, 0)
+            for sub in decomp32.subdomains])
         monkeypatch.setattr(spectral, "_GALERKIN_BLOCK_NNZ", block_nnz)
-        A = system16.A_free.mat
-        for cols in (glued, sparse.hstack([glued[:, :7], empty, glued[:, 7:]], format="csc"),
-                     empty):
-            galerkin = spectral._galerkin(A, cols)
-            assert galerkin.flags.f_contiguous
-            assert np.array_equal(galerkin, (cols.T @ (A @ cols)).toarray())
+        A16 = system16.A_free.mat
+        for A, cols in ((A16, glued),
+                        (A16, sparse.hstack([glued[:, :7], empty, glued[:, 7:]], format="csc")),
+                        (A16, empty), (system32.A_free.mat, strips)):
+            band = spectral._galerkin(A, cols)
+            full = (cols.T @ (A @ cols)).toarray()
+            w, m = band.shape[0] - 1, full.shape[0]
+            assert band.flags.f_contiguous and band.shape[1] == m
+            for d in range(w + 1):
+                assert np.array_equal(band[d, :m - d], np.diagonal(full, -d))
+                assert not band[d, m - d:].any()
+            assert not np.tril(full, -w - 1).any() and not np.triu(full, w + 1).any()
+        assert m == 48 and w < m // 2
 
     def test_galerkin_matrix_factored_once(self, system16, decomp16, pu16, monkeypatch):
-        # one pivoted Cholesky finds the rank and is the coarse factor: no
-        # dense eigensolve scales its tolerance, and no second factorization.
-        # The stored factor pairs with the kept columns in pivot order:
-        # L L^T = B_k^T A B_k with B_k = basis[:, keep]
+        # a full-rank Galerkin matrix is factored once, in its band: no
+        # dense eigensolve, no pivoted or dense Cholesky. The stored factor
+        # pairs with every column in glue order: L L^T = B_k^T A B_k with
+        # B_k = basis[:, keep]
         bases = [solve_local_eigenproblem(*reduce_to_harmonic(system16, decomp16, pu16, i),
                                           6, sub_id=i) for i in range(4)]
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("the Galerkin matrix is decomposed once, by dpstrf")
+            raise AssertionError("a full-rank Galerkin matrix is factored once, by dpbtrf")
 
+        monkeypatch.setattr(scipy.linalg.lapack, "dpstrf", forbidden)
         monkeypatch.setattr(scipy.linalg, "eigh", forbidden)
         monkeypatch.setattr(scipy.linalg, "cho_factor", forbidden)
         cs = build_coarse_space(system16, decomp16, bases)
-        assert cs.m == 24
-        L, lower = cs.cho
-        assert lower and L.flags.f_contiguous
-        L = np.tril(L)
+        assert cs.m == 24 and np.array_equal(cs.keep, np.arange(24))
+        band = cs.factor.band
+        assert band.flags.f_contiguous
+        L = np.zeros((24, 24))
+        for d in range(band.shape[0]):
+            L += np.diag(band[d, :24 - d], -d)
         B = cs.basis[:, cs.keep].toarray()
         assert np.allclose(L @ L.T, B.T @ (system16.A_free @ B), rtol=0.0, atol=1e-12)
 
@@ -648,23 +673,32 @@ class TestCoarseSpace:
 
     def test_dropped_columns_mid_order(self, system16):
         # a zero column and a dependent one between kept ones: the coarse
-        # solve is B_k (B_k^T A B_k)^{-1} B_k^T on the kept columns alone
+        # solve is B_k (B_k^T A B_k)^{-1} B_k^T on the kept columns alone.
+        # A full-rank set keeps every column and solves through its band
         rng = np.random.default_rng(9)
         a, b, c = rng.standard_normal((3, system16.n_free))
-        cols = np.column_stack([a, b, np.zeros(system16.n_free), a - b, c])
         with pytest.warns(RankDeficientCoarse, match="dropping 2"):
-            cs = coarse_space_from_columns(system16, cols, 1, 1, 0.0)
+            cs = coarse_space_from_columns(
+                system16, np.column_stack([a, b, np.zeros(system16.n_free), a - b, c]),
+                1, 1, 0.0)
         assert cs.m == 3 and cs.basis.shape[1] == 5
         assert 2 not in cs.keep and cs.keep.size == np.unique(cs.keep).size
-        B = cs.basis[:, cs.keep].toarray()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RankDeficientCoarse)
+            full_rank = coarse_space_from_columns(system16, np.column_stack([a, b, c]),
+                                                  1, 1, 0.0)
+        assert np.array_equal(full_rank.keep, np.arange(3))
         A = system16.A_free.mat.toarray()
         r = rng.standard_normal((system16.n_free, 2))
-        expected = B @ np.linalg.solve(B.T @ A @ B, B.T @ r)
-        for k in range(2):
-            z = cs.apply(r[:, k])
-            assert np.linalg.norm(z - expected[:, k]) <= 1e-12 * np.linalg.norm(expected[:, k])
-        z = cs.apply(r)
-        assert np.linalg.norm(z - expected) <= 1e-12 * np.linalg.norm(expected)
+        for cs in (cs, full_rank):
+            B = cs.basis[:, cs.keep].toarray()
+            expected = B @ np.linalg.solve(B.T @ A @ B, B.T @ r)
+            for k in range(2):
+                z = cs.apply(r[:, k])
+                assert (np.linalg.norm(z - expected[:, k])
+                        <= 1e-12 * np.linalg.norm(expected[:, k]))
+            z = cs.apply(r)
+            assert np.linalg.norm(z - expected) <= 1e-12 * np.linalg.norm(expected)
 
     def test_columns_glued_once(self, system16, decomp16, pu16, monkeypatch):
         bases = [geneo_eigenproblem(system16, decomp16, pu16, i, 5) for i in range(4)]
@@ -677,16 +711,36 @@ class TestCoarseSpace:
 
     def test_coarse_stage_grows_by_its_live_result(self):
         # the stage's peak resident set grows by its result (glued basis and
-        # dense factor) and block temporaries, not by A B, a csr copy of the
+        # banded factor) and block temporaries, not by A B, a csr copy of the
         # columns or a second copy of the basis: each of those adds a
         # basis-sized array, and the basis is most of the result here
         m, growth, live = coarse_rss_growth(256, 4, 40)
         assert m == 640
         assert growth < 1.5 * live, f"peak RSS grew {growth / 1e6:.1f} MB for {live / 1e6:.1f} MB"
 
+    def test_full_rank_coarse_space_forms_no_square_array(self):
+        # 16 x 16 subdomains with 10 modes each: m = 2560, and one m x m
+        # array alone would take 52 MB, several times the basis and the band
+        system = make_system(128)
+        decomp = build_decomposition(system, 16, 16, 2, 4)
+        rng = np.random.default_rng(0)
+        bases = [LocalSpectralBasis(sub.id, "harmonic", np.ones(10),
+                                    rng.standard_normal((sub.dofs0.size, 10)), 0.1, 0)
+                 for sub in decomp.subdomains]
+        tracemalloc.start()
+        try:
+            cs = build_coarse_space(system, decomp, bases)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cs.m == 2560
+        assert peak < 4 * cs.m**2, f"the coarse set-up peaked at {peak / 1e6:.1f} MB"
+
     def test_all_zero_columns_rejected(self, system16):
-        with pytest.raises(ValueError, match="empty coarse space"):
-            coarse_space_from_columns(system16, np.zeros((system16.n_free, 3)), 1, 1, 0.0)
+        for n_cols in (3, 0):
+            with pytest.raises(ValueError, match="empty coarse space"):
+                coarse_space_from_columns(system16, np.zeros((system16.n_free, n_cols)),
+                                          1, 1, 0.0)
 
     def test_columns_normalized(self, system16, decomp16, pu16):
         bases = []
