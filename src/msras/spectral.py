@@ -33,16 +33,18 @@ the m + 1 leading pairs only: the m the basis keeps and the next eigenvalue.
 A basis keeps only what the coarse space uses of its vectors phi: the
 products chi_i phi on s = dofs0(omega_i), the dofs where chi_i > 0, formed
 as one product of the pencil's vectors with the chi-weighted extension
-matrix of its reduction (W above). The coarse space copies these blocks,
-subdomain by subdomain, into one csc matrix B. In this glue order B^T A B
-is banded: columns of subdomains a strip of subdomains apart do not meet.
-Its lower band, with a bandwidth bounded from the columns' row ranges
-before any product is formed, is written by blocks of columns straight into
-LAPACK band storage, scaled to unit diagonal in place and overwritten by its
-banded Cholesky factor, so no m x m array is formed. Only a Galerkin matrix
-that factor rejects (zero-energy or dependent columns) is expanded to a
-dense array and decomposed by a pivoted Cholesky, whose pivot order gives
-the columns the coarse solve keeps.
+matrix of its reduction (W above). The coarse space keeps these blocks as
+they are, one per basis, in the order the bases come (subdomain order in
+the drivers). Block (a, b) of its Galerkin matrix B^T A B is nonzero only
+where omega_a and omega_b share a cell, so in this order B^T A B is banded:
+columns of subdomains a strip of subdomains apart do not meet, and the
+lower bandwidth is set by the widest pair of overlapping subdomains before
+any product is formed. The lower band is assembled pair by pair straight
+into LAPACK band storage, scaled to unit diagonal in place and overwritten
+by its banded Cholesky factor, so neither an m x m array nor a copy of the
+bases is formed. Only a Galerkin matrix that factor rejects (zero-energy or
+dependent columns) is expanded to a dense array and decomposed by a pivoted
+Cholesky, whose pivot order gives the columns the coarse solve keeps.
 """
 
 import warnings
@@ -52,7 +54,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sparse
 
-from .decomp import overlap_zone
+from .decomp import box_intersection, overlap_zone
 from .errors import (
     EmptyBoundary,
     FactorizationFailure,
@@ -278,12 +280,18 @@ def geneo_eigenproblem(system, decomp, pu, i, m, at_most=False):
 
 @dataclass
 class CoarseSpace:
-    """Glued coarse basis with the Cholesky factor of its Galerkin matrix.
+    """The coarse space as the local bases' own blocks, with the Cholesky
+    factor of its Galerkin matrix.
 
-    The basis holds every glued column, scaled to unit energy, in glue
-    order; `keep` lists the columns the coarse solve uses, and the banded
-    factor pairs with them in that order: L L^T = B_k^T A B_k for
-    B_k = basis[:, keep]. For a full-rank basis keep is every column in glue
+    Column j of the coarse basis is scale[j] times column j of the blocks
+    taken in order: blocks[k] (the glued block of the k-th basis, shared with
+    it, not copied) holds columns offsets[k]:offsets[k + 1] on the rows
+    rows[k] = dofs0(omega_i) and is zero elsewhere. scale takes each column
+    to unit energy and is applied around the solve; the blocks are never
+    scaled, since they belong to the bases (a sweep truncates the same bases
+    for its next cell). `keep` lists the columns the coarse solve uses, and the banded
+    factor pairs with them in that order: L L^T = B_k^T A B_k for the scaled
+    columns B_k = B[:, keep]. For a full-rank basis keep is every column in
     order and L has the band of the Galerkin matrix. Otherwise keep is the
     pivot order of the columns the pivoted factorization kept, and L is
     stored as a full band; the dropped columns (zero-energy or dependent)
@@ -292,8 +300,11 @@ class CoarseSpace:
     space was built from.
     """
 
-    basis: sparse.csc_matrix  # (n_free, n) glued columns, unit energy where nonzero
-    keep: np.ndarray  # the rank columns of basis the solve uses, in the factor's order
+    rows: list  # rows[k]: the free dofs of block k, dofs0 of its subdomain
+    blocks: list  # blocks[k]: the k-th basis's glued block, (rows[k].size, m_k)
+    offsets: np.ndarray  # block k holds columns offsets[k]:offsets[k + 1]
+    scale: np.ndarray  # per column: 1 / its energy norm, 0 for zero energy
+    keep: np.ndarray  # the rank columns the solve uses, in the factor's order
     factor: SparseFactor  # L of L L^T = B_k^T A B_k, in LAPACK lower band storage
     max_next_eigenvalue: float
     lam: float
@@ -303,93 +314,61 @@ class CoarseSpace:
         return self.keep.size
 
     def apply(self, r):
-        """R_S^T A_S^{-1} R_S r for a vector or a stack of columns. Non-finite
+        """R_S^T A_S^{-1} R_S r for a vector or a stack of columns: each
+        block gathers X_k^T r[rows_k], and scatters X_k y_k back. Non-finite
         input propagates (the drivers report it as a breakdown)."""
-        rc = (self.basis.T @ r)[self.keep]
-        y = np.zeros((self.basis.shape[1],) + rc.shape[1:])
-        y[self.keep] = self.factor.solve(rc)
-        return self.basis @ y
+        r = np.asarray(r, dtype=float)
+        rc = np.empty((self.scale.size,) + r.shape[1:])
+        for rows, X, a, b in zip(self.rows, self.blocks, self.offsets, self.offsets[1:]):
+            rc[a:b] = X.T @ r[rows]
+        rc = (self.scale * rc.T).T
+        y = np.zeros_like(rc)
+        y[self.keep] = self.factor.solve(rc[self.keep])
+        y = (self.scale * y.T).T
+        z = np.zeros_like(r)
+        for rows, X, a, b in zip(self.rows, self.blocks, self.offsets, self.offsets[1:]):
+            z[rows] += X @ y[a:b]
+        return z
 
 
-# Stored entries of B per block of columns of the Galerkin product B^T A B:
-# its largest temporaries, A B_k and its transpose, hold about as many.
-_GALERKIN_BLOCK_NNZ = 2**17
-
-
-def _row_block(M, a, b):
-    """Rows a:b of the csr matrix M, sharing its arrays. They are set after
-    construction: the constructor copies a view of less than half of an
-    array."""
-    s, e = M.indptr[a], M.indptr[b]
-    block = sparse.csr_matrix((b - a, M.shape[1]), dtype=M.dtype)
-    block.indptr = M.indptr[a:b + 1] - s
-    block.indices, block.data = M.indices[s:e], M.data[s:e]
-    return block
-
-
-def _reach(A):
-    """The largest |i - j| over the stored entries A[i, j] of the csr matrix
-    A, from the extreme columns of each nonempty row (O(n) memory)."""
-    rows = np.flatnonzero(np.diff(A.indptr))
-    if rows.size == 0:
-        return 0
-    indices, starts = A.indices[:A.indptr[-1]], A.indptr[rows]
-    return int(max((rows - np.minimum.reduceat(indices, starts)).max(),
-                   (np.maximum.reduceat(indices, starts) - rows).max()))
-
-
-def _bandwidth(first, last, reach, n):
-    """A bound w on i - j over the pairs i > j of columns of B that B^T A B
-    couples, from each column's first and last stored row (first = n for an
-    empty column) and the reach of A: column i meets A B_j only if
-    first[i] <= last[j] + reach. For each j the largest such i is found on
-    the minimum of first over the columns from i on, which does not
-    decrease in i."""
-    nonempty = np.flatnonzero(first < n)
-    if nonempty.size == 0:
-        return 0
-    tail_first = np.minimum.accumulate(first[::-1])[::-1]
-    reached = np.searchsorted(tail_first, np.minimum(last[nonempty] + reach, n - 1),
-                              side="right") - 1
-    return int((reached - nonempty).max())
-
-
-def _galerkin(A, cols):
-    """The lower band of B^T A B for the csc columns B and the symmetric csr
-    matrix A, in LAPACK lower band storage: a (w+1) x m F-ordered array with
-    band[i - j, j] = (B^T A B)[i, j], zero below the matrix. w comes from
-    `_bandwidth` before any product is formed, so no m x m array is. The band
-    is written one block of columns B_k at a time, so that neither AB nor a
-    csr copy of B is ever formed either: A B_k is taken as (B_k^T A)^T, and
-    only the columns i of B with k0 <= i < k1 + w, the rows of the band's
-    columns k0:k1, enter B^T (A B_k). Every entry is summed over the same
-    terms in the same order as in B^T (A B), so the two agree to the bit when
-    A is symmetric to the bit."""
-    n, m = cols.shape
-    cols.sort_indices()
-    Bt = cols.T  # csr: row c is column c of B
-    nonempty = np.diff(cols.indptr) > 0
-    first, last = np.full(m, n), np.full(m, -1)
-    first[nonempty] = cols.indices[cols.indptr[:-1][nonempty]]
-    last[nonempty] = cols.indices[cols.indptr[1:][nonempty] - 1]
-    w = _bandwidth(first, last, _reach(A), n)
+def _galerkin(A, rows, blocks, offsets, coupled):
+    """The lower band of B^T A B for the blocks of columns X_k on the rows
+    rows[k] and the symmetric csr matrix A, in LAPACK lower band storage: a
+    (w+1) x m F-ordered array with band[i - j, j] = (B^T A B)[i, j], zero
+    below the matrix. coupled[a] lists the blocks b <= a that may meet block
+    a, and w is the widest of those pairs, so no m x m array is formed. For
+    each block a, T = A[reached, rows_a] X_a is formed once on the rows
+    `reached` that A couples to rows_a (A's columns compacted to them), and
+    X_b^T T on the rows of rows_b among them is written for each coupled b;
+    one position map over the free dofs, set and cleared per block, finds
+    those rows."""
+    m = offsets[-1]
+    w = max(offsets[a + 1] - 1 - offsets[b] for a, bs in enumerate(coupled) for b in bs)
     band = np.zeros((w + 1, m), order="F")
-    edges = np.linspace(0, m, -(-cols.nnz // _GALERKIN_BLOCK_NNZ) + 1).astype(int)
-    for c0, c1 in zip(edges[:-1], edges[1:]):
-        ABt = _row_block(Bt, c0, c1) @ A
-        if ABt.nnz == 0:
-            continue
-        G = (_row_block(Bt, c0, min(c1 + w, m)) @ ABt.T.tocsr()).tocoo()
-        lower = G.row >= G.col
-        band[G.row[lower] - G.col[lower], G.col[lower] + c0] = G.data[lower]
+    position = np.full(A.shape[0], -1)
+    for a, bs in enumerate(coupled):
+        A_a = A[rows[a]]
+        reached, local = np.unique(A_a.indices, return_inverse=True)
+        T = sparse.csr_matrix((A_a.data, local, A_a.indptr),
+                              shape=(rows[a].size, reached.size)).T @ blocks[a]
+        position[reached] = np.arange(reached.size)
+        i = np.arange(offsets[a], offsets[a + 1])
+        for b in bs:
+            p = position[rows[b]]
+            hit = p >= 0
+            G = blocks[b][hit].T @ T[p[hit]]  # G[j, i] = (B^T A B)[j, i]
+            j = np.arange(offsets[b], offsets[b + 1])[:, None]
+            lower = i >= j
+            band[(i - j)[lower], np.broadcast_to(j, lower.shape)[lower]] = G[lower]
+        position[reached] = -1
     return band
 
 
-def _scaled_galerkin(A, cols):
+def _scaled_galerkin(A, rows, blocks, offsets, coupled):
     """The Galerkin band of `_galerkin`, scaled in place to unit diagonal (a
     zero-energy column becomes a zero row and column), and the scale of
     each column."""
-    band = _galerkin(A, cols)
+    band = _galerkin(A, rows, blocks, offsets, coupled)
     norms = np.sqrt(np.maximum(band[0], 0.0))
     scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0.0)
     m = scale.size
@@ -422,74 +401,54 @@ def _pivoted_factor(band):
     return piv[:rank] - 1, SparseFactor(full)
 
 
-def coarse_space_from_columns(system, columns, xi, xi_star, max_next_eigenvalue):
-    """Assemble, rank-filter and factorize a coarse space from the global
-    columns of an (n_free, n) matrix. A csc `columns` is taken over, not
-    copied: it is scaled in place and becomes the basis.
+def build_coarse_space(system, decomp, bases):
+    """The coarse space of the local spectral bases: column (i, j) is the
+    zero-extended nodal product chi_i * phi_{i,j}, normalized in the a-norm.
+    The bases' glued blocks are kept as they are, in the order given, and
+    the Galerkin matrix is assembled block by block over the pairs of
+    subdomains that overlap.
 
-    The Galerkin matrix is written into its lower band alone, scaled there
-    to unit diagonal, and overwritten by its banded Cholesky factor, which
-    serves the coarse solve with every column in glue order. Only when that
-    factorization breaks down or meets a squared pivot at most 1e-12, as
-    for zero-energy or dependent columns, is the band formed again (the
-    failed factorization overwrote it), expanded to a dense array and
-    decomposed by one pivoted Cholesky, which keeps the columns of its
-    pivot order up to its rank."""
-    cols = sparse.csc_matrix(columns)
-    A = system.A_free.mat
-    band, scale = _scaled_galerkin(A, cols)
+    That matrix is written into its lower band alone, scaled there to unit
+    diagonal, and overwritten by its banded Cholesky factor, which serves
+    the coarse solve with every column in order. Only when that
+    factorization breaks down or meets a squared pivot at most 1e-12, as for
+    zero-energy or dependent columns, is the band formed again (the failed
+    factorization overwrote it), expanded to a dense array and decomposed by
+    one pivoted Cholesky, which keeps the columns of its pivot order up to
+    its rank."""
+    if sum(b.n_modes for b in bases) < 1:
+        raise ValueError("empty coarse space: every subdomain contributed 0 modes")
+    max_next = max(b.next_eigenvalue for b in bases)
+    bases = [b for b in bases if b.n_modes]
+    subs = [decomp.subdomains[b.subdomain_id] for b in bases]
+    rows, blocks = [s.dofs0 for s in subs], [b.glued for b in bases]
+    offsets = np.cumsum([0] + [b.n_modes for b in bases])
+    # a dof interior to omega_a meets, through A, only dofs of cells of
+    # omega_a, so blocks a and b couple only if their boxes share a cell
+    coupled = [[b for b in range(a + 1)
+                if box_intersection(subs[a].box, subs[b].box) is not None]
+               for a in range(len(subs))]
+    args = (system.A_free.mat, rows, blocks, offsets, coupled)
+    band, scale = _scaled_galerkin(*args)
     keep = np.arange(scale.size)
     try:
         factor = factor_band(band, 1e-12)
     except NotPositiveDefinite:
-        keep, factor = _pivoted_factor(_scaled_galerkin(A, cols)[0])
+        keep, factor = _pivoted_factor(_scaled_galerkin(*args)[0])
     if keep.size == 0:
         raise ValueError(
             f"empty coarse space: none of the {scale.size} columns has positive energy"
         )
-    for j, s in enumerate(scale):  # in place: no temporary the size of the basis
-        cols.data[cols.indptr[j]:cols.indptr[j + 1]] *= s
     return CoarseSpace(
-        basis=cols,
+        rows=rows,
+        blocks=blocks,
+        offsets=offsets,
+        scale=scale,
         keep=keep,
         factor=factor,
-        max_next_eigenvalue=max_next_eigenvalue,
-        lam=float(np.sqrt(xi * xi_star * max_next_eigenvalue)),
+        max_next_eigenvalue=max_next,
+        lam=float(np.sqrt(decomp.xi * decomp.xi_star * max_next)),
     )
-
-
-def _glued_columns(system, decomp, bases):
-    """The coarse columns chi_i * phi_{i,j} of `bases`, zero-extended to the
-    free dofs and written straight into one csc matrix, subdomain by
-    subdomain. A column stores exactly the dofs where chi_i > 0,
-    dofs0(omega_i), the rows of the basis's glued block."""
-    rows = [decomp.subdomains[basis.subdomain_id].dofs0 for basis in bases]
-    sizes = np.repeat([r.size for r in rows], [b.n_modes for b in bases])
-    indptr = np.zeros(sizes.size + 1, dtype=np.int64)
-    np.cumsum(sizes, out=indptr[1:])
-    index_dtype = np.int32 if max(system.n_free, indptr[-1]) < 2**31 else np.int64
-    data = np.empty(indptr[-1])
-    indices = np.empty(indptr[-1], dtype=index_dtype)
-    first = 0
-    for basis, r in zip(bases, rows, strict=True):
-        s, e = indptr[first], indptr[first + basis.n_modes]
-        first += basis.n_modes
-        data[s:e].reshape(basis.n_modes, r.size)[:] = basis.glued.T
-        indices[s:e].reshape(basis.n_modes, r.size)[:] = r
-    return sparse.csc_matrix((data, indices, indptr.astype(index_dtype)),
-                             shape=(system.n_free, sizes.size))
-
-
-def build_coarse_space(system, decomp, bases):
-    """Glue local spectral bases into the global coarse space: column (i, j)
-    is the zero-extended nodal product chi_i * phi_{i,j}, normalized in the
-    a-norm. Near-duplicate columns are removed by pivoted rank filtering.
-    The columns are glued once, in subdomain order."""
-    if sum(b.n_modes for b in bases) < 1:
-        raise ValueError("empty coarse space: every subdomain contributed 0 modes")
-    max_next = max(b.next_eigenvalue for b in bases)
-    return coarse_space_from_columns(system, _glued_columns(system, decomp, bases),
-                                     decomp.xi, decomp.xi_star, max_next)
 
 
 def export_spectrum_csv(path, bases):

@@ -17,6 +17,7 @@ from msras.grid import (
     gaussian_bump_source,
     skyscraper_coefficient,
 )
+from msras.spectral import LocalSpectralBasis, build_coarse_space
 
 
 def make_system(nx, ny=None, contrast=None, bc=None, source=gaussian_bump_source, seed=7):
@@ -28,6 +29,18 @@ def make_system(nx, ny=None, contrast=None, bc=None, source=gaussian_bump_source
         coeff = skyscraper_coefficient(grid, contrast, (8, 8), 0.3, seed)
     bc = bc or BoundarySpec.mixed_flux_channel()
     return assemble(grid, coeff, bc, source=source)
+
+
+def columns_coarse_space(system, columns, max_next_eigenvalue=0.0):
+    """The coarse space of the dense (n_free, k) `columns` through
+    `build_coarse_space`: one subdomain covering the grid, whose dofs0 is
+    every free dof and whose xi = xi_star = 1, with one basis whose glued
+    block is the column set."""
+    decomp = build_decomposition(system, 1, 1, 1, 1)
+    assert decomp.subdomains[0].dofs0.size == system.n_free
+    basis = LocalSpectralBasis(0, "harmonic", np.ones(columns.shape[1]), columns,
+                               max_next_eigenvalue, 0)
+    return build_coarse_space(system, decomp, [basis])
 
 
 # (nx, ny, boundary, px, py, overlap, oversampling): the desk instance and
@@ -160,16 +173,15 @@ ballast = np.ones(max(peak() - resident(), 0) // 8)
 before = peak()
 coarse = build_coarse_space(system, decomp, bases)
 growth = peak() - before
-B, L = coarse.basis, coarse.factor.band
-print(coarse.m, growth, B.data.nbytes + B.indices.nbytes + B.indptr.nbytes + L.nbytes)
+print(coarse.m, growth, sum(b.glued.nbytes for b in bases))
 """
 
 
 def coarse_rss_growth(nx, parts, modes):
     """(coarse dimension, growth of the peak resident set in bytes, bytes of
-    the result's basis and of its factor's band) of `build_coarse_space` in a
-    fresh interpreter, on the constant-coefficient nx x nx system cut into
-    parts x parts subdomains with `modes` random glued columns each."""
+    the bases' glued blocks) of `build_coarse_space` in a fresh interpreter,
+    on the constant-coefficient nx x nx system cut into parts x parts
+    subdomains with `modes` random glued columns each."""
     out = subprocess.run(
         [sys.executable, "-c", _COARSE_RSS, str(nx), str(parts), str(modes)],
         capture_output=True, text=True, check=True,

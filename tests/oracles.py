@@ -31,7 +31,9 @@ solve of an ill-conditioned high-contrast block carries.
 The dense diagnostics of the preconditioned operator (its energy-norm
 contraction and the condition number of the additive schemes) assemble the
 operator column by column through the package's preconditioner apply and
-decompose it densely, so they serve small instances only.
+decompose it densely, so they serve small instances only. The coarse
+solve's dense reference starts from its kept columns, written out densely
+from the coarse space's blocks.
 """
 
 import numpy as np
@@ -418,6 +420,16 @@ def refined_sparse_solve(A, B, steps=2):
         AX = np.add.reduceat(data * X[A.indices].astype(np.longdouble), A.indptr[:-1], axis=0)
         X = X + lu.solve((B.astype(np.longdouble) - AX).astype(float))
     return X
+
+
+def kept_coarse_columns(coarse, n):
+    """The columns a coarse space solves with, as a dense n x m array in the
+    order of its factor: each block zero-extended from its rows, scaled to
+    unit energy, and the kept columns taken in `keep` order."""
+    B = np.zeros((n, coarse.scale.size))
+    for rows, X, a in zip(coarse.rows, coarse.blocks, coarse.offsets):
+        B[rows, a:a + X.shape[1]] = X
+    return (B * coarse.scale)[:, coarse.keep]
 
 
 class TooLarge(Exception):

@@ -23,11 +23,11 @@ from msras.schwarz import (
 )
 from msras.spectral import (
     build_coarse_space,
-    coarse_space_from_columns,
     geneo_eigenproblem,
     reduce_to_harmonic,
     solve_local_eigenproblem,
 )
+from tests.conftest import columns_coarse_space
 from tests.oracles import (
     contraction_norm,
     geneo_eigs_bruteforce,
@@ -195,7 +195,7 @@ def test_criterion_6_degenerate_identities(desk):
     # any coarse space: here the one spanned by the glued particular field,
     # the one-level RAS apply of the load
     glued = apply_one_level(build_preconditioner(system, decomp, pu, "RAS"), system.f_free)
-    coarse = coarse_space_from_columns(system, glued[:, None], 1, 1, 0.0)
+    coarse = columns_coarse_space(system, glued[:, None])
     state = build_preconditioner(system, decomp, pu, "hybrid_RAS_msgfem", coarse=coarse)
     u = system.solve_direct()
     _, hist_r = richardson(state, system, target_reduction=1e-10)

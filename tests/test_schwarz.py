@@ -12,12 +12,16 @@ from msras.schwarz import (
 )
 from msras.spectral import (
     build_coarse_space,
-    coarse_space_from_columns,
     reduce_to_harmonic,
     solve_local_eigenproblem,
 )
-from tests.conftest import gmres_rss_growth, make_system
-from tests.oracles import TooLarge, contraction_norm, spd_condition_number
+from tests.conftest import columns_coarse_space, gmres_rss_growth, make_system
+from tests.oracles import (
+    TooLarge,
+    contraction_norm,
+    kept_coarse_columns,
+    spd_condition_number,
+)
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +54,7 @@ def dense_preconditioner(system, state):
     B1 = dense_one_level(system, state)
     if state.coarse is None:
         return B1
-    Rc = state.coarse.basis[:, state.coarse.keep].toarray()
+    Rc = kept_coarse_columns(state.coarse, system.n_free)
     C = Rc @ np.linalg.inv(Rc.T @ A @ Rc) @ Rc.T
     if state.scheme in ("hybrid_RAS_msgfem", "hybrid_AS"):
         return B1 + C @ (np.eye(system.n_free) - A @ B1)
@@ -138,7 +142,7 @@ class TestPreconditioner:
         system, dec, pu, _ = small
         n = system.n_free
         cols = np.eye(n)
-        coarse = coarse_space_from_columns(system, cols, 1, 1, 0.0)
+        coarse = columns_coarse_space(system, cols)
         state = build_preconditioner(system, dec, pu, "hybrid_RAS_msgfem", coarse=coarse)
         r = rng.standard_normal(n)
         z = apply_preconditioner(state, r)
