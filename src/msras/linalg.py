@@ -1,6 +1,7 @@
 """Sparse symmetric storage, banded Cholesky factorization, and a dense
 generalized symmetric eigensolver that tolerates a singular right-hand
-matrix.
+matrix: one shifted solve gives the leading pairs and the kernel, which it
+returns as infinite eigenvalues at the head of one descending spectrum.
 
 Everything downstream (assembly, local solves, coarse solves, eigenproblem
 reductions) goes through this module. The matrices `factorize` sees are box
@@ -233,21 +234,17 @@ def extract_submatrix(A, idx):
 
 
 class DensePencilEig:
-    """Finite eigenpairs of K x = lambda M x with M possibly singular.
+    """Leading eigenpairs of K x = lambda M x with M possibly singular.
 
-    eigenvalues are sorted descending; eigenvectors[:, j] pairs with
-    eigenvalues[j]. They may be only the leading pairs of the pencil:
-    n_finite counts all of its finite pairs. kernel_dim counts the modes
-    with M x ~ 0 (infinite eigenvalues); their basis is kept in
-    kernel_vectors.
+    eigenvalues descend, the kernel_dim kernel modes (M x ~ 0, lambda =
+    +inf) first; vectors[:, j] pairs with eigenvalues[j]. Kernel vectors
+    have unit Euclidean norm, finite vectors unit M-norm.
     """
 
-    def __init__(self, eigenvalues, eigenvectors, kernel_dim, kernel_vectors, n_finite):
+    def __init__(self, eigenvalues, vectors, kernel_dim):
         self.eigenvalues = eigenvalues
-        self.eigenvectors = eigenvectors
+        self.vectors = vectors
         self.kernel_dim = kernel_dim
-        self.kernel_vectors = kernel_vectors
-        self.n_finite = n_finite
 
 
 def _check_dense_sym(name, M):
@@ -258,6 +255,24 @@ def _check_dense_sym(name, M):
     if scale and np.abs(M - M.T).max() > 1e-10 * scale:
         raise NotSymmetric(f"{name} is not symmetric")
     return 0.5 * (M + M.T)
+
+
+# A pair of the shifted pencil is kernel when 1 - mu <= _KERNEL_GAP. The
+# bound errs towards the kernel: a kernel mode counted as finite reports a
+# lambda with no correct digits (1 - mu is rounding there), while a mode with
+# lambda >= 1e10 counted as kernel keeps its position and changes only its
+# label.
+_KERNEL_GAP = 1e-10
+
+
+def _shifted_pairs(K, M, k):
+    """The k leading pairs of K x = mu (K + M) x, mu descending."""
+    n = K.shape[0]
+    try:
+        mu, X = scipy.linalg.eigh(K, K + M, subset_by_index=[n - k, n - 1] if k < n else None)
+    except scipy.linalg.LinAlgError as exc:
+        raise NonConvergence(f"K + M not positive definite or eigensolve failed: {exc}") from exc
+    return mu[::-1], X[:, ::-1]
 
 
 def dense_generalized_sym_eig(K, M, n_pairs=None):
@@ -272,14 +287,16 @@ def dense_generalized_sym_eig(K, M, n_pairs=None):
     eigenvalues are 1e6 times larger (high-contrast coefficients do this),
     which a direct Cholesky reduction of M does not.
 
-    The kernel dimension is counted from the eigenvalues of M alone (those
-    at most 1e-12 times the largest). Only the top k = min(n, max(n_pairs,
-    kernel_dim)) pairs of the shifted pencil are computed, kernel first, so
-    the whole kernel is always returned; n_pairs=None computes all n. The
-    kernel vectors are the mu = 1 columns of that solve, normalized to unit
-    length: in exact arithmetic they span ker(M).
+    One solve gives both the pairs and the kernel: the kernel is the leading
+    pairs with 1 - mu <= 1e-10 (`_KERNEL_GAP`), returned with lambda = +inf.
+    The top k = min(n, n_pairs) pairs are computed (n_pairs=None computes
+    all n). If all k are kernel and k < n, the kernel may go on past them,
+    so all n pairs are computed once and max(n_pairs, kernel_dim) returned:
+    the whole kernel always comes back.
 
-    Finite eigenvectors are returned M-orthonormal; eigenvalues descend.
+    The result is one descending spectrum, kernel first (`DensePencilEig`).
+    Kernel vectors are normalized to unit length: in exact arithmetic they
+    span ker(M). Finite vectors are M-orthonormal.
     """
     K = _check_dense_sym("K", K)
     M = _check_dense_sym("M", M)
@@ -287,32 +304,19 @@ def dense_generalized_sym_eig(K, M, n_pairs=None):
         raise DimensionMismatch("K and M differ in size")
     n = K.shape[0]
 
-    try:
-        ev_m = scipy.linalg.eigvalsh(M)
-    except scipy.linalg.LinAlgError as exc:
-        raise NonConvergence(str(exc)) from exc
-    kernel_dim = int(np.count_nonzero(ev_m <= 1e-12 * max(ev_m[-1], 0.0)))
-    if kernel_dim == n:
-        return DensePencilEig(np.zeros(0), np.zeros((n, 0)), n, np.eye(n), 0)
-
-    k = n if n_pairs is None else min(n, max(n_pairs, kernel_dim))
-    try:
-        mu, X = scipy.linalg.eigh(K, K + M, subset_by_index=[n - k, n - 1] if k < n else None)
-    except scipy.linalg.LinAlgError as exc:
-        raise NonConvergence(f"K + M not positive definite or eigensolve failed: {exc}") from exc
-    # ascending -> descending: the kernel_dim largest mu sit at 1, the rest
-    # map back to finite lambda
-    mu = mu[::-1]
-    X = X[:, ::-1]
-    Xk = X[:, :kernel_dim]
-    Xk = Xk / np.linalg.norm(Xk, axis=0)
+    k = n if n_pairs is None else min(n, n_pairs)
+    mu, X = _shifted_pairs(K, M, k)
+    kernel_dim = int(np.count_nonzero(1.0 - mu <= _KERNEL_GAP))
+    if kernel_dim == k < n:  # the kernel may go on past the k pairs
+        mu, X = _shifted_pairs(K, M, n)
+        kernel_dim = int(np.count_nonzero(1.0 - mu <= _KERNEL_GAP))
+        mu, X = mu[:max(k, kernel_dim)], X[:, :max(k, kernel_dim)]
     mu_f = np.clip(mu[kernel_dim:], 0.0, None)
-    one_minus = np.maximum(1.0 - mu_f, np.finfo(float).tiny)
-    lam = mu_f / one_minus
+    lam = np.full(mu.size, np.inf)
+    lam[kernel_dim:] = mu_f / (1.0 - mu_f)
     # (K+M)-orthonormal -> M-orthonormal. x^T M x equals 1 - mu in exact
     # arithmetic, but 1 - mu cancels when lambda is large; the computed
     # quadratic form does not.
-    V = X[:, kernel_dim:]
-    m_norm2 = np.einsum("ij,ij->j", V, M @ V)
-    V = V / np.sqrt(np.maximum(m_norm2, np.finfo(float).tiny))
-    return DensePencilEig(lam, V, kernel_dim, Xk, n - kernel_dim)
+    norms = np.sqrt(np.maximum(np.einsum("ij,ij->j", X, M @ X), np.finfo(float).tiny))
+    norms[:kernel_dim] = np.linalg.norm(X[:, :kernel_dim], axis=0)
+    return DensePencilEig(lam, X / norms, kernel_dim)

@@ -17,8 +17,8 @@ on the interface is exactly equivalent to the full eigenproblem, at a
 fraction of the dense size.
 
 Zero-energy harmonic modes (constants on subdomains not touching the
-Dirichlet boundary) appear as kernel vectors of S; they are always retained
-first in the local basis.
+Dirichlet boundary) are the kernel of S: the pencil solve reports them as
+the leading eigenvalues +inf, and the local basis always retains them first.
 
 Both local eigenproblems are solved on their coupling dofs only, through the
 one Schur reduction `schur_complement`: the harmonic pencil on the interface
@@ -54,7 +54,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sparse
 
-from .decomp import box_intersection, overlap_zone
+from .decomp import overlap_zone
 from .errors import (
     EmptyBoundary,
     FactorizationFailure,
@@ -170,25 +170,19 @@ def _assemble_basis(sub_id, kind, pencil, m, G):
     """The basis of the leading m modes of `pencil`, kernel first, glued
     through G, the chi-weighted extension of the pencil's vectors to
     dofs0(omega_i)."""
-    l = pencil.kernel_dim
-    n_finite = pencil.n_finite
+    l, n = pencil.kernel_dim, G.shape[1]
     if m < l:
         raise TooManyModes(
             f"subdomain {sub_id}: {l} zero-energy modes must be retained, got m={m}"
         )
-    if m > l + n_finite:
-        raise TooManyModes(
-            f"subdomain {sub_id}: requested {m} modes, only {l + n_finite} available"
-        )
-    take = m - l
-    vals = np.concatenate([np.full(l, np.inf), pencil.eigenvalues[:take]])
-    next_ev = float(pencil.eigenvalues[take]) if take < n_finite else 0.0
+    if m > n:
+        raise TooManyModes(f"subdomain {sub_id}: requested {m} modes, only {n} available")
     return LocalSpectralBasis(
         subdomain_id=sub_id,
         kind=kind,
-        eigenvalues=vals,
-        glued=G @ np.hstack([pencil.kernel_vectors, pencil.eigenvectors[:, :take]]),
-        next_eigenvalue=next_ev,
+        eigenvalues=pencil.eigenvalues[:m],
+        glued=G @ pencil.vectors[:, :m],
+        next_eigenvalue=float(pencil.eigenvalues[m]) if m < n else 0.0,
         kernel_dim=l,
     )
 
@@ -425,9 +419,10 @@ def build_coarse_space(system, decomp, bases):
     offsets = np.cumsum([0] + [b.n_modes for b in bases])
     # a dof interior to omega_a meets, through A, only dofs of cells of
     # omega_a, so blocks a and b couple only if their boxes share a cell
-    coupled = [[b for b in range(a + 1)
-                if box_intersection(subs[a].box, subs[b].box) is not None]
-               for a in range(len(subs))]
+    x0, x1, y0, y1 = np.array([s.box for s in subs]).T
+    meet = ((np.maximum.outer(x0, x0) < np.minimum.outer(x1, x1))
+            & (np.maximum.outer(y0, y0) < np.minimum.outer(y1, y1)))
+    coupled = [np.flatnonzero(meet[a, :a + 1]) for a in range(len(subs))]
     args = (system.A_free.mat, rows, blocks, offsets, coupled)
     band, scale = _scaled_galerkin(*args)
     keep = np.arange(scale.size)

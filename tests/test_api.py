@@ -9,9 +9,11 @@ import ast
 from pathlib import Path
 
 import numpy as np
+import scipy.linalg
 
 from msras import bench, decomp, grid, linalg, schwarz, spectral
 from tests.conftest import make_system
+from tests.test_bench import small_cfg
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "msras"
@@ -84,6 +86,36 @@ def test_no_dense_cholesky_in_package():
     named = [(p.name, name) for p in PACKAGE.glob("*.py")
              for name in ("cho_factor", "cho_solve") if name in referenced_names([p])]
     assert not named, f"dense Cholesky named in: {named}"
+
+
+def test_no_kernel_eigvalsh_in_package():
+    """The pencil solve counts the kernel from its own shifted pairs: no
+    module of the package names `eigvalsh`."""
+    named = [p.name for p in PACKAGE.glob("*.py") if "eigvalsh" in referenced_names([p])]
+    assert not named, f"eigvalsh named in: {named}"
+
+
+def test_one_eigh_per_pencil(monkeypatch):
+    """A comparison of the harmonic and GenEO schemes on 2x2 subdomains
+    solves 8 pencils with one `scipy.linalg.eigh` each, and no other dense
+    symmetric eigensolve."""
+    calls = {}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] = calls.get(key, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (scipy.linalg, np.linalg):
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(module, name,
+                                counted(f"{module.__name__}.{name}", getattr(module, name)))
+    monkeypatch.setattr(spectral, "dense_generalized_sym_eig",
+                        counted("pencil", spectral.dense_generalized_sym_eig))
+    records = bench.run_comparison(small_cfg(), ["hybrid_RAS_msgfem", "AS2_geneo"])
+    assert all(r["converged"] for r in records.values())
+    assert calls == {"scipy.linalg.eigh": 8, "pencil": 8}
 
 
 def test_solve_direct_does_not_reach_factorize(monkeypatch):

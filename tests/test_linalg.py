@@ -254,9 +254,9 @@ class TestExtractSubmatrix:
 def eig_residual_ok(K, M, pencil):
     nk = np.linalg.norm(K, 2)
     nm = np.linalg.norm(M, 2)
-    for j in range(pencil.eigenvalues.size):
+    for j in range(pencil.kernel_dim, pencil.eigenvalues.size):
         lam = pencil.eigenvalues[j]
-        x = pencil.eigenvectors[:, j]
+        x = pencil.vectors[:, j]
         r = np.linalg.norm(K @ x - lam * M @ x)
         if r > 1e-8 * (nk + abs(lam) * nm) * np.linalg.norm(x):
             return False
@@ -280,11 +280,11 @@ class TestDensePencilEig:
         B = rng.standard_normal((20, 20))
         K = B @ B.T
         pe = dense_generalized_sym_eig(K, M)
-        assert pe.eigenvalues.size == 15
+        assert pe.eigenvalues[pe.kernel_dim:].size == 15
         assert pe.kernel_dim == 5
         assert eig_residual_ok(K, M, pe)
         # kernel vectors really annihilate M
-        assert np.linalg.norm(M @ pe.kernel_vectors) <= 1e-8 * np.linalg.norm(M, 2)
+        assert np.linalg.norm(M @ pe.vectors[:, :5]) <= 1e-8 * np.linalg.norm(M, 2)
 
     def test_residual_invariant_spd(self):
         rng = np.random.default_rng(12)
@@ -309,7 +309,7 @@ class TestDensePencilEig:
         C = rng.standard_normal((10, 10))
         M = C @ C.T + np.eye(10)
         pe = dense_generalized_sym_eig(K, M)
-        G = pe.eigenvectors.T @ M @ pe.eigenvectors
+        G = pe.vectors.T @ M @ pe.vectors
         assert np.allclose(G, np.eye(10), atol=1e-8)
 
     def test_m_normalized_across_wide_spectrum(self):
@@ -323,8 +323,8 @@ class TestDensePencilEig:
         L = np.linalg.cholesky(0.5 * (M + M.T))
         K = L @ (W * np.logspace(-3, 6, n)) @ W.T @ L.T
         pe = dense_generalized_sym_eig(0.5 * (K + K.T), M)
-        assert pe.eigenvalues.size == n
-        V = pe.eigenvectors
+        assert pe.kernel_dim == 0 and pe.eigenvalues.size == n
+        V = pe.vectors
         assert np.abs(np.einsum("ij,ij->j", V, M @ V) - 1.0).max() <= 1e-13
 
     def test_not_symmetric(self):
@@ -356,41 +356,73 @@ class TestPartialPencil:
         n = 40
         K, M = planted_pencil(n, kernel_dim, seed=20 + kernel_dim)
         full = dense_generalized_sym_eig(K, M)
-        assert full.kernel_dim == kernel_dim and full.eigenvalues.size == n - kernel_dim
+        assert full.kernel_dim == kernel_dim and full.eigenvalues.size == n
+        assert np.all(np.isinf(full.eigenvalues[:kernel_dim]))
+        assert np.all(np.isfinite(full.eigenvalues[kernel_dim:]))
         for n_pairs in (kernel_dim + 1, kernel_dim + 4, 11, n - 1):
             part = dense_generalized_sym_eig(K, M, n_pairs=n_pairs)
-            take = n_pairs - kernel_dim
-            assert part.kernel_dim == kernel_dim and part.n_finite == n - kernel_dim
-            assert part.eigenvalues.size == take
-            lam = full.eigenvalues[:take]
-            assert np.all(np.abs(part.eigenvalues - lam) <= 1e-12 * lam)
-            V, W = part.eigenvectors, full.eigenvectors[:, :take]
+            assert part.kernel_dim == kernel_dim and part.eigenvalues.size == n_pairs
+            assert np.all(np.isinf(part.eigenvalues[:kernel_dim]))
+            lam = full.eigenvalues[kernel_dim:n_pairs]
+            assert np.all(np.abs(part.eigenvalues[kernel_dim:] - lam) <= 1e-12 * lam)
+            assert part.vectors.shape == (n, n_pairs)
+            V, W = part.vectors[:, kernel_dim:], full.vectors[:, kernel_dim:n_pairs]
             sign = np.sign(np.einsum("ij,ij->j", V, W))
             assert np.abs(V - sign * W).max() <= 1e-8 * np.abs(W).max()
-            assert part.kernel_vectors.shape == (n, kernel_dim)
-            assert np.linalg.norm(M @ part.kernel_vectors) <= 1e-8 * np.linalg.norm(M, 2)
+            Vk = part.vectors[:, :kernel_dim]
+            assert np.linalg.norm(M @ Vk) <= 1e-8 * np.linalg.norm(M, 2)
 
     def test_n_pairs_beyond_n_clamps(self):
         K, M = planted_pencil(12, 1, seed=30)
         full = dense_generalized_sym_eig(K, M)
         part = dense_generalized_sym_eig(K, M, n_pairs=50)
-        assert part.eigenvalues.size == 11 and part.kernel_dim == 1
-        assert np.all(np.abs(part.eigenvalues - full.eigenvalues) <= 1e-12 * full.eigenvalues)
+        assert part.eigenvalues.size == 12 and part.kernel_dim == 1
+        lam = full.eigenvalues[1:]
+        assert np.all(np.abs(part.eigenvalues[1:] - lam) <= 1e-12 * lam)
 
     def test_n_pairs_below_kernel_dim_returns_whole_kernel(self):
         K, M = planted_pencil(20, 3, seed=31)
         part = dense_generalized_sym_eig(K, M, n_pairs=1)
-        assert part.kernel_dim == 3 and part.n_finite == 17
-        assert part.eigenvalues.size == 0
-        Qk = part.kernel_vectors
+        assert part.kernel_dim == 3
+        assert part.eigenvalues.size == 3 and np.all(np.isinf(part.eigenvalues))
+        Qk = part.vectors
         assert Qk.shape == (20, 3)
         assert np.linalg.matrix_rank(Qk) == 3
         assert np.linalg.norm(M @ Qk) <= 1e-8 * np.linalg.norm(M, 2)
 
     def test_all_kernel_m(self):
         pe = dense_generalized_sym_eig(np.eye(5), np.zeros((5, 5)), n_pairs=2)
-        assert pe.kernel_dim == 5 and pe.n_finite == 0 and pe.eigenvalues.size == 0
-        assert np.allclose(pe.kernel_vectors.T @ pe.kernel_vectors, np.eye(5))
+        assert pe.kernel_dim == 5 and pe.eigenvalues.size == 5
+        assert np.all(np.isinf(pe.eigenvalues))
+        assert np.allclose(pe.vectors.T @ pe.vectors, np.eye(5))
+
+
+class TestKernelRule:
+    """The kernel is the leading pairs of the shifted pencil with
+    1 - mu <= 1e-10. The pencils are diagonal, so the eigensolver is exact
+    and only the transform and the rule are under test."""
+
+    def test_finite_up_to_1e9_stay_finite(self):
+        lam = np.logspace(-3, 9, 25)
+        pe = dense_generalized_sym_eig(np.diag(np.r_[1.0, 1.0, lam]),
+                                       np.diag(np.r_[0.0, 0.0, np.ones(25)]))
+        assert pe.kernel_dim == 2 and np.all(np.isinf(pe.eigenvalues[:2]))
+        got, want = pe.eigenvalues[2:], lam[::-1]
+        # lambda is formed from 1 - mu = 1 / (1 + lambda), which carries an
+        # absolute rounding error of about eps: lambda's relative error grows
+        # as eps (1 + lambda), so 1e-12 relative holds only up to lambda ~ 1
+        assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + want) * want)
+
+    def test_rounding_level_gap_counts_as_kernel(self):
+        # M's eigenvalue there is 1e-11 of its largest and K is large:
+        # 1 - mu ~ 1e-15 has no correct digits, and lambda ~ 1e15 none either
+        lam = np.logspace(-3, 2, 10)
+        pe = dense_generalized_sym_eig(np.diag(np.r_[1e4, lam]),
+                                       np.diag(np.r_[1e-11, np.ones(10)]))
+        assert pe.kernel_dim == 1 and pe.eigenvalues[0] == np.inf
+        assert np.all(np.abs(pe.eigenvalues[1:] - lam[::-1]) <= 1e-12 * lam[::-1])
+        # the kernel vector has unit length, not unit M-norm
+        assert np.allclose(np.abs(pe.vectors[:, 0]), np.eye(11)[0])
 
 
 class TestSingleBlasThread:

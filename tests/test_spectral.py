@@ -7,7 +7,7 @@ import scipy.linalg
 
 import msras.spectral as spectral
 from msras.bench import compute_bases
-from msras.decomp import build_decomposition, build_partition_of_unity
+from msras.decomp import box_nodes, build_decomposition, build_partition_of_unity
 from msras.errors import (
     EmptyBoundary,
     FactorizationFailure,
@@ -130,8 +130,7 @@ def extended_vectors(system, dec, pu, i, S, P, b):
     on dofs0(omega_i) to 1e-10."""
     sub = dec.subdomains[i]
     pencil = dense_generalized_sym_eig(P, S, n_pairs=b.n_modes + 1)
-    V = dense_harmonic_extension(system, dec, i) @ np.hstack(
-        [pencil.kernel_vectors, pencil.eigenvectors[:, : b.n_modes - b.kernel_dim]])
+    V = dense_harmonic_extension(system, dec, i) @ pencil.vectors[:, : b.n_modes]
     on = sub.star_positions(sub.dofs0)
     glued = pu.on_star(sub)[on, None] * V[on]
     assert np.abs(b.glued - glued).max() <= 1e-10 * np.abs(glued).max()
@@ -469,6 +468,24 @@ class TestGeneoReducedPencil:
         with pytest.raises(FactorizationFailure, match="subdomain 1: local energy off") as err:
             geneo_eigenproblem(system16, decomp16, pu16, 1, 5)
         assert isinstance(err.value.__cause__, NotPositiveDefinite)
+
+
+@pytest.mark.parametrize("nx, parts, seed", [(64, 4, 7), (64, 4, 23), (128, 8, 7), (128, 8, 23)])
+def test_kernel_follows_topology(nx, parts, seed):
+    """On the desk coefficient, a basis has one kernel mode (the constant)
+    exactly when its domain, omega_i^* for the harmonic basis and omega_i
+    for GenEO, touches no Dirichlet node, and none otherwise; no mode is
+    reported as a finite eigenvalue of 1e10 or more."""
+    system = make_system(nx, contrast=1e6, seed=seed)
+    dec = build_decomposition(system, parts, parts, 2, 4)
+    pu = build_partition_of_unity(dec)
+    for kind, box in (("harmonic", "box_star"), ("geneo", "box")):
+        for b in compute_bases(system, dec, pu, [10] * dec.n_subdomains, kind):
+            nodes = box_nodes(system.grid, getattr(dec.subdomains[b.subdomain_id], box))
+            floating = not np.any(system.node_to_free[nodes] < 0)
+            assert b.kernel_dim == int(floating), (kind, b.subdomain_id)
+            finite = np.r_[b.eigenvalues[b.kernel_dim:], b.next_eigenvalue]
+            assert np.all(finite < 1e10), (kind, b.subdomain_id, finite.max())
 
 
 class TestBlasWidth:
