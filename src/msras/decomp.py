@@ -29,12 +29,6 @@ def _grow(box, layers, grid):
             max(y0 - layers, 0), min(y1 + layers, grid.ny))
 
 
-def box_intersection(a, b):
-    """The common cells of two boxes as a box, or None when there are none."""
-    x0, x1, y0, y1 = max(a[0], b[0]), min(a[1], b[1]), max(a[2], b[2]), min(a[3], b[3])
-    return (x0, x1, y0, y1) if x0 < x1 and y0 < y1 else None
-
-
 def box_nodes(grid, box, interior=False):
     """Row-major ids of the nodes incident to a cell of `box`; with
     `interior`, of the nodes all of whose cells lie in it."""
@@ -116,14 +110,14 @@ def coloring_constant(grid, boxes):
 def overlap_zone(decomp, i):
     """The cells of omega_i that lie in another subdomain too, as a bool
     mask on omega_i's window of cells."""
-    box = decomp.subdomains[i].box
-    x0, x1, y0, y1 = box
-    zone = np.zeros((y1 - y0, x1 - x0), dtype=bool)
-    for other in decomp.subdomains:
-        common = box_intersection(box, other.box)
-        if other.id != i and common is not None:
-            a0, a1, b0, b1 = common
-            zone[b0 - y0 : b1 - y0, a0 - x0 : a1 - x0] = True
+    x0, x1, y0, y1 = np.array([s.box for s in decomp.subdomains]).T
+    a0, a1 = np.maximum(x0, x0[i]) - x0[i], np.minimum(x1, x1[i]) - x0[i]
+    b0, b1 = np.maximum(y0, y0[i]) - y0[i], np.minimum(y1, y1[i]) - y0[i]
+    meet = (a0 < a1) & (b0 < b1)
+    meet[i] = False
+    zone = np.zeros((y1[i] - y0[i], x1[i] - x0[i]), dtype=bool)
+    for j in np.flatnonzero(meet):
+        zone[b0[j]:b1[j], a0[j]:a1[j]] = True
     return zone
 
 

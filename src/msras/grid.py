@@ -2,14 +2,16 @@
 
 Grid, per-cell coefficient fields, mixed Dirichlet/Neumann boundary data with
 lifting, and stiffness/load assembly. Cells carry a constant coefficient, so
-the 2x2 Gauss element integral is exact and precomputable; the global matrix
-is built from per-cell COO triplets of the reference element stiffness.
+the 2x2 Gauss element integral is exact and precomputable; every stiffness
+matrix, global or subdomain-local, is written into CSR straight from the Q1
+stencil of the reference element stiffness (`assemble_partial_stiffness`).
 
 Conventions: nodes are numbered row-major, node(ix, iy) = iy*(nx+1) + ix;
 cell (cx, cy) has corners [n00, n10, n01, n11]. Dirichlet wins at corners
 where two sides with different condition types meet.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +19,7 @@ import scipy.sparse as sparse
 from scipy.sparse.linalg import splu
 
 from .errors import AllNeumann, InvalidBlockCount, NonpositiveCoefficient
-from .linalg import SparseSym
+from .linalg import SparseSym, submatrix
 
 SIDES = ("left", "right", "bottom", "top")
 
@@ -211,32 +213,75 @@ def _dirichlet_value(cond, xs, ys):
     return g(xs, ys) if callable(g) else np.full_like(np.asarray(xs, dtype=float), float(g))
 
 
+# The Q1 stencil of a node: its cells, in row-major cell order, are the
+# ones whose lower-left node lies (ey, ex) from it, and its neighbours are
+# the 3 x 3 nodes (dy, dx) around it, in row-major order. Cell k holds
+# neighbour o when _SHARED[k, o], and the entry pairs the node's and the
+# neighbour's corners of that cell, flat index _PAIR[k, o] into the 4 x 4
+# element matrix (corner index x + 2y).
+_EY, _EX = np.array([(-1, -1), (-1, 0), (0, -1), (0, 0)]).T[:, :, None]
+_DY, _DX = np.array([(dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1)]).T[:, None, :]
+_SHARED = (_DX - _EX >= 0) & (_DX - _EX <= 1) & (_DY - _EY >= 0) & (_DY - _EY <= 1)
+_PAIR = 4 * (-_EX - 2 * _EY) + np.clip(_DX - _EX, 0, 1) + 2 * np.clip(_DY - _EY, 0, 1)
+
+
+@functools.lru_cache(maxsize=8)
+def _stencil_terms(hx, hy):
+    """(4, 9, 1) read-only: the unit-coefficient term of cell k in entry o
+    of the stencil, 0 where the cell does not hold the neighbour."""
+    terms = np.where(_SHARED, element_stiffness(1.0, hx, hy).ravel()[_PAIR], 0.0)[:, :, None]
+    terms.flags.writeable = False
+    return terms
+
+
 def assemble_partial_stiffness(grid, coeff, box, node_map, n_local, cells=None):
     """Stiffness over the cells of `box` = (x0, x1, y0, y1), or over those
     selected by the (y1-y0, x1-x0) bool mask `cells`, on the dof numbering of
     `node_map`: one entry per node of the box's window (row-major, nodes
-    x0..x1 by y0..y1), -1 for excluded nodes. Shared by the global assembly
-    (the whole-domain box) and all subdomain-local assemblies.
+    x0..x1 by y0..y1), -1 for excluded nodes. The numbers must increase in
+    window order, as a free-dof numbering does. Shared by the global
+    assembly (the whole-domain box) and all subdomain-local assemblies.
 
-    Triplets come one 4x4 block per cell, cells in row-major order and
-    entries in row-major (i, j) order; entries whose row or column maps to -1
-    are dropped. The fixed order makes the CSR sums deterministic."""
+    The CSR is written straight from the Q1 stencil, with the mapped nodes
+    and their nine neighbours as the two axes of every array. A row holds
+    the mapped neighbours that share an included cell with its node, in
+    column order, also where the entry sums to zero. An entry is the sum of
+    the coefficient times the element-matrix term over the included cells
+    holding both nodes, added in row-major cell order: the order in which
+    the sparse sum of one 4 x 4 block per cell, cells in row-major order,
+    adds them, so the two agree bit for bit. Excluded cells take part with a
+    zero coefficient, which adds nothing."""
     x0, x1, y0, y1 = box
-    if cells is None:
-        cells = np.ones((y1 - y0, x1 - x0), dtype=bool)
-    ly, lx = np.nonzero(cells)
     width = x1 - x0 + 1  # nodes per window row
-    n00 = ly * width + lx
-    corners = np.stack([n00, n00 + 1, n00 + width, n00 + width + 1], axis=1)
-    mapped = node_map[corners]  # (ncells, 4)
-    rows = np.repeat(mapped, 4, axis=1).reshape(-1)
-    cols = np.tile(mapped, (1, 4)).reshape(-1)
-    kref = element_stiffness(1.0, grid.hx, grid.hy)
-    vals = (coeff.values[ly + y0, lx + x0][:, None, None] * kref[None, :, :]).reshape(-1)
-    keep = (rows >= 0) & (cols >= 0)
-    return sparse.coo_matrix(
-        (vals[keep], (rows[keep], cols[keep])), shape=(n_local, n_local)
-    ).tocsr()
+    nodes = np.flatnonzero(node_map >= 0)
+    rows = node_map[nodes]
+    if np.any(rows[1:] <= rows[:-1]):
+        raise ValueError("node_map must number the window's nodes in increasing order")
+    # the window's cell coefficients in a ring of absent cells (zero); the
+    # cell down-left of node n sits at n + n // width in it
+    padded = np.zeros((y1 - y0 + 2, width + 1))
+    window = coeff.values[y0:y1, x0:x1]
+    padded[1:-1, 1:-1] = window if cells is None else np.where(cells, window, 0.0)
+    around = padded.ravel()[np.add.outer([0, 1, width + 1, width + 2], nodes + nodes // width)]
+    terms = _stencil_terms(grid.hx, grid.hy)
+    vals = terms[0] * around[0]  # (9, nodes)
+    for k in range(1, 4):
+        vals += terms[k] * around[k]
+    inside = around > 0.0
+    keep = _SHARED[0][:, None] & inside[0]
+    for k in range(1, 4):
+        keep |= _SHARED[k][:, None] & inside[k]
+    # a neighbour off the window's side shares no cell with the node, so
+    # the node it reads instead, one row up or down, is never kept
+    off = np.full(width + 1, -1)
+    cols = np.concatenate([off, node_map, off])[
+        np.add.outer((width * _DY + _DX).ravel() + width + 1, nodes)]
+    keep &= cols >= 0
+    indptr = np.zeros(n_local + 1, dtype=np.int64)
+    indptr[rows + 1] = keep.sum(axis=0)
+    keep = keep.T  # entries in row order
+    return sparse.csr_matrix((vals.T[keep], cols.T[keep], np.cumsum(indptr)),
+                             shape=(n_local, n_local))
 
 
 def assemble(grid, coeff, bc, source=None):
@@ -281,11 +326,12 @@ def assemble(grid, coeff, bc, source=None):
     node_to_free = np.full(n_nodes, -1, dtype=np.int64)
     node_to_free[free_to_node] = np.arange(free_to_node.size)
 
-    # Full stiffness once; free block and lifting correction come from slices.
+    # Full stiffness once; the free block is a slice of it, and the lifting
+    # correction its product with the lift, which vanishes on free nodes.
     identity_map = np.arange(n_nodes, dtype=np.int64)
     A_full = assemble_partial_stiffness(grid, coeff, (0, nx, 0, ny), identity_map, n_nodes)
     dir_nodes = np.nonzero(dir_mask)[0]
-    A_free = SparseSym(A_full[free_to_node][:, free_to_node], validate=False)
+    A_free = SparseSym(submatrix(A_full, free_to_node, free_to_node), validate=False)
 
     load = np.zeros(n_nodes)
     if source is not None:
@@ -309,7 +355,7 @@ def assemble(grid, coeff, bc, source=None):
 
     f_free = load[free_to_node]
     if dir_nodes.size and np.any(lift[dir_nodes] != 0.0):
-        f_free = f_free - A_full[free_to_node][:, dir_nodes] @ lift[dir_nodes]
+        f_free = f_free - (A_full @ lift)[free_to_node]
 
     return AssembledSystem(
         grid=grid,

@@ -7,6 +7,10 @@ Everything downstream (assembly, local solves, coarse solves, eigenproblem
 reductions) goes through this module. The matrices `factorize` sees are box
 matrices: the free dofs of a rectangle of grid nodes in the global row-major
 numbering, so each row couples only to rows at most about one box width away.
+A box matrix cut from a larger one (the global matrix or a domain's local
+energy) is cut by `submatrix`: its rows are gathered by indptr arithmetic and
+its columns picked through a position map, with the arrays scipy's fancy
+indexing would give.
 They are factored in that numbering, without reordering, by LAPACK's banded
 Cholesky (`dpbtrf`), which stores one triangle of the band; `factor_band`
 factors a matrix that comes in that storage already, the coarse Galerkin
@@ -220,6 +224,33 @@ def factor_band(band, min_pivot):
     return SparseFactor(band)
 
 
+def submatrix(A, rows, cols=None):
+    """A[rows][:, cols] of the csr matrix A for strictly increasing index
+    arrays rows and cols (None keeps every column), as a csr matrix with the
+    entries scipy's fancy indexing gives, in the same order. The rows are
+    gathered by indptr arithmetic. Their entries find their positions in
+    cols through one position map, which spans only the columns they
+    reach."""
+    start = A.indptr[rows]
+    count = A.indptr[rows + 1] - start
+    indptr = np.zeros(rows.size + 1, dtype=np.int64)
+    np.cumsum(count, out=indptr[1:])
+    at = np.arange(indptr[-1]) + np.repeat(start - indptr[:-1], count)
+    if cols is None:
+        return sparse.csr_matrix((A.data[at], A.indices[at], indptr),
+                                 shape=(rows.size, A.shape[1]))
+    reached = A.indices[at]
+    lo, hi = int(reached.min(initial=0)), int(reached.max(initial=-1))
+    a, b = np.searchsorted(cols, [lo, hi + 1])
+    position = np.full(max(hi - lo + 1, 0), -1, dtype=reached.dtype)
+    position[cols[a:b] - lo] = np.arange(a, b)
+    local = position[np.subtract(reached, lo, dtype=np.intp)]
+    hit = np.flatnonzero(local >= 0)
+    return sparse.csr_matrix(
+        (A.data[at[hit]], local[hit], np.searchsorted(hit, indptr).astype(reached.dtype)),
+        shape=(rows.size, cols.size))
+
+
 def extract_submatrix(A, idx):
     """Principal submatrix A[idx, idx]; idx must be strictly increasing."""
     idx = np.asarray(idx, dtype=np.int64)
@@ -229,8 +260,7 @@ def extract_submatrix(A, idx):
         raise IndexOutOfRange(f"indices must lie in [0, {A.n})")
     if idx.size > 1 and np.any(np.diff(idx) <= 0):
         raise IndexOutOfRange("indices must be strictly increasing")
-    sub = A.mat[idx][:, idx]
-    return SparseSym(sub, validate=False)
+    return SparseSym(submatrix(A.mat, idx, idx), validate=False)
 
 
 class DensePencilEig:

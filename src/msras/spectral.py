@@ -12,7 +12,8 @@ of x is W x on s with W = -X_s E[s], and zero elsewhere; the weighted Gram
 becomes Ptil = W^T A_omega[s, s] W. On its interior rows a domain's
 local energy is the global matrix bit for bit (every cell incident to an
 interior dof lies in the domain), so A11, A12 and A_omega[s, s] are slices
-of `system.A_free` and only A22 is assembled. The pencil Ptil x = lambda S x
+of `system.A_free`, cut by `linalg.submatrix`, and only A22 is assembled,
+from the Q1 stencil on the interface rows alone. The pencil Ptil x = lambda S x
 on the interface is exactly equivalent to the full eigenproblem, at a
 fraction of the dense size.
 
@@ -29,13 +30,17 @@ the local energy off the overlap zone, assembled on omega_i because it holds
 the Neumann rows of omega_i's boundary). Both eliminations are one blocked
 banded solve of all the coupling columns at once. Each pencil is solved for
 the m + 1 leading pairs only: the m the basis keeps and the next eigenvalue.
+The GenEO left-hand side chi A_over chi is A_over with its entries scaled in
+place, and every block either pencil needs of an assembled matrix is one
+`linalg.submatrix` cut.
 
 A basis keeps only what the coarse space uses of its vectors phi: the
 products chi_i phi on s = dofs0(omega_i), the dofs where chi_i > 0, formed
-as one product of the pencil's vectors with the chi-weighted extension
-matrix of its reduction (W above). The coarse space keeps these blocks as
-they are, one per basis, in the order the bases come (subdomain order in
-the drivers). Block (a, b) of its Galerkin matrix B^T A B is nonzero only
+from the pencil's vectors through the chi-weighted extension of its
+reduction: the product with W above, and for GenEO chi times the vectors on
+Gamma and one product with chi (-E) on the rows eliminated. The coarse
+space keeps these blocks as they are, one per basis, in the order the bases
+come (subdomain order in the drivers). Block (a, b) of its Galerkin matrix B^T A B is nonzero only
 where omega_a and omega_b share a cell, so in this order B^T A B is banded:
 columns of subdomains a strip of subdomains apart do not meet, and the
 lower bandwidth is set by the widest pair of overlapping subdomains before
@@ -48,7 +53,7 @@ Cholesky, whose pivot order gives the columns the coarse solve keeps.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -70,6 +75,7 @@ from .linalg import (
     extract_submatrix,
     factor_band,
     factorize,
+    submatrix,
 )
 
 
@@ -133,7 +139,7 @@ def reduce_to_harmonic(system, decomp, pu, i):
             f"subdomain {i}: omega^* has no internal boundary (covers the whole domain)"
         )
     A = system.A_free.mat
-    S, E = schur_complement(A[sub.dofs0_star][:, sub.boundary_star],
+    S, E = schur_complement(submatrix(A, sub.dofs0_star, sub.boundary_star),
                             local_stiffness(system, sub.box_star, sub.boundary_star),
                             interior_factor(decomp, i).solve)
 
@@ -142,7 +148,7 @@ def reduce_to_harmonic(system, decomp, pu, i):
     # are -chi E there
     chi = pu.weights[i][np.searchsorted(sub.dofs, sub.dofs0)]
     W = -chi[:, None] * E[np.searchsorted(sub.dofs0_star, sub.dofs0)]
-    Ptil = W.T @ (A[sub.dofs0][:, sub.dofs0] @ W)
+    Ptil = W.T @ (submatrix(A, sub.dofs0, sub.dofs0) @ W)
     return S, 0.5 * (Ptil + Ptil.T), W
 
 
@@ -166,11 +172,10 @@ class LocalSpectralBasis:
         return self.glued.shape[1]
 
 
-def _assemble_basis(sub_id, kind, pencil, m, G):
-    """The basis of the leading m modes of `pencil`, kernel first, glued
-    through G, the chi-weighted extension of the pencil's vectors to
-    dofs0(omega_i)."""
-    l, n = pencil.kernel_dim, G.shape[1]
+def _assemble_basis(sub_id, kind, pencil, m, glued):
+    """The basis of the leading m modes of `pencil`, kernel first, with
+    `glued` the product of chi_i and their extension on dofs0(omega_i)."""
+    l, n = pencil.kernel_dim, pencil.vectors.shape[0]
     if m < l:
         raise TooManyModes(
             f"subdomain {sub_id}: {l} zero-energy modes must be retained, got m={m}"
@@ -181,7 +186,7 @@ def _assemble_basis(sub_id, kind, pencil, m, G):
         subdomain_id=sub_id,
         kind=kind,
         eigenvalues=pencil.eigenvalues[:m],
-        glued=G @ pencil.vectors[:, :m],
+        glued=glued,
         next_eigenvalue=float(pencil.eigenvalues[m]) if m < n else 0.0,
         kernel_dim=l,
     )
@@ -198,7 +203,7 @@ def solve_local_eigenproblem(S, Ptil, W, m, sub_id=0):
     interface.
     """
     pencil = dense_generalized_sym_eig(Ptil, S, n_pairs=m + 1)
-    return _assemble_basis(sub_id, "harmonic", pencil, m, W)
+    return _assemble_basis(sub_id, "harmonic", pencil, m, W @ pencil.vectors[:, :m])
 
 
 def truncate_basis(basis, m):
@@ -224,14 +229,16 @@ def truncate_basis(basis, m):
 def geneo_coupling(system, decomp, pu, i):
     """The left-hand side of the GenEO pencil of omega_i, the PU-weighted
     overlap-zone energy K = chi A_over chi on the free dofs of omega_i
-    (sparse), and the positions the pencil is solved on: the coupling dofs
-    Gamma, where K has a nonzero row. K is PSD, so these are the rows with a
-    positive diagonal entry. Without an overlap K is zero, and the positions
-    are all of omega_i's dofs."""
+    (csr, A_over's pattern with its entries scaled in place), and the
+    positions the pencil is solved on: the coupling dofs Gamma, where K has
+    a nonzero row. K is PSD, so these are the rows with a positive diagonal
+    entry. Without an overlap K is zero, and the positions are all of
+    omega_i's dofs."""
     sub = decomp.subdomains[i]
-    A_over = local_stiffness(system, sub.box, sub.dofs, overlap_zone(decomp, i))
-    chi = sparse.diags(pu.weights[sub.id])
-    K = (chi @ A_over @ chi).tocsr()
+    K = local_stiffness(system, sub.box, sub.dofs, overlap_zone(decomp, i))
+    chi = pu.weights[sub.id]
+    K.data *= chi[np.repeat(np.arange(sub.dofs.size), np.diff(K.indptr))]
+    K.data *= chi[K.indices]
     gamma = np.flatnonzero(K.diagonal() > 0.0)
     return K, gamma if gamma.size else np.arange(sub.dofs.size)
 
@@ -255,21 +262,26 @@ def geneo_eigenproblem(system, decomp, pu, i, m, at_most=False):
     rest = np.setdiff1d(np.arange(sub.dofs.size), gamma, assume_unique=True)
     A_omega = local_stiffness(system, sub.box, sub.dofs)
     try:
-        factor = factorize(SparseSym(A_omega[rest][:, rest], validate=False))
+        factor = factorize(SparseSym(submatrix(A_omega, rest, rest), validate=False))
     except NotPositiveDefinite as exc:
         raise FactorizationFailure(
             f"subdomain {i}: local energy off the overlap zone not SPD: {exc}"
         ) from exc
-    S, E = schur_complement(A_omega[rest][:, gamma], A_omega[gamma][:, gamma],
+    S, E = schur_complement(submatrix(A_omega, rest, gamma), submatrix(A_omega, gamma, gamma),
                             factor.solve)
 
-    pencil = dense_generalized_sym_eig(K[gamma][:, gamma].toarray(), S, n_pairs=m + 1)
-    G = np.empty((sub.dofs.size, gamma.size))
-    G[gamma] = np.eye(gamma.size)
-    G[rest] = -E
+    pencil = dense_generalized_sym_eig(submatrix(K, gamma, gamma).toarray(), S, n_pairs=m + 1)
+    # chi times the extension of the kept vectors X on the dofs where
+    # chi > 0: the identity on Gamma and -E on the rest
+    X = pencil.vectors[:, :m]
     chi = pu.weights[i]
     on = chi > 0.0
-    return _assemble_basis(i, "geneo", pencil, m, chi[on, None] * G[on])
+    row = np.cumsum(on) - 1  # a dof's row among those where chi > 0
+    g, r = gamma[on[gamma]], rest[on[rest]]
+    glued = np.empty((row[-1] + 1, X.shape[1]))
+    glued[row[g]] = chi[g, None] * X[on[gamma]]
+    glued[row[r]] = (chi[r, None] * -E[on[rest]]) @ X
+    return _assemble_basis(i, "geneo", pencil, m, glued)
 
 
 @dataclass
@@ -302,27 +314,38 @@ class CoarseSpace:
     factor: SparseFactor  # L of L L^T = B_k^T A B_k, in LAPACK lower band storage
     max_next_eigenvalue: float
     lam: float
+    gather: np.ndarray = field(init=False, repr=False)  # the rows end to end
+    spans: list = field(init=False, repr=False)  # per block: X_k, its columns, its gather run
+
+    def __post_init__(self):
+        self.gather = np.concatenate(self.rows)
+        starts = np.cumsum([0] + [rows.size for rows in self.rows])
+        self.spans = list(zip(self.blocks, self.offsets, self.offsets[1:], starts, starts[1:]))
 
     @property
     def m(self):
         return self.keep.size
 
     def apply(self, r):
-        """R_S^T A_S^{-1} R_S r for a vector or a stack of columns: each
-        block gathers X_k^T r[rows_k], and scatters X_k y_k back. Non-finite
-        input propagates (the drivers report it as a breakdown)."""
+        """R_S^T A_S^{-1} R_S r for a vector or a stack of columns: r is
+        gathered once on the blocks' rows end to end, block k forms
+        X_k^T r[rows_k] from its run and X_k y_k into it, and one scatter
+        sums the runs back in block order. Non-finite input propagates (the
+        drivers report it as a breakdown)."""
         r = np.asarray(r, dtype=float)
+        g = r[self.gather]
         rc = np.empty((self.scale.size,) + r.shape[1:])
-        for rows, X, a, b in zip(self.rows, self.blocks, self.offsets, self.offsets[1:]):
-            rc[a:b] = X.T @ r[rows]
+        for X, a, b, p, q in self.spans:
+            rc[a:b] = X.T @ g[p:q]
         rc = (self.scale * rc.T).T
         y = np.zeros_like(rc)
         y[self.keep] = self.factor.solve(rc[self.keep])
         y = (self.scale * y.T).T
-        z = np.zeros_like(r)
-        for rows, X, a, b in zip(self.rows, self.blocks, self.offsets, self.offsets[1:]):
-            z[rows] += X @ y[a:b]
-        return z
+        for X, a, b, p, q in self.spans:
+            g[p:q] = X @ y[a:b]
+        z = [np.bincount(self.gather, u, minlength=r.shape[0])
+             for u in g.reshape(g.shape[0], -1).T]
+        return np.column_stack(z).reshape(r.shape)
 
 
 def _galerkin(A, rows, blocks, offsets, coupled):
@@ -341,7 +364,7 @@ def _galerkin(A, rows, blocks, offsets, coupled):
     band = np.zeros((w + 1, m), order="F")
     position = np.full(A.shape[0], -1)
     for a, bs in enumerate(coupled):
-        A_a = A[rows[a]]
+        A_a = submatrix(A, rows[a])
         reached, local = np.unique(A_a.indices, return_inverse=True)
         T = sparse.csr_matrix((A_a.data, local, A_a.indptr),
                               shape=(rows[a].size, reached.size)).T @ blocks[a]

@@ -16,7 +16,9 @@ the size of the bound the oracle serves.
 
 The stiffness triplets and the partition-of-unity distances also have plain
 per-cell / per-node loop references here, which the vectorized production
-code must reproduce bit for bit.
+code must reproduce bit for bit. The COO triplet assembly the package used
+before its stencil writer is kept as the reference its matrices must match
+bit for bit, with scipy's fancy indexing as the reference for its slices.
 
 The package stores subdomains as boxes of cells. The full-grid mask builder
 it replaced is kept here as the reference the box arithmetic must match bit
@@ -378,24 +380,32 @@ def mask_pu_weights(system, subs, cap):
     return [d / total[s["dofs"]] for s, d in zip(subs, dists)]
 
 
-def mask_local_stiffness(system, cellmask, dofs, kref):
-    """Sparse stiffness over the cells of a full-grid mask on the numbering
-    of `dofs`, from the unit-coefficient element matrix `kref`: triplets per
-    cell in row-major order, as the production assembly emits them."""
-    grid = system.grid
-    node_map = np.full(grid.n_nodes, -1, dtype=np.int64)
-    node_map[system.free_to_node[dofs]] = np.arange(dofs.size)
+def coo_stiffness(grid, coeff, cellmask, node_map, n, kref):
+    """Sparse stiffness over the cells of a full-grid mask on the dof
+    numbering `node_map` (one entry per grid node, -1 for no dof), from the
+    unit-coefficient element matrix `kref`: one 4x4 block of COO triplets
+    per cell in row-major order, entries dropped where a node has no dof,
+    summed by scipy's COO to CSR conversion. The package assembled its
+    matrices this way before it wrote them from the stencil directly."""
     cy, cx = np.nonzero(cellmask)
     n00 = cy * (grid.nx + 1) + cx
     corners = np.stack([n00, n00 + 1, n00 + grid.nx + 1, n00 + grid.nx + 2], axis=1)
     mapped = node_map[corners]
     rows = np.repeat(mapped, 4, axis=1).reshape(-1)
     cols = np.tile(mapped, (1, 4)).reshape(-1)
-    vals = (system.coeff.values[cy, cx][:, None, None] * kref[None, :, :]).reshape(-1)
+    vals = (coeff.values[cy, cx][:, None, None] * kref[None, :, :]).reshape(-1)
     keep = (rows >= 0) & (cols >= 0)
     return scipy.sparse.coo_matrix(
-        (vals[keep], (rows[keep], cols[keep])), shape=(dofs.size, dofs.size)
+        (vals[keep], (rows[keep], cols[keep])), shape=(n, n)
     ).tocsr()
+
+
+def mask_local_stiffness(system, cellmask, dofs, kref):
+    """`coo_stiffness` on the numbering of the free dofs `dofs`."""
+    grid = system.grid
+    node_map = np.full(grid.n_nodes, -1, dtype=np.int64)
+    node_map[system.free_to_node[dofs]] = np.arange(dofs.size)
+    return coo_stiffness(grid, system.coeff, cellmask, node_map, dofs.size, kref)
 
 
 def mask_geneo_overlap(masks, i):

@@ -3,13 +3,16 @@ method it defines, is reached by the package itself or by the benchmark: a
 definition that only its own tests use is dead API (the dense oracles that
 only tests use live in `tests/oracles.py`). The global matrix
 keeps its sparse LU, off the banded path of the box matrices, and every
-local factor is a banded Cholesky."""
+local factor is a banded Cholesky. Matrices are written from the Q1 stencil
+and sliced by position maps, not through COO triplets or scipy's fancy
+indexing."""
 
 import ast
 from pathlib import Path
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sparse
 
 from msras import bench, decomp, grid, linalg, schwarz, spectral
 from tests.conftest import make_system
@@ -93,6 +96,24 @@ def test_no_kernel_eigvalsh_in_package():
     module of the package names `eigvalsh`."""
     named = [p.name for p in PACKAGE.glob("*.py") if "eigvalsh" in referenced_names([p])]
     assert not named, f"eigvalsh named in: {named}"
+
+
+def test_no_coo_assembly_or_fancy_slicing_in_package(monkeypatch):
+    """Matrices are written from the stencil and sliced by
+    `linalg.submatrix`: no module of the package names `coo_matrix`, and a
+    comparison of all five schemes on 2x2 subdomains indexes no scipy csr
+    matrix with an index array."""
+    named = [p.name for p in PACKAGE.glob("*.py") if "coo_matrix" in referenced_names([p])]
+    assert not named, f"coo_matrix named in: {named}"
+    keys = []
+    getitem = sparse.csr_matrix.__getitem__
+    monkeypatch.setattr(sparse.csr_matrix, "__getitem__",
+                        lambda self, key: keys.append(key) or getitem(self, key))
+    records = bench.run_comparison(small_cfg(), list(schwarz.SCHEMES))
+    assert all(r["converged"] for r in records.values())
+    fancy = [k for k in keys
+             if any(np.ndim(part) > 0 for part in (k if isinstance(k, tuple) else (k,)))]
+    assert not fancy, f"{len(fancy)} csr matrices indexed with an index array"
 
 
 def test_one_eigh_per_pencil(monkeypatch):

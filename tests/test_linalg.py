@@ -23,6 +23,7 @@ from msras.linalg import (
     extract_submatrix,
     factorize,
     single_blas_thread,
+    submatrix,
 )
 from msras.spectral import local_stiffness
 from tests.conftest import make_system, openblas_threads
@@ -240,6 +241,32 @@ class TestExtractSubmatrix:
         A = random_spd(20, seed=9)
         sub = extract_submatrix(A, [0, 4, 7, 13, 19]).mat
         assert (sub - sub.T).nnz == 0
+
+    def test_matches_scipy_fancy_indexing(self):
+        # random strictly increasing index sets, one-element sets among them,
+        # on symmetric matrices with empty rows: the same csr arrays as
+        # scipy's A[rows][:, cols]
+        def same(mine, ref):
+            return mine.shape == ref.shape and all(
+                a.dtype == b.dtype and np.array_equal(a, b)
+                for a, b in ((mine.indptr, ref.indptr), (mine.indices, ref.indices),
+                             (mine.data, ref.data)))
+
+        rng = np.random.default_rng(11)
+        with_empty_rows = 0
+        for trial in range(200):
+            n = int(rng.integers(1, 40))
+            A = sparse.random(n, n, density=rng.uniform(0.0, 0.3), random_state=trial,
+                              format="csr")
+            A = (A + A.T).tocsr()
+            with_empty_rows += np.diff(A.indptr).min() == 0
+            rows, cols = [np.flatnonzero(rng.random(n) < rng.uniform(0.2, 1.0)) for _ in "rc"]
+            rows, cols = [p[:1] if rng.random() < 0.2 else p for p in (rows, cols)]
+            assert same(submatrix(A, rows, cols), A[rows][:, cols])
+            assert same(submatrix(A, rows), A[rows])
+            if rows.size:
+                assert same(extract_submatrix(SparseSym(A), rows).mat, A[rows][:, rows])
+        assert with_empty_rows > 20
 
     def test_bad_indices(self):
         A = random_spd(5, seed=10)
