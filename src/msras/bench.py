@@ -11,9 +11,13 @@ seed except for those two.
 
 import json
 import math
+import multiprocessing
+import os
 import resource
 import time
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -261,12 +265,15 @@ _STAGES = ("assembly", "decomposition", "eigensolves", "coarse_setup", "local_fa
            "krylov")
 
 # The record of one scheme's run before any stage ran, the same for every
-# verb. The last three fields hold objects (the bases, the iteration history
-# and the solution), which a sweep cell drops.
+# verb. `workers`, `local_s` and `workers_rss_upper_mb` are the stats of the
+# bases stage behind the scheme's coarse space (`local_setup`), None when
+# there is none. The last three fields hold objects (the bases, the
+# iteration history and the solution), which a sweep cell drops.
 _RECORD = {
     "scheme_applied": None, "coarse_dim": 0, "lambda_bound": None,
     "max_next_eigenvalue": None, "iterations": None, "final_residual": None,
     "converged": False, "failure": None, "setup_s": 0.0, "solve_s": 0.0,
+    "workers": None, "local_s": None, "workers_rss_upper_mb": None,
     "spectrum": None, "history": None, "solution": None,
 }
 _OBJECTS = ("spectrum", "history", "solution")
@@ -278,19 +285,173 @@ def basis_kind(scheme):
     return "geneo" if scheme == "AS2_geneo" else "harmonic"
 
 
-def compute_bases(system, decomp, pu, modes, kind="harmonic", at_most=False):
-    """Spectral bases of every subdomain, modes[i] modes on subdomain i, or
-    with `at_most` as many as its pencil has up to modes[i]."""
-    bases = []
-    for i, m in zip(range(decomp.n_subdomains), modes, strict=True):
+# The estimated local work (`_local_flops`) from which a bases stage is
+# shared with worker processes. Measured on two cores in alternated fresh
+# processes (medians of 5 pairs), the pool took the 256^2, 8x8 harmonic
+# stage (7.2e9 flops) from 1.29 to 0.91 s and the 128^2, 8x8 GenEO stage
+# (2.2e9) from 0.77 to 0.52 s, while the 128^2, 8x8 harmonic stage (1.0e9)
+# won 3 pairs of 5, 0.42 against 0.39 s: below that size the fork, the
+# workers' start and the shipped results eat the gain.
+_POOL_FLOPS = 1.5e9
+
+
+def _local_flops(decomp, pu, kind):
+    """Estimated flops of each subdomain's task in a bases stage, from the
+    subdomain sizes: 4 n w k for the banded solve of its k coupling columns
+    (n rows eliminated, lower bandwidth w about the box's width in cells),
+    for the harmonic kind 2 |s| k^2 for Ptil on s = dofs0(omega_i), and
+    about 3 k^3 for the pencil. k is the interface of omega_i^* for the
+    harmonic kind, and for GenEO its coupling dofs Gamma: the dofs of
+    omega_i where chi_i > 0 that another subdomain's cells reach too."""
+    if kind == "geneo":
+        cover = np.bincount(np.concatenate([sub.dofs for sub in decomp.subdomains]))
+    flops = np.empty(decomp.n_subdomains)
+    for sub in decomp.subdomains:
         if kind == "geneo":
-            bases.append(spectral.geneo_eigenproblem(system, decomp, pu, i, m, at_most))
+            k = int(np.count_nonzero((pu.weights[sub.id] > 0.0) & (cover[sub.dofs] > 1)))
+            n, w, s = sub.dofs.size - k, sub.box[1] - sub.box[0], 0
         else:
-            if at_most:
-                m = min(m, decomp.subdomains[i].boundary_star.size)
-            S, P, W = spectral.reduce_to_harmonic(system, decomp, pu, i)
-            bases.append(spectral.solve_local_eigenproblem(S, P, W, m, sub_id=i))
-    return bases
+            k = sub.boundary_star.size
+            n, w, s = sub.dofs0_star.size, sub.box_star[1] - sub.box_star[0], sub.dofs0.size
+        flops[sub.id] = 4.0 * n * w * k + 2.0 * s * k * k + 3.0 * k ** 3
+    return flops
+
+
+def _local_task(system, decomp, pu, kind, modes, at_most, i):
+    """Subdomain i's part of a bases stage: (its basis, its interior factor
+    for the harmonic kind or None for GenEO, the seconds of each step)."""
+    seconds = {}
+
+    def step(name, fn, *args, **kwargs):
+        t = time.perf_counter()
+        out = fn(*args, **kwargs)
+        seconds[name] = time.perf_counter() - t
+        return out
+
+    m = modes[i]
+    if kind == "geneo":
+        basis = step("geneo", spectral.geneo_eigenproblem, system, decomp, pu, i, m, at_most)
+        return basis, None, seconds
+    factor = step("factor", spectral.interior_factor, decomp, i)
+    if at_most:
+        m = min(m, decomp.subdomains[i].boundary_star.size)
+    S, P, W = step("reduce", spectral.reduce_to_harmonic, system, decomp, pu, i)
+    basis = step("eig", spectral.solve_local_eigenproblem, S, P, W, m, sub_id=i)
+    return basis, factor, seconds
+
+
+_WORKER = None  # set only in a worker process: (task, claims) of the stage that forked it
+
+
+def _adopt(task, claims):
+    global _WORKER
+    _WORKER = task, claims
+
+
+def _claim(claims, i):
+    """Whether this process is the first to claim task i."""
+    with claims.get_lock():
+        first = not claims[i]
+        claims[i] = True
+    return first
+
+
+def _worker_task(i):
+    task, claims = _WORKER
+    if not _claim(claims, i):
+        return None  # the caller runs it
+    with single_blas_thread():
+        return task(i)
+
+
+def _pooled(task, order, width):
+    """[task(i) for i in range(len(order))], run by the calling process and
+    width - 1 forked workers. The workers take the tasks in `order` from the
+    front and the caller takes them from the back, each one that no worker
+    has started: a task runs in the process that claims it first, so the
+    split follows the tasks' real costs, and at the end the caller waits
+    only for the tasks the workers are running. The results are taken in
+    index order: the first failure raises, as in a serial loop, and the
+    tasks not yet started are cancelled. Every worker has ended when this
+    returns or raises.
+
+    The workers are forked, not spawned, so they start with the caller's
+    problem and decomposition in memory instead of a pickled copy of them;
+    the pool forks them before it starts its own threads, and OpenBLAS,
+    whose threads may exist, resets its pool in a forked child. A fork
+    copies only the calling thread, so any other thread of the caller's
+    must hold no lock the tasks take."""
+    ctx = multiprocessing.get_context("fork")
+    claims = ctx.Array("b", len(order))
+    pool = ProcessPoolExecutor(width - 1, mp_context=ctx, initializer=_adopt,
+                               initargs=(task, claims))
+    try:
+        futures = {i: pool.submit(_worker_task, i) for i in order}
+        for i in reversed(order):
+            if not _claim(claims, i):  # the workers have come this far
+                break
+            futures[i].cancel()  # if still pending, the pool need not send it
+            futures[i] = Future()
+            try:
+                futures[i].set_result(task(i))
+            except Exception as exc:  # raised in index order below
+                futures[i].set_exception(exc)
+        return [futures[i].result() for i in range(len(order))]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def local_setup(system, decomp, pu, modes, kind="harmonic", at_most=False, _width=None):
+    """(bases, stats) of a bases stage: one task per subdomain, which for the
+    harmonic kind factors the interior of omega_i^* (cached in
+    decomp.factors), reduces to the interface and solves the pencil, and for
+    GenEO solves the overlap-zone eigenproblem; with `at_most` a subdomain
+    keeps at most as many modes as its pencil has, up to modes[i].
+
+    When the process may use more than one core and the stage's estimated
+    work (`_local_flops`) reaches `_POOL_FLOPS`, the tasks are shared by the
+    caller and one forked worker per further core (`_pooled`; `_width` sets
+    the number of processes instead). Each worker caps its BLAS at one
+    thread; the caller's tasks run at the caller's width. The interior
+    factors the workers made are installed in decomp.factors, so each
+    matrix is still factored once, and the bases come in subdomain order,
+    bit for bit as a serial loop gives them. A typed failure raises as the
+    serial loop would raise it: that of the failing subdomain with the
+    lowest index.
+
+    stats has `workers`, the processes that ran the tasks; `local_s`, the
+    tasks' own seconds summed per step (factor, reduce and eig, or geneo);
+    and `workers_rss_upper_mb`, the largest peak resident set of any child
+    process this process has waited for (ru_maxrss of RUSAGE_CHILDREN) after
+    a pooled stage, else None. A forked worker's count includes the pages
+    it shares with its parent, so it bounds the memory a worker added from
+    above."""
+    n = decomp.n_subdomains
+    if len(modes) != n:
+        raise ValueError(f"modes: {len(modes)} values for {n} subdomains")
+    flops = _local_flops(decomp, pu, kind)
+    width = _width or len(os.sched_getaffinity(0))
+    if _width is None and flops.sum() < _POOL_FLOPS:
+        width = 1
+    width = min(width, n)
+    task = partial(_local_task, system, decomp, pu, kind, modes, at_most)
+    if width == 1:
+        results = [task(i) for i in range(n)]
+    else:
+        # the costliest tasks at both ends and the cheapest in the middle,
+        # where the caller and the workers meet and the last of them wait
+        by_cost = np.argsort(-flops, kind="stable").tolist()
+        results = _pooled(task, by_cost[0::2] + by_cost[1::2][::-1], width)
+    local_s = {}
+    for i, (_, factor, seconds) in enumerate(results):
+        if factor is not None:
+            decomp.factors.setdefault(("dofs0_star", i), factor)
+        for name, t in seconds.items():
+            local_s[name] = local_s.get(name, 0.0) + t
+    rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
+    stats = {"workers": width, "local_s": local_s,
+             "workers_rss_upper_mb": rss if width > 1 else None}
+    return [basis for basis, _, _ in results], stats
 
 
 def _attempt(fn, *args, **kwargs):
@@ -309,16 +470,29 @@ class Pipeline:
     accumulates in `timings`, and `memory_mb` holds the process's peak
     resident set (ru_maxrss) after the stage last ran, in MB, or None before
     it ran: a stage whose value exceeds every earlier one set a new peak.
-    The interior factors of the oversampling domains are built once per
-    decomposition, before the harmonic eigensolves or the first
-    preconditioner that needs them, and timed as local factorizations. The
-    subdomain-local stages (bases, preconditioner) run on one BLAS thread;
+
+    The bases stage (`local_setup`, timed as eigensolves) is one task per
+    subdomain. A harmonic task builds the interior factor of omega_i^*,
+    which the decomposition caches for the oversampled preconditioners, so
+    each is built once; without a harmonic stage the first preconditioner
+    that needs them builds them, timed as local factorizations. With more
+    than one usable core and an estimated stage work of at least
+    `_POOL_FLOPS` (1.5e9 flops: the 256^2, 8x8 harmonic stage is about 7e9
+    and the 128^2 GenEO stage 2e9, the 128^2 harmonic one 1e9, which stays
+    serial), the tasks are shared between this process and one forked
+    worker per further core, which live for the stage only. `local` keeps,
+    per basis kind, the stats of its last stage (processes, the tasks'
+    seconds per step, and the workers' peak memory, an upper bound since it
+    counts the pages they share with this process, which `memory_mb` does
+    not see), and `run` puts them in the records. The subdomain-local
+    stages (bases, preconditioner) run on one BLAS thread in every process;
     the coarse space and the drive keep the caller's setting."""
 
     def __init__(self, cfg):
         self.cfg = cfg
         self.timings = {f"{stage}_s": 0.0 for stage in _STAGES}
         self.memory_mb = dict.fromkeys(_STAGES)
+        self.local = {}  # basis kind -> the stats of its last bases stage
         self.system = self._timed("assembly", build_problem, cfg)
 
     def _timed(self, stage, fn, *args):
@@ -344,14 +518,12 @@ class Pipeline:
 
     def bases(self, decomp, pu, scheme, modes, at_most=False):
         """Local bases of the scheme's eigenproblem, modes[i] on subdomain i
-        (at most, with `at_most`; see `compute_bases`)."""
+        (at most, with `at_most`; see `local_setup`)."""
         kind = basis_kind(scheme)
         with single_blas_thread():
-            if kind == "harmonic":
-                for i in range(decomp.n_subdomains):
-                    self._timed("local_factorizations", spectral.interior_factor, decomp, i)
-            return self._timed("eigensolves", compute_bases, self.system, decomp, pu, modes,
-                               kind, at_most)
+            bases, self.local[kind] = self._timed("eigensolves", local_setup, self.system,
+                                                  decomp, pu, modes, kind, at_most)
+        return bases
 
     def coarse_space(self, decomp, pu, scheme, modes, full=None):
         """(bases, coarse space) with modes[i] modes on subdomain i, or
@@ -392,6 +564,7 @@ class Pipeline:
             if kind not in spaces:
                 spaces[kind] = _attempt(self.coarse_space, decomp, pu, scheme, modes, full)
             space, rec["failure"] = spaces.pop(kind) if last[kind] == scheme else spaces[kind]
+            rec.update(self.local.get(kind, {}))
             if space is not None:
                 rec["spectrum"], coarse = space
                 if coarse is not None:
@@ -438,7 +611,8 @@ def run_single(cfg):
         "xi": decomp.xi if decomp is not None else None,
         "xi_star": decomp.xi_star if decomp is not None else None,
         **{key: rec[key] for key in ("coarse_dim", "lambda_bound", "iterations",
-                                     "final_residual", "converged", "failure")},
+                                     "final_residual", "converged", "failure", "workers",
+                                     "local_s", "workers_rss_upper_mb")},
         "timings": dict(pipe.timings),
         "memory_mb": dict(pipe.memory_mb),
     }

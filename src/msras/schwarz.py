@@ -222,9 +222,10 @@ def gmres(state, system, u0=None, target_reduction=1e-10, maxit=200, u_ref=None)
     t0 = time.perf_counter()
     history = IterationHistory()
 
-    r0 = apply_preconditioner(state, f - A @ u0)
+    res0 = f - A @ u0
+    r0 = apply_preconditioner(state, res0)
     beta = float(np.linalg.norm(r0))
-    history.record(0, float(np.linalg.norm(f - A @ u0)), beta,
+    history.record(0, float(np.linalg.norm(res0)), beta,
                    _err_a(system, u0, u_ref), time.perf_counter() - t0)
     if beta == 0.0:
         history.converged = True

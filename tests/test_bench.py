@@ -1,24 +1,31 @@
+import functools
 import importlib
 import json
+import multiprocessing
 import os
 import resource
 import subprocess
 import sys
+import time
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import msras.bench
 from msras import schwarz, spectral
 from msras.bench import (
     ExperimentConfig,
     Pipeline,
+    build_problem,
+    local_setup,
     run_comparison,
     run_single,
     run_spectrum,
     run_sweep,
 )
+from msras.decomp import build_decomposition, build_partition_of_unity
 from msras.cli import main as cli_main
 from msras.errors import ConfigError, UncoveredNode
 from tests.conftest import openblas_threads
@@ -176,6 +183,7 @@ class TestRunSingle:
         for report in (r1, r2):  # wall times and peak memory vary from run to run
             report.pop("timings")
             report.pop("memory_mb")
+            report.pop("local_s")
         assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
         assert h1.res_b == h2.res_b
 
@@ -324,7 +332,8 @@ class TestRunComparison:
 
 # The record every verb gets per scheme from Pipeline.run, and its objects
 RECORD_KEYS = {"scheme_applied", "coarse_dim", "lambda_bound", "max_next_eigenvalue",
-               "iterations", "final_residual", "converged", "failure", "setup_s", "solve_s"}
+               "iterations", "final_residual", "converged", "failure", "setup_s", "solve_s",
+               "workers", "local_s", "workers_rss_upper_mb"}
 RECORD_OBJECTS = {"spectrum", "history", "solution"}
 
 
@@ -352,7 +361,11 @@ class TestOneRecord:
         assert all(set(cell) == RECORD_KEYS for cell in sweep.cells.values())
         assert set(report) == {"config", "scheme_applied", "n_free_dofs", "xi", "xi_star",
                                "coarse_dim", "lambda_bound", "iterations", "final_residual",
-                               "converged", "failure", "timings", "memory_mb"}
+                               "converged", "failure", "workers", "local_s",
+                               "workers_rss_upper_mb", "timings", "memory_mb"}
+        assert report["workers"] == 1 and report["workers_rss_upper_mb"] is None
+        assert set(report["local_s"]) == {"factor", "reduce", "eig"}
+        assert set(compared["AS2_geneo"]["local_s"]) == {"geneo"}
 
         # a failed decomposition (solve) or shared sweep stage fills the same record
         def uncovered(decomp):
@@ -465,6 +478,141 @@ class TestRunSweep:
                 assert a.n_modes == b.n_modes == m and a.kernel_dim == b.kernel_dim
                 np.testing.assert_allclose(a.eigenvalues, b.eigenvalues, rtol=1e-12, atol=1e-15)
                 assert a.next_eigenvalue == pytest.approx(b.next_eigenvalue, rel=1e-12, abs=1e-15)
+
+
+def _bases_stage(cfg, kind, modes, at_most, width):
+    """A fresh problem's decomposition and its bases stage at `width`
+    processes: (system, decomposition, pu, bases, stats)."""
+    system = build_problem(cfg)
+    dec = build_decomposition(system, cfg.px, cfg.py, cfg.overlap_layers,
+                              cfg.oversampling_layers)
+    pu = build_partition_of_unity(dec)
+    bases, stats = local_setup(system, dec, pu, [modes] * dec.n_subdomains, kind, at_most,
+                               _width=width)
+    return system, dec, pu, bases, stats
+
+
+@pytest.fixture
+def task_log(monkeypatch, tmp_path):
+    """Each local task appends "pid width..." (the process and its OpenBLAS
+    widths) to a file the forked workers inherit. The caller's own tasks
+    wait 20 ms first, so the workers take tasks even in a four-task stage.
+    Returns (the caller's pid, the reader of the (pid, widths) rows)."""
+    path = tmp_path / "tasks.log"
+    path.touch()
+    caller = os.getpid()
+    task = msras.bench._local_task
+
+    def logged(*args):
+        if os.getpid() == caller:
+            time.sleep(0.02)
+        with open(path, "a") as fh:
+            fh.write(" ".join(map(str, [os.getpid(), *openblas_threads()])) + "\n")
+        return task(*args)
+
+    def rows():
+        return [(int(pid), [int(w) for w in widths])
+                for pid, *widths in map(str.split, path.read_text().splitlines())]
+
+    monkeypatch.setattr(msras.bench, "_local_task", logged)
+    return caller, rows
+
+
+class TestPooledLocalSetup:
+    """A bases stage shared with forked workers gives what the serial loop
+    gives, bit for bit, fails as it fails, and leaves no process behind.
+    The small config is far below the pool's gate, so `_width` forces it."""
+
+    @pytest.mark.parametrize("kind, modes, at_most", [
+        ("harmonic", 5, False), ("geneo", 5, False), ("harmonic", 40, True),
+        ("geneo", 80, True),
+    ])
+    def test_pool_matches_serial_bit_for_bit(self, task_log, kind, modes, at_most):
+        caller, rows = task_log
+        cfg = small_cfg()
+        runs = [_bases_stage(cfg, kind, modes, at_most, width) for width in (1, 2)]
+        assert {pid for pid, _ in rows()} - {caller}, "no task ran in a worker"
+        assert [stats["workers"] for *_, stats in runs] == [1, 2]
+        (_, dec1, _, b1, _), (_, dec2, _, b2, _) = runs
+        assert any(b.n_modes < modes for b in b1) == at_most  # as a sweep caps them
+        for a, b in zip(b1, b2, strict=True):
+            assert (a.subdomain_id, a.kernel_dim, a.next_eigenvalue) == (
+                b.subdomain_id, b.kernel_dim, b.next_eigenvalue)
+            assert np.array_equal(a.eigenvalues, b.eigenvalues)
+            assert np.array_equal(a.glued, b.glued)
+        # the workers' interior factors are installed: each matrix is factored once
+        assert dec1.factors.keys() == dec2.factors.keys()
+        assert len(dec1.factors) == (4 if kind == "harmonic" else 0)
+        for key, factor in dec1.factors.items():
+            assert np.array_equal(factor.band, dec2.factors[key].band)
+
+        scheme = "AS2_geneo" if kind == "geneo" else "hybrid_RAS_msgfem"
+        solved = []
+        for system, dec, pu, bases, _ in runs:
+            if at_most:  # a sweep cell truncates the shared bases
+                bases = [spectral.truncate_basis(b, 3) for b in bases]
+            coarse = spectral.build_coarse_space(system, dec, bases)
+            state = schwarz.build_preconditioner(system, dec, pu, scheme, coarse)
+            solved.append((coarse, schwarz.gmres(state, system)[1]))
+        (c1, h1), (c2, h2) = solved
+        assert np.array_equal(c1.keep, c2.keep) and np.array_equal(c1.scale, c2.scale)
+        assert np.array_equal(c1.factor.band, c2.factor.band) and c1.lam == c2.lam
+        assert h1.n_iterations == h2.n_iterations and h1.res_b == h2.res_b
+
+    def test_failure_and_clean_up(self, monkeypatch, task_log):
+        # more modes than any pencil has: every task fails, the caller's on
+        # the last subdomains, and the record names subdomain 0 as the
+        # serial loop does, on both harmonic schemes
+        caller, rows = task_log
+        schemes = ["hybrid_RAS_msgfem", "RAS"]
+        serial = run_comparison(small_cfg(modes=10_000), schemes)
+        monkeypatch.setattr(msras.bench, "local_setup", functools.partial(local_setup, _width=2))
+        pooled = run_comparison(small_cfg(modes=10_000), schemes)
+        assert {pid for pid, _ in rows()} - {caller}, "no task ran in a worker"
+        assert not multiprocessing.active_children()
+        for scheme in schemes:
+            assert serial[scheme]["failure"].startswith("TooManyModes: subdomain 0: ")
+            assert pooled[scheme]["failure"] == serial[scheme]["failure"]
+
+        done = run_comparison(small_cfg(), schemes)
+        assert not multiprocessing.active_children()
+        for scheme in schemes:
+            rec = done[scheme]
+            assert rec["converged"] and rec["workers"] == 2
+            assert rec["workers_rss_upper_mb"] > 0.0
+            assert set(rec["local_s"]) == {"factor", "reduce", "eig"}
+
+    @pytest.mark.parametrize("kind", ["harmonic", "geneo"])
+    def test_workers_run_on_one_blas_thread(self, blas_width_two, task_log, kind):
+        # called outside the Pipeline's cap: the caller's tasks run at its
+        # width of two, and every worker task at one
+        caller, rows = task_log
+        _bases_stage(small_cfg(), kind, 5, False, 2)
+        widths = {pid != caller: [] for pid, _ in rows()}
+        for pid, counts in rows():
+            widths[pid != caller].append(counts)
+        assert set(widths) == {False, True}
+        assert all(counts == [1] * len(counts) for counts in widths[True])
+        assert all(counts == [blas_width_two] * len(counts) for counts in widths[False])
+
+    def test_gate_pools_only_the_large_stages(self):
+        # the estimated work of the benchmark's stages against the gate:
+        # the 256^2, 8x8 harmonic and the 128^2, 8x8 GenEO stage are shared,
+        # the 128^2 harmonic one is not, and the tier-1 configs stay far
+        # below it
+        def flops(n, kind):
+            cfg = small_cfg(nx=n, ny=n, px=8, py=8, overlap_layers=2, oversampling_layers=4)
+            dec = build_decomposition(build_problem(cfg), 8, 8, 2, 4)
+            return msras.bench._local_flops(dec, build_partition_of_unity(dec), kind).sum()
+
+        gate = msras.bench._POOL_FLOPS
+        assert flops(256, "harmonic") > gate and flops(128, "geneo") > gate
+        assert flops(128, "harmonic") < gate
+        cfg = small_cfg()
+        dec = build_decomposition(build_problem(cfg), 2, 2, 1, 2)
+        pu = build_partition_of_unity(dec)
+        assert max(msras.bench._local_flops(dec, pu, kind).sum()
+                   for kind in ("harmonic", "geneo")) < 1e-3 * gate
 
 
 class TestSpectrumVerb:

@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 
 import msras.spectral as spectral
-from msras.bench import compute_bases
+from msras.bench import local_setup
 from msras.decomp import box_nodes, build_decomposition, build_partition_of_unity
 from msras.errors import (
     EmptyBoundary,
@@ -405,7 +405,7 @@ class TestBasisMemory:
         if kind == "geneo":
             bases = [b for _, _, _, b in cases]
         else:
-            bases = compute_bases(system, dec, pu, [10] * dec.n_subdomains)
+            bases = local_setup(system, dec, pu, [10] * dec.n_subdomains)[0]
         for b, sub in zip(bases, dec.subdomains, strict=True):
             held = sum((a if a.base is None else a.base).nbytes
                        for a in vars(b).values() if isinstance(a, np.ndarray))
@@ -480,7 +480,7 @@ def test_kernel_follows_topology(nx, parts, seed):
     dec = build_decomposition(system, parts, parts, 2, 4)
     pu = build_partition_of_unity(dec)
     for kind, box in (("harmonic", "box_star"), ("geneo", "box")):
-        for b in compute_bases(system, dec, pu, [10] * dec.n_subdomains, kind):
+        for b in local_setup(system, dec, pu, [10] * dec.n_subdomains, kind)[0]:
             nodes = box_nodes(system.grid, getattr(dec.subdomains[b.subdomain_id], box))
             floating = not np.any(system.node_to_free[nodes] < 0)
             assert b.kernel_dim == int(floating), (kind, b.subdomain_id)
@@ -496,7 +496,7 @@ class TestBlasWidth:
 
         def bases():
             dec = build_decomposition(system, 3, 3, 1, 1)
-            return compute_bases(system, dec, build_partition_of_unity(dec), [6] * 9, kind)
+            return local_setup(system, dec, build_partition_of_unity(dec), [6] * 9, kind)[0]
 
         wide = bases()
         with single_blas_thread():
