@@ -31,7 +31,6 @@ from .linalg import (
     SparseFactor,
     SparseSym,
     dense_generalized_sym_eig,
-    extract_submatrix,
     factorize,
 )
 from .schwarz import (

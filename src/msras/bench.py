@@ -300,24 +300,21 @@ def _local_flops(decomp, pu, kind):
     subdomain sizes: 4 n w k for the banded solve of its k coupling columns
     (n rows eliminated, lower bandwidth w about the box's width in cells),
     for the harmonic kind 2 |s| k^2 for Ptil on s = dofs0(omega_i), and
-    about 3 k^3 for the pencil. k is the interface of omega_i^* for the
-    harmonic kind, and for GenEO its coupling dofs Gamma: the dofs of
-    omega_i where chi_i > 0 that another subdomain's cells reach too."""
-    if kind == "geneo":
-        cover = np.bincount(np.concatenate([sub.dofs for sub in decomp.subdomains]))
+    about 3 k^3 for the pencil. k is the pencil's order
+    (`spectral.pencil_size`): the interface of omega_i^* for the harmonic
+    kind, Gamma_i for GenEO."""
     flops = np.empty(decomp.n_subdomains)
     for sub in decomp.subdomains:
+        k = spectral.pencil_size(decomp, pu, kind, sub.id)
         if kind == "geneo":
-            k = int(np.count_nonzero((pu.weights[sub.id] > 0.0) & (cover[sub.dofs] > 1)))
             n, w, s = sub.dofs.size - k, sub.box[1] - sub.box[0], 0
         else:
-            k = sub.boundary_star.size
             n, w, s = sub.dofs0_star.size, sub.box_star[1] - sub.box_star[0], sub.dofs0.size
         flops[sub.id] = 4.0 * n * w * k + 2.0 * s * k * k + 3.0 * k ** 3
     return flops
 
 
-def _local_task(system, decomp, pu, kind, modes, at_most, i):
+def _local_task(system, decomp, pu, kind, modes, i):
     """Subdomain i's part of a bases stage: (its basis, its interior factor
     for the harmonic kind or None for GenEO, the seconds of each step)."""
     seconds = {}
@@ -328,15 +325,12 @@ def _local_task(system, decomp, pu, kind, modes, at_most, i):
         seconds[name] = time.perf_counter() - t
         return out
 
-    m = modes[i]
     if kind == "geneo":
-        basis = step("geneo", spectral.geneo_eigenproblem, system, decomp, pu, i, m, at_most)
+        basis = step("geneo", spectral.geneo_eigenproblem, system, decomp, pu, i, modes[i])
         return basis, None, seconds
     factor = step("factor", spectral.interior_factor, decomp, i)
-    if at_most:
-        m = min(m, decomp.subdomains[i].boundary_star.size)
     S, P, W = step("reduce", spectral.reduce_to_harmonic, system, decomp, pu, i)
-    basis = step("eig", spectral.solve_local_eigenproblem, S, P, W, m, sub_id=i)
+    basis = step("eig", spectral.solve_local_eigenproblem, S, P, W, modes[i], sub_id=i)
     return basis, factor, seconds
 
 
@@ -401,12 +395,14 @@ def _pooled(task, order, width):
         pool.shutdown(cancel_futures=True)
 
 
-def local_setup(system, decomp, pu, modes, kind="harmonic", at_most=False, _width=None):
+def local_setup(system, decomp, pu, modes, kind="harmonic", _width=None):
     """(bases, stats) of a bases stage: one task per subdomain, which for the
     harmonic kind factors the interior of omega_i^* (cached in
     decomp.factors), reduces to the interface and solves the pencil, and for
-    GenEO solves the overlap-zone eigenproblem; with `at_most` a subdomain
-    keeps at most as many modes as its pencil has, up to modes[i].
+    GenEO solves the overlap-zone eigenproblem, keeping modes[i] modes on
+    subdomain i. More modes than the pencil has (`spectral.pencil_size`)
+    raise TooManyModes; a caller that wants at most that many caps modes[i]
+    itself.
 
     When the process may use more than one core and the stage's estimated
     work (`_local_flops`) reaches `_POOL_FLOPS`, the tasks are shared by the
@@ -434,7 +430,7 @@ def local_setup(system, decomp, pu, modes, kind="harmonic", at_most=False, _widt
     if _width is None and flops.sum() < _POOL_FLOPS:
         width = 1
     width = min(width, n)
-    task = partial(_local_task, system, decomp, pu, kind, modes, at_most)
+    task = partial(_local_task, system, decomp, pu, kind, modes)
     if width == 1:
         results = [task(i) for i in range(n)]
     else:
@@ -452,6 +448,12 @@ def local_setup(system, decomp, pu, modes, kind="harmonic", at_most=False, _widt
     stats = {"workers": width, "local_s": local_s,
              "workers_rss_upper_mb": rss if width > 1 else None}
     return [basis for basis, _, _ in results], stats
+
+
+def _has_coarse(decomp, modes):
+    """Whether modes[i] modes on subdomain i give a coarse space: some mode
+    is requested and there is more than one subdomain."""
+    return sum(modes) > 0 and decomp.n_subdomains > 1
 
 
 def _attempt(fn, *args, **kwargs):
@@ -516,21 +518,21 @@ class Pipeline:
 
         return self._timed("decomposition", build)
 
-    def bases(self, decomp, pu, scheme, modes, at_most=False):
+    def bases(self, decomp, pu, scheme, modes):
         """Local bases of the scheme's eigenproblem, modes[i] on subdomain i
-        (at most, with `at_most`; see `local_setup`)."""
+        (see `local_setup`)."""
         kind = basis_kind(scheme)
         with single_blas_thread():
             bases, self.local[kind] = self._timed("eigensolves", local_setup, self.system,
-                                                  decomp, pu, modes, kind, at_most)
+                                                  decomp, pu, modes, kind)
         return bases
 
     def coarse_space(self, decomp, pu, scheme, modes, full=None):
         """(bases, coarse space) with modes[i] modes on subdomain i, or
-        (None, None) when there is no coarse space: no mode requested, or a
-        single subdomain. Larger bases in `full` are truncated instead of
-        solving the local eigenproblems again."""
-        if sum(modes) == 0 or decomp.n_subdomains == 1:
+        (None, None) when there is no coarse space (`_has_coarse`). Larger
+        bases in `full` are truncated instead of solving the local
+        eigenproblems again."""
+        if not _has_coarse(decomp, modes):
             return None, None
         if full is None:
             bases = self.bases(decomp, pu, scheme, modes)
@@ -675,9 +677,12 @@ class SweepReport:
 def run_sweep(cfg, ovsp_list, modes_list):
     """Cartesian (oversampling x modes) sweep. Assembly is shared; per
     oversampling value the eigenproblems are solved once for the largest
-    mode count (the solve also carries the next eigenvalue, for the error
-    bound) and truncated per cell, whose setup_s includes that shared
-    stage. Both axes must be free of repeats."""
+    mode count, capped per subdomain at the modes its pencil has
+    (`spectral.pencil_size`; the solve also carries the next eigenvalue,
+    for the error bound), and truncated per cell, whose setup_s includes
+    that shared stage. When no cell can have a coarse space (every mode
+    count 0, or one subdomain) no eigenproblem is solved. Both axes must be
+    free of repeats."""
     if not ovsp_list or not modes_list:
         raise ConfigError("sweep: oversampling and modes lists must be nonempty")
     if any(s < 1 for s in ovsp_list):
@@ -689,11 +694,15 @@ def run_sweep(cfg, ovsp_list, modes_list):
             raise ConfigError(f"sweep: repeated {name} value in {list(axis)}")
     pipe = Pipeline(cfg)
     m_max = max(modes_list)
+    kind = basis_kind(cfg.scheme)
 
     def shared(s):
         decomp, pu = pipe.decompose(s)
-        return decomp, pu, pipe.bases(decomp, pu, cfg.scheme, [m_max] * decomp.n_subdomains,
-                                      at_most=True)
+        n = decomp.n_subdomains
+        if not _has_coarse(decomp, [m_max] * n):
+            return decomp, pu, None
+        modes = [min(m_max, spectral.pencil_size(decomp, pu, kind, i)) for i in range(n)]
+        return decomp, pu, pipe.bases(decomp, pu, cfg.scheme, modes)
 
     cells = {}
     for s in ovsp_list:

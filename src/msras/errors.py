@@ -9,10 +9,6 @@ class DimensionMismatch(MsrasError):
     pass
 
 
-class IndexOutOfRange(MsrasError):
-    pass
-
-
 class NotSymmetric(MsrasError):
     pass
 

@@ -195,7 +195,7 @@ class AssembledSystem:
         return full
 
     def a_norm(self, v_free):
-        return float(np.sqrt(max(v_free @ (self.A_free @ v_free), 0.0)))
+        return float(np.sqrt(max(v_free @ (self.A_free.mat @ v_free), 0.0)))
 
     def solve_direct(self):
         """Reference solution of the global system by a sparse LU with a
@@ -331,7 +331,7 @@ def assemble(grid, coeff, bc, source=None):
     identity_map = np.arange(n_nodes, dtype=np.int64)
     A_full = assemble_partial_stiffness(grid, coeff, (0, nx, 0, ny), identity_map, n_nodes)
     dir_nodes = np.nonzero(dir_mask)[0]
-    A_free = SparseSym(submatrix(A_full, free_to_node, free_to_node), validate=False)
+    A_free = SparseSym(submatrix(A_full, free_to_node, free_to_node))
 
     load = np.zeros(n_nodes)
     if source is not None:

@@ -10,7 +10,10 @@ numbering, so each row couples only to rows at most about one box width away.
 A box matrix cut from a larger one (the global matrix or a domain's local
 energy) is cut by `submatrix`: its rows are gathered by indptr arithmetic and
 its columns picked through a position map, with the arrays scipy's fancy
-indexing would give.
+indexing would give. The dof sets it is cut on are strictly increasing by
+construction, and its principal cuts of a symmetric matrix are symmetric,
+so neither is checked: `SparseSym` only carries the csr matrix `factorize`
+takes.
 They are factored in that numbering, without reordering, by LAPACK's banded
 Cholesky (`dpbtrf`), which stores one triangle of the band; `factor_band`
 factors a matrix that comes in that storage already, the coarse Galerkin
@@ -34,15 +37,7 @@ import scipy
 import scipy.linalg
 import scipy.sparse as sparse
 
-from .errors import (
-    DimensionMismatch,
-    IndexOutOfRange,
-    NonConvergence,
-    NotPositiveDefinite,
-    NotSymmetric,
-)
-
-_SYM_RTOL = 1e-12
+from .errors import DimensionMismatch, NonConvergence, NotPositiveDefinite, NotSymmetric
 
 
 def _bundled_openblas():
@@ -82,29 +77,12 @@ def single_blas_thread():
 
 
 class SparseSym:
-    """Sparse symmetric matrix in CSR storage (both triangles stored).
+    """A sparse symmetric matrix in csr storage, both triangles stored: the
+    operand of `factorize`. Symmetry is the caller's: the matrices come from
+    the assembly and the principal cuts `submatrix` takes of it."""
 
-    Symmetry is an invariant checked at construction: the matrix must be
-    structurally and numerically symmetric to 1e-12 relative.
-    """
-
-    def __init__(self, mat, validate=True):
-        mat = sparse.csr_matrix(mat)
-        if mat.shape[0] != mat.shape[1]:
-            raise DimensionMismatch(f"matrix is {mat.shape[0]}x{mat.shape[1]}, not square")
-        if validate:
-            scale = np.abs(mat.data).max() if mat.nnz else 0.0
-            skew = (mat - mat.T).tocoo()
-            if skew.nnz and np.abs(skew.data).max() > _SYM_RTOL * max(scale, 1e-300):
-                raise NotSymmetric("matrix is not symmetric to 1e-12 relative")
-        self.mat = mat
-
-    @property
-    def n(self):
-        return self.mat.shape[0]
-
-    def __matmul__(self, other):
-        return self.mat @ other
+    def __init__(self, mat):
+        self.mat = sparse.csr_matrix(mat)
 
 
 class SparseFactor:
@@ -201,9 +179,10 @@ def factorize(A):
     if not mat.has_canonical_format:  # a duplicate entry would overwrite, not add
         mat = mat.copy()
         mat.sum_duplicates()
-    offset = np.repeat(np.arange(A.n), np.diff(mat.indptr)) - mat.indices
+    n = mat.shape[0]
+    offset = np.repeat(np.arange(n), np.diff(mat.indptr)) - mat.indices
     lower = offset >= 0
-    band = np.zeros((int(offset.max(initial=0)) + 1, A.n), order="F")
+    band = np.zeros((int(offset.max(initial=0)) + 1, n), order="F")
     band[offset[lower], mat.indices[lower]] = mat.data[lower]
     return factor_band(band, 1e-14 * np.abs(band[0]).max(initial=0.0))
 
@@ -249,18 +228,6 @@ def submatrix(A, rows, cols=None):
     return sparse.csr_matrix(
         (A.data[at[hit]], local[hit], np.searchsorted(hit, indptr).astype(reached.dtype)),
         shape=(rows.size, cols.size))
-
-
-def extract_submatrix(A, idx):
-    """Principal submatrix A[idx, idx]; idx must be strictly increasing."""
-    idx = np.asarray(idx, dtype=np.int64)
-    if idx.size == 0:
-        raise IndexOutOfRange("empty index set")
-    if idx[0] < 0 or idx[-1] >= A.n:
-        raise IndexOutOfRange(f"indices must lie in [0, {A.n})")
-    if idx.size > 1 and np.any(np.diff(idx) <= 0):
-        raise IndexOutOfRange("indices must be strictly increasing")
-    return SparseSym(submatrix(A.mat, idx, idx), validate=False)
 
 
 class DensePencilEig:

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import Breakdown, DimensionMismatch, Stagnation
-from .linalg import extract_submatrix, factorize
+from .linalg import SparseSym, factorize, submatrix
 from .spectral import interior_factor
 
 SCHEMES = ("hybrid_RAS_msgfem", "RAS", "AS", "hybrid_AS", "AS2_geneo")
@@ -60,7 +60,8 @@ def build_preconditioner(system, decomp, pu, scheme, coarse=None):
         if scheme == "AS2_geneo":
             dofs = sub.dofs0
             local_factors.append(decomp.factor(
-                ("dofs0", sub.id), lambda: factorize(extract_submatrix(system.A_free, dofs))
+                ("dofs0", sub.id),
+                lambda: factorize(SparseSym(submatrix(system.A_free.mat, dofs, dofs)))
             ))
         else:
             dofs = sub.dofs0_star
@@ -105,7 +106,7 @@ def apply_preconditioner(state, r):
     if state.coarse is None:
         return z1
     if state.scheme in _HYBRID:
-        return z1 + state.coarse.apply(r - state.system.A_free @ z1)
+        return z1 + state.coarse.apply(r - state.system.A_free.mat @ z1)
     return z1 + state.coarse.apply(r)
 
 
@@ -163,7 +164,7 @@ def richardson(state, system, v0=None, target_reduction=1e-10, maxit=200, u_ref=
         raise ValueError("target_reduction must lie in (0, 1)")
     if maxit < 1:
         raise ValueError("maxit must be >= 1")
-    A = system.A_free
+    A = system.A_free.mat
     f = system.f_free
     v = np.zeros(system.n_free) if v0 is None else np.array(v0, dtype=float)
     t0 = time.perf_counter()
@@ -215,7 +216,7 @@ def gmres(state, system, u0=None, target_reduction=1e-10, maxit=200, u_ref=None)
         raise ValueError("target_reduction must lie in (0, 1)")
     if maxit < 1:
         raise ValueError("maxit must be >= 1")
-    A = system.A_free
+    A = system.A_free.mat
     f = system.f_free
     n = system.n_free
     u0 = np.zeros(n) if u0 is None else np.array(u0, dtype=float)

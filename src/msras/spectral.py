@@ -24,12 +24,14 @@ the leading eigenvalues +inf, and the local basis always retains them first.
 Both local eigenproblems are solved on their coupling dofs only, through the
 one Schur reduction `schur_complement`: the harmonic pencil on the interface
 of omega_i^* (eliminating its interior through the cached banded interior
-factor), the GenEO pencil on the overlap-zone dofs of omega_i, where its
-left-hand side is nonzero (eliminating the rest through a banded factor of
-the local energy off the overlap zone, assembled on omega_i because it holds
-the Neumann rows of omega_i's boundary). Both eliminations are one blocked
-banded solve of all the coupling columns at once. Each pencil is solved for
-the m + 1 leading pairs only: the m the basis keeps and the next eigenvalue.
+factor), the GenEO pencil on the overlap-zone dofs Gamma_i of omega_i, where
+its left-hand side is nonzero (eliminating the rest through a banded factor
+of the local energy off the overlap zone, assembled on omega_i because it
+holds the Neumann rows of omega_i's boundary). `coupling_rows` is the one
+definition of Gamma_i, and `pencil_size` gives the order of either pencil,
+the most modes a basis can keep. Both eliminations are one blocked banded
+solve of all the coupling columns at once. Each pencil is solved for the
+m + 1 leading pairs only: the m the basis keeps and the next eigenvalue.
 The GenEO left-hand side chi A_over chi is A_over with its entries scaled in
 place, and every block either pencil needs of an assembled matrix is one
 `linalg.submatrix` cut.
@@ -53,7 +55,7 @@ Cholesky, whose pivot order gives the columns the coarse solve keeps.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -72,7 +74,6 @@ from .linalg import (
     SparseFactor,
     SparseSym,
     dense_generalized_sym_eig,
-    extract_submatrix,
     factor_band,
     factorize,
     submatrix,
@@ -102,8 +103,10 @@ def interior_factor(decomp, i):
     sub = decomp.subdomains[i]
 
     def build():
+        dofs = sub.dofs0_star
+        A11 = SparseSym(submatrix(decomp.system.A_free.mat, dofs, dofs))
         try:
-            return factorize(extract_submatrix(decomp.system.A_free, sub.dofs0_star))
+            return factorize(A11)
         except NotPositiveDefinite as exc:
             raise FactorizationFailure(f"subdomain {i}: interior block not SPD: {exc}") from exc
 
@@ -216,38 +219,56 @@ def truncate_basis(basis, m):
         )
     if m == basis.n_modes:
         return basis
-    return LocalSpectralBasis(
-        subdomain_id=basis.subdomain_id,
-        kind=basis.kind,
-        eigenvalues=basis.eigenvalues[:m],
-        glued=basis.glued[:, :m],
-        next_eigenvalue=float(basis.eigenvalues[m]),
-        kernel_dim=basis.kernel_dim,
-    )
+    return replace(basis, eigenvalues=basis.eigenvalues[:m], glued=basis.glued[:, :m],
+                   next_eigenvalue=float(basis.eigenvalues[m]))
+
+
+def coupling_rows(decomp, pu, i):
+    """Gamma_i, the rows of omega_i's GenEO pencil, as positions in its
+    dofs: the dofs where chi_i > 0 (dofs0(omega_i)) that are incident to a
+    cell of the overlap zone, found on the zone's mask dilated to the nodes
+    of omega_i's window. When no other subdomain meets omega_i, Gamma_i is
+    every dof of omega_i."""
+    sub = decomp.subdomains[i]
+    x0, x1, y0, y1 = sub.box
+    zone = overlap_zone(decomp, i)
+    touched = np.zeros((y1 - y0 + 1, x1 - x0 + 1), dtype=bool)
+    for dy in (0, 1):  # a node touches the (up to) four cells around it
+        for dx in (0, 1):
+            touched[dy:dy + y1 - y0, dx:dx + x1 - x0] |= zone
+    iy, ix = np.divmod(decomp.system.free_to_node[sub.dofs], decomp.grid.nx + 1)
+    gamma = np.flatnonzero(touched[iy - y0, ix - x0] & (pu.weights[i] > 0.0))
+    return gamma if gamma.size else np.arange(sub.dofs.size)
+
+
+def pencil_size(decomp, pu, kind, i):
+    """The order of subdomain i's local pencil, the most modes its basis can
+    keep: the interface of omega_i^* for the harmonic kind, |Gamma_i| for
+    GenEO."""
+    if kind == "geneo":
+        return coupling_rows(decomp, pu, i).size
+    return decomp.subdomains[i].boundary_star.size
 
 
 def geneo_coupling(system, decomp, pu, i):
     """The left-hand side of the GenEO pencil of omega_i, the PU-weighted
     overlap-zone energy K = chi A_over chi on the free dofs of omega_i
     (csr, A_over's pattern with its entries scaled in place), and the
-    positions the pencil is solved on: the coupling dofs Gamma, where K has
-    a nonzero row. K is PSD, so these are the rows with a positive diagonal
-    entry. Without an overlap K is zero, and the positions are all of
-    omega_i's dofs."""
+    positions the pencil is solved on, Gamma_i of `coupling_rows`: K is PSD
+    and has a positive diagonal exactly there. Without an overlap K is zero,
+    and the positions are all of omega_i's dofs."""
     sub = decomp.subdomains[i]
     K = local_stiffness(system, sub.box, sub.dofs, overlap_zone(decomp, i))
     chi = pu.weights[sub.id]
     K.data *= chi[np.repeat(np.arange(sub.dofs.size), np.diff(K.indptr))]
     K.data *= chi[K.indices]
-    gamma = np.flatnonzero(K.diagonal() > 0.0)
-    return K, gamma if gamma.size else np.arange(sub.dofs.size)
+    return K, coupling_rows(decomp, pu, i)
 
 
-def geneo_eigenproblem(system, decomp, pu, i, m, at_most=False):
+def geneo_eigenproblem(system, decomp, pu, i, m):
     """Overlap-zone eigenproblem on omega_i (no oversampling, no harmonic
     constraint): PU-weighted energy over the overlap zone against the full
-    local energy, K x = lambda A_omega x on the free dofs of omega_i. With
-    `at_most`, m caps the number of modes at the |Gamma| the pencil has.
+    local energy, K x = lambda A_omega x on the free dofs of omega_i.
 
     K vanishes off the coupling dofs Gamma, so for lambda != 0 the other
     rows I force x_I = -A_II^{-1} A_IGamma x_Gamma, and the pencil is exactly
@@ -257,12 +278,10 @@ def geneo_eigenproblem(system, decomp, pu, i, m, at_most=False):
     coarse space glues for either basis kind."""
     sub = decomp.subdomains[i]
     K, gamma = geneo_coupling(system, decomp, pu, i)
-    if at_most:
-        m = min(m, gamma.size)
     rest = np.setdiff1d(np.arange(sub.dofs.size), gamma, assume_unique=True)
     A_omega = local_stiffness(system, sub.box, sub.dofs)
     try:
-        factor = factorize(SparseSym(submatrix(A_omega, rest, rest), validate=False))
+        factor = factorize(SparseSym(submatrix(A_omega, rest, rest)))
     except NotPositiveDefinite as exc:
         raise FactorizationFailure(
             f"subdomain {i}: local energy off the overlap zone not SPD: {exc}"

@@ -109,11 +109,12 @@ _GMRES_RSS = """
 import resource, sys, types
 import numpy as np
 import scipy.sparse as sparse
+from msras.linalg import SparseSym
 from msras.schwarz import PreconditionerState, gmres
 
 n, maxit, solves = map(int, sys.argv[1:])
 # three distinct eigenvalues and an identity preconditioner: three steps
-A = sparse.diags(np.resize([1.0, 2.0, 3.0], n)).tocsr()
+A = SparseSym(sparse.diags(np.resize([1.0, 2.0, 3.0], n)).tocsr())
 system = types.SimpleNamespace(A_free=A, f_free=np.ones(n), n_free=n)
 identity = types.SimpleNamespace(solve=lambda r: r)
 state = PreconditionerState("RAS", [np.arange(n)], [identity], [None], None, system)

@@ -25,6 +25,11 @@ it replaced is kept here as the reference the box arithmetic must match bit
 for bit: blocks dilated ring by ring, dof sets from per-node cell incidence,
 breadth-first partition-of-unity distances, coloring constants by counting,
 masked stiffness assembly and the GenEO overlap zone as an OR of masks.
+The GenEO pencil's rows keep their first definition, the positive diagonal
+of the PU-weighted energy assembled on that zone, as the reference the box
+rule must match. The symmetry check the package dropped from its sparse
+matrices is kept here, at its 1e-12 relative tolerance, for the tests that
+assert it.
 
 The sparse direct reference solve is SuperLU refined with residuals formed in
 extended precision, so its error is far below the rounding a plain float64
@@ -415,6 +420,30 @@ def mask_geneo_overlap(masks, i):
         if j != i:
             overlap |= other
     return overlap & masks[i]
+
+
+def positive_diagonal_gamma(system, decomp, pu, i):
+    """The rows of omega_i's GenEO pencil by their first definition, as
+    positions in its dofs: where the PU-weighted overlap-zone energy
+    chi A_over chi, assembled from the masks, has a positive diagonal, or
+    every position when it has none (no overlap)."""
+    grid = system.grid
+    masks = [box_mask(grid, sub.box) for sub in decomp.subdomains]
+    kref = q1_element_quadrature(1.0, grid.hx, grid.hy)
+    K = mask_local_stiffness(system, mask_geneo_overlap(masks, i),
+                             decomp.subdomains[i].dofs, kref)
+    chi = pu.weights[i]
+    gamma = np.flatnonzero(chi * K.diagonal() * chi > 0.0)
+    return gamma if gamma.size else np.arange(chi.size)
+
+
+def assert_symmetric(A, rtol=1e-12):
+    """A sparse matrix is square and symmetric to `rtol` relative to its
+    largest entry."""
+    assert A.shape[0] == A.shape[1], A.shape
+    scale = np.abs(A.data).max() if A.nnz else 0.0
+    skew = (A - A.T).tocoo()
+    assert not skew.nnz or np.abs(skew.data).max() <= rtol * max(scale, 1e-300)
 
 
 def refined_sparse_solve(A, B, steps=2):

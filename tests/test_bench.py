@@ -443,6 +443,27 @@ class TestRunSweep:
         assert not sweep.cells[(2, 2)].get("failure")
         assert sweep.cells[(2, 40)]["failure"].startswith("TooManyModes: ")
 
+    @pytest.mark.parametrize("scheme", ["hybrid_RAS_msgfem", "AS2_geneo"])
+    @pytest.mark.parametrize("parts, modes", [(1, [0, 2]), (2, [0])])
+    def test_no_coarse_space_solves_no_pencil(self, monkeypatch, scheme, parts, modes):
+        # one subdomain, or no mode in any cell: no cell has a coarse space,
+        # so the sweep solves no local pencil and runs each cell as the
+        # one-level scheme run_single runs (one subdomain's omega^* has no
+        # interface to solve a harmonic pencil on)
+        pencils = []
+        pencil = spectral.dense_generalized_sym_eig
+        monkeypatch.setattr(spectral, "dense_generalized_sym_eig",
+                            lambda *args, **kwargs: pencils.append(1) or pencil(*args, **kwargs))
+        cfg = dict(scheme=scheme, px=parts, py=parts, modes=0)
+        sweep = run_sweep(small_cfg(**cfg), [1, 2], modes)
+        assert not pencils
+        for (s, _), cell in sweep.cells.items():
+            report, _, _ = run_single(small_cfg(**cfg, oversampling_layers=s))
+            assert report["converged"] and report["coarse_dim"] == 0
+            assert cell["converged"] and cell["failure"] is None and cell["coarse_dim"] == 0
+            assert cell["iterations"] == report["iterations"]
+            assert cell["workers"] is None
+
     def test_empty_axes_rejected(self):
         with pytest.raises(ConfigError):
             run_sweep(small_cfg(), [], [1])
@@ -480,15 +501,18 @@ class TestRunSweep:
                 assert a.next_eigenvalue == pytest.approx(b.next_eigenvalue, rel=1e-12, abs=1e-15)
 
 
-def _bases_stage(cfg, kind, modes, at_most, width):
+def _bases_stage(cfg, kind, modes, capped, width):
     """A fresh problem's decomposition and its bases stage at `width`
-    processes: (system, decomposition, pu, bases, stats)."""
+    processes, with `modes` modes per subdomain, capped at each pencil's
+    order as a sweep caps them if `capped`: (system, decomposition, pu,
+    bases, stats)."""
     system = build_problem(cfg)
     dec = build_decomposition(system, cfg.px, cfg.py, cfg.overlap_layers,
                               cfg.oversampling_layers)
     pu = build_partition_of_unity(dec)
-    bases, stats = local_setup(system, dec, pu, [modes] * dec.n_subdomains, kind, at_most,
-                               _width=width)
+    counts = [min(modes, spectral.pencil_size(dec, pu, kind, i)) if capped else modes
+              for i in range(dec.n_subdomains)]
+    bases, stats = local_setup(system, dec, pu, counts, kind, _width=width)
     return system, dec, pu, bases, stats
 
 
@@ -523,18 +547,18 @@ class TestPooledLocalSetup:
     gives, bit for bit, fails as it fails, and leaves no process behind.
     The small config is far below the pool's gate, so `_width` forces it."""
 
-    @pytest.mark.parametrize("kind, modes, at_most", [
+    @pytest.mark.parametrize("kind, modes, capped", [
         ("harmonic", 5, False), ("geneo", 5, False), ("harmonic", 40, True),
         ("geneo", 80, True),
     ])
-    def test_pool_matches_serial_bit_for_bit(self, task_log, kind, modes, at_most):
+    def test_pool_matches_serial_bit_for_bit(self, task_log, kind, modes, capped):
         caller, rows = task_log
         cfg = small_cfg()
-        runs = [_bases_stage(cfg, kind, modes, at_most, width) for width in (1, 2)]
+        runs = [_bases_stage(cfg, kind, modes, capped, width) for width in (1, 2)]
         assert {pid for pid, _ in rows()} - {caller}, "no task ran in a worker"
         assert [stats["workers"] for *_, stats in runs] == [1, 2]
         (_, dec1, _, b1, _), (_, dec2, _, b2, _) = runs
-        assert any(b.n_modes < modes for b in b1) == at_most  # as a sweep caps them
+        assert any(b.n_modes < modes for b in b1) == capped  # as a sweep caps them
         for a, b in zip(b1, b2, strict=True):
             assert (a.subdomain_id, a.kernel_dim, a.next_eigenvalue) == (
                 b.subdomain_id, b.kernel_dim, b.next_eigenvalue)
@@ -549,7 +573,7 @@ class TestPooledLocalSetup:
         scheme = "AS2_geneo" if kind == "geneo" else "hybrid_RAS_msgfem"
         solved = []
         for system, dec, pu, bases, _ in runs:
-            if at_most:  # a sweep cell truncates the shared bases
+            if capped:  # a sweep cell truncates the shared bases
                 bases = [spectral.truncate_basis(b, 3) for b in bases]
             coarse = spectral.build_coarse_space(system, dec, bases)
             state = schwarz.build_preconditioner(system, dec, pu, scheme, coarse)

@@ -69,7 +69,7 @@ class TestOneLevded:
         state = build_preconditioner(system, dec, pu, "RAS")
         r = np.sin(np.arange(system.n_free, dtype=float))
         z = apply_one_level(state, r)
-        assert np.linalg.norm(system.A_free @ z - r) <= 1e-10 * np.linalg.norm(r)
+        assert np.linalg.norm(system.A_free.mat @ z - r) <= 1e-10 * np.linalg.norm(r)
 
     def test_zero_in_zero_out(self, small):
         system, dec, pu, _ = small
@@ -146,7 +146,7 @@ class TestPreconditioner:
         state = build_preconditioner(system, dec, pu, "hybrid_RAS_msgfem", coarse=coarse)
         r = rng.standard_normal(n)
         z = apply_preconditioner(state, r)
-        assert np.linalg.norm(system.A_free @ z - r) <= 1e-9 * np.linalg.norm(r)
+        assert np.linalg.norm(system.A_free.mat @ z - r) <= 1e-9 * np.linalg.norm(r)
 
 
 class TestMsgfemMap:
@@ -157,7 +157,7 @@ class TestMsgfemMap:
         system, dec, pu, coarse = small
         state = build_preconditioner(system, dec, pu, "hybrid_RAS_msgfem", coarse=coarse)
         zero = np.zeros(system.n_free)
-        assert np.allclose(apply_preconditioner(state, system.A_free @ zero), 0.0)
+        assert np.allclose(apply_preconditioner(state, system.A_free.mat @ zero), 0.0)
 
     def test_contraction_property(self, small, rng):
         # ||v - G v||_a <= Lambda ||v||_a for any v
@@ -165,7 +165,7 @@ class TestMsgfemMap:
         state = build_preconditioner(system, dec, pu, "hybrid_RAS_msgfem", coarse=coarse)
         for _ in range(100):
             v = rng.standard_normal(system.n_free)
-            gv = apply_preconditioner(state, system.A_free @ v)
+            gv = apply_preconditioner(state, system.A_free.mat @ v)
             assert system.a_norm(v - gv) <= coarse.lam * system.a_norm(v) * (1 + 1e-10)
 
     def test_exhausted_spectrum_identity(self):
@@ -186,7 +186,7 @@ class TestMsgfemMap:
         state = build_preconditioner(system, dec, pu, "hybrid_RAS_msgfem", coarse=coarse)
         rng = np.random.default_rng(1)
         v = rng.standard_normal(system.n_free)
-        gv = apply_preconditioner(state, system.A_free @ v)
+        gv = apply_preconditioner(state, system.A_free.mat @ v)
         assert system.a_norm(v - gv) <= 1e-8 * system.a_norm(v)
 
 
@@ -196,7 +196,7 @@ class TestRichardson:
 
         system, dec, pu, coarse = small
         u = np.arange(system.n_free, dtype=float)
-        exact = dataclasses.replace(system, f_free=system.A_free @ u)
+        exact = dataclasses.replace(system, f_free=system.A_free.mat @ u)
         state = build_preconditioner(exact, dec, pu, "hybrid_RAS_msgfem", coarse=coarse)
         sol, hist = richardson(state, exact, v0=u)
         assert hist.n_iterations == 0
@@ -259,7 +259,7 @@ class TestGmres:
 
         system, dec, pu, coarse = small
         u = np.arange(system.n_free, dtype=float)
-        exact = dataclasses.replace(system, f_free=system.A_free @ u)
+        exact = dataclasses.replace(system, f_free=system.A_free.mat @ u)
         state = build_preconditioner(exact, dec, pu, "hybrid_RAS_msgfem", coarse=coarse)
         sol, hist = gmres(state, exact, u0=u)
         assert hist.n_iterations == 0
@@ -329,7 +329,7 @@ class TestConvergedFlag:
 
         system, dec, pu, coarse = small
         u = np.arange(system.n_free, dtype=float)
-        exact = dataclasses.replace(system, f_free=system.A_free @ u)
+        exact = dataclasses.replace(system, f_free=system.A_free.mat @ u)
         state = build_preconditioner(exact, dec, pu, "hybrid_RAS_msgfem", coarse=coarse)
         _, hist = driver(state, exact, u)
         assert hist.n_iterations == 0 and hist.converged

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sparse
 
 import msras.spectral as spectral
 from msras.bench import local_setup
@@ -16,7 +17,7 @@ from msras.errors import (
     TooManyModes,
 )
 from msras.grid import BoundarySpec, element_stiffness
-from msras.linalg import SparseSym, dense_generalized_sym_eig, single_blas_thread
+from msras.linalg import dense_generalized_sym_eig, single_blas_thread
 from msras.schwarz import apply_one_level, build_preconditioner
 from msras.spectral import (
     LocalSpectralBasis,
@@ -46,6 +47,7 @@ from tests.oracles import (
     mask_geneo_overlap,
     mask_local_stiffness,
     node_incidence,
+    positive_diagonal_gamma,
     q1_element_quadrature,
 )
 
@@ -105,7 +107,7 @@ class TestParticularSolve:
         for dofs, fac in zip(state.local_dofs, state.local_factors, strict=True):
             full = np.zeros(system16.n_free)
             full[dofs] = fac.solve(system16.f_free[dofs])
-            r = system16.f_free - system16.A_free @ full
+            r = system16.f_free - system16.A_free.mat @ full
             scale = np.abs(system16.f_free).max()
             assert np.abs(r[dofs]).max() <= 1e-10 * scale
 
@@ -178,8 +180,8 @@ class TestReduceToHarmonic:
         # a fresh decomposition, so the failure is not cached in a shared one
         system = make_system(16, contrast=1e3)
         dec = build_decomposition(system, 2, 2, 1, 2)
-        monkeypatch.setattr(spectral, "extract_submatrix",
-                            lambda A, idx: SparseSym(np.diag([1.0, 0.0, 2.0])))
+        monkeypatch.setattr(spectral, "submatrix",
+                            lambda A, rows, cols=None: sparse.csr_matrix(np.diag([1.0, 0.0, 2.0])))
         with pytest.raises(FactorizationFailure, match="subdomain 1: interior block not SPD") as err:
             spectral.interior_factor(dec, 1)
         assert isinstance(err.value.__cause__, NotPositiveDefinite)
@@ -460,6 +462,26 @@ class TestGeneoReducedPencil:
             in_gamma = on_zone.ravel()[system16.free_to_node[sub.dofs]] & (pu16.weights[i] != 0)
             assert sizes[-1] == np.count_nonzero(in_gamma) < sub.dofs.size
 
+    def test_coupling_rows_match_positive_diagonal(self):
+        # the box rule against Gamma's first definition, the positive
+        # diagonal of chi A_over chi, on a seeded set of small instances:
+        # one subdomain, strips and blocks, overlap 1-3, both boundaries
+        rng = np.random.default_rng(29)
+        cases = [(8, 8, 1, 1, 1), (12, 9, 5, 1, 2), (16, 21, 1, 4, 3), (40, 40, 5, 5, 3)]
+        cases += [(*rng.integers(8, 41, 2), *rng.integers(1, 6, 2), rng.integers(1, 4))
+                  for _ in range(12)]
+        for k, (nx, ny, px, py, overlap) in enumerate(cases):
+            bc = BoundarySpec.all_dirichlet() if k % 2 else None
+            system = make_system(int(nx), int(ny), contrast=1e6, bc=bc, seed=k)
+            dec = build_decomposition(system, int(px), int(py), int(overlap), 1)
+            pu = build_partition_of_unity(dec)
+            for i in range(dec.n_subdomains):
+                gamma = spectral.coupling_rows(dec, pu, i)
+                ref = positive_diagonal_gamma(system, dec, pu, i)
+                assert np.array_equal(gamma, ref), (nx, ny, px, py, overlap, i)
+                assert spectral.pencil_size(dec, pu, "geneo", i) == gamma.size
+                assert (gamma.size == dec.subdomains[i].dofs.size) == (dec.n_subdomains == 1)
+
     def test_cholesky_failure_is_typed(self, system16, decomp16, pu16, monkeypatch):
         def fail(A):
             raise NotPositiveDefinite("leading minor of order 3 is not positive definite")
@@ -613,8 +635,8 @@ class TestCoarseSpace:
         assert cs.m == 2 and 1 not in cs.keep
         B = kept_coarse_columns(cs, system16.n_free)
         r = rng.standard_normal(system16.n_free)
-        assert np.allclose(B.T @ (system16.A_free @ cs.apply(r)), B.T @ r, rtol=0.0, atol=1e-13)
-        assert np.allclose(np.diag(B.T @ (system16.A_free @ B)), 1.0, rtol=0.0, atol=1e-13)
+        assert np.allclose(B.T @ (system16.A_free.mat @ cs.apply(r)), B.T @ r, rtol=0.0, atol=1e-13)
+        assert np.allclose(np.diag(B.T @ (system16.A_free.mat @ B)), 1.0, rtol=0.0, atol=1e-13)
 
     @pytest.mark.parametrize("case", ["desk", "no_modes", "strips"])
     def test_galerkin_band_of_overlapping_pairs(self, system16, decomp16, pu16, monkeypatch,
@@ -695,7 +717,7 @@ class TestCoarseSpace:
         for d in range(band.shape[0]):
             L += np.diag(band[d, :24 - d], -d)
         B = kept_coarse_columns(cs, system16.n_free)
-        assert np.allclose(L @ L.T, B.T @ (system16.A_free @ B), rtol=0.0, atol=1e-12)
+        assert np.allclose(L @ L.T, B.T @ (system16.A_free.mat @ B), rtol=0.0, atol=1e-12)
 
     def test_zero_and_duplicate_columns_one_warning(self, system16):
         rng = np.random.default_rng(8)
@@ -708,7 +730,7 @@ class TestCoarseSpace:
         assert cs.m == 2
         B = kept_coarse_columns(cs, system16.n_free)
         r = rng.standard_normal(system16.n_free)
-        assert np.allclose(B.T @ (system16.A_free @ cs.apply(r)), B.T @ r, rtol=0.0, atol=1e-13)
+        assert np.allclose(B.T @ (system16.A_free.mat @ cs.apply(r)), B.T @ r, rtol=0.0, atol=1e-13)
 
     def test_dropped_columns_mid_order(self, system16):
         # a zero column and a dependent one between kept ones: the coarse
@@ -777,7 +799,7 @@ class TestCoarseSpace:
             bases.append(solve_local_eigenproblem(S, P, W, 4, sub_id=i))
         cs = build_coarse_space(system16, decomp16, bases)
         B = kept_coarse_columns(cs, system16.n_free)
-        assert np.allclose(np.diag(B.T @ (system16.A_free @ B)), 1.0, atol=1e-10)
+        assert np.allclose(np.diag(B.T @ (system16.A_free.mat @ B)), 1.0, atol=1e-10)
 
     def test_decay_improves_with_oversampling(self, system16):
         # the eigenvalue tail reaches a fixed threshold at a smaller index
