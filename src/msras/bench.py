@@ -16,6 +16,7 @@ import os
 import resource
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
 from functools import partial
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import schwarz, spectral
 from .decomp import build_decomposition, build_partition_of_unity
-from .errors import ConfigError, MsrasError, NonpositiveCoefficient
+from .errors import ConfigError, MsrasError, NonpositiveCoefficient, WorkerLost
 from .grid import (
     SIDES,
     BoundarySpec,
@@ -316,22 +317,18 @@ def _local_flops(decomp, pu, kind):
 
 def _local_task(system, decomp, pu, kind, modes, i):
     """Subdomain i's part of a bases stage: (its basis, its interior factor
-    for the harmonic kind or None for GenEO, the seconds of each step)."""
-    seconds = {}
-
-    def step(name, fn, *args, **kwargs):
-        t = time.perf_counter()
-        out = fn(*args, **kwargs)
-        seconds[name] = time.perf_counter() - t
-        return out
-
+    for the harmonic kind or None for GenEO, the seconds of each step). The
+    steps are the traced spectral calls: geneo, or reduce (which makes the
+    interior factor) and eig."""
+    t0 = time.perf_counter()
     if kind == "geneo":
-        basis = step("geneo", spectral.geneo_eigenproblem, system, decomp, pu, i, modes[i])
-        return basis, None, seconds
-    factor = step("factor", spectral.interior_factor, decomp, i)
-    S, P, W = step("reduce", spectral.reduce_to_harmonic, system, decomp, pu, i)
-    basis = step("eig", spectral.solve_local_eigenproblem, S, P, W, modes[i], sub_id=i)
-    return basis, factor, seconds
+        basis = spectral.geneo_eigenproblem(system, decomp, pu, i, modes[i])
+        return basis, None, {"geneo": time.perf_counter() - t0}
+    S, P, W = spectral.reduce_to_harmonic(system, decomp, pu, i)
+    t1 = time.perf_counter()
+    basis = spectral.solve_local_eigenproblem(S, P, W, modes[i], sub_id=i)
+    seconds = {"reduce": t1 - t0, "eig": time.perf_counter() - t1}
+    return basis, spectral.interior_factor(decomp, i), seconds  # cached by the reduction
 
 
 _WORKER = None  # set only in a worker process: (task, claims) of the stage that forked it
@@ -365,9 +362,10 @@ def _pooled(task, order, width):
     has started: a task runs in the process that claims it first, so the
     split follows the tasks' real costs, and at the end the caller waits
     only for the tasks the workers are running. The results are taken in
-    index order: the first failure raises, as in a serial loop, and the
-    tasks not yet started are cancelled. Every worker has ended when this
-    returns or raises.
+    index order: the first failure raises, as in a serial loop, a task whose
+    worker ended without its result (killed, out of memory) as WorkerLost,
+    and the tasks not yet started are cancelled. Every worker has ended when
+    this returns or raises.
 
     The workers are forked, not spawned, so they start with the caller's
     problem and decomposition in memory instead of a pickled copy of them;
@@ -384,25 +382,27 @@ def _pooled(task, order, width):
         for i in reversed(order):
             if not _claim(claims, i):  # the workers have come this far
                 break
-            futures[i].cancel()  # if still pending, the pool need not send it
-            futures[i] = Future()
+            futures[i] = Future()  # not cancelled: a pool that breaks fails all it holds
             try:
                 futures[i].set_result(task(i))
             except Exception as exc:  # raised in index order below
                 futures[i].set_exception(exc)
-        return [futures[i].result() for i in range(len(order))]
+        results = []
+        for i in range(len(order)):
+            try:
+                results.append(futures[i].result())
+            except BrokenProcessPool as exc:
+                raise WorkerLost(f"subdomain {i}: its worker ended without a result") from exc
+        return results
     finally:
         pool.shutdown(cancel_futures=True)
 
 
 def local_setup(system, decomp, pu, modes, kind="harmonic", _width=None):
-    """(bases, stats) of a bases stage: one task per subdomain, which for the
-    harmonic kind factors the interior of omega_i^* (cached in
-    decomp.factors), reduces to the interface and solves the pencil, and for
-    GenEO solves the overlap-zone eigenproblem, keeping modes[i] modes on
-    subdomain i. More modes than the pencil has (`spectral.pencil_size`)
-    raise TooManyModes; a caller that wants at most that many caps modes[i]
-    itself.
+    """(bases, stats) of a bases stage: one task per subdomain
+    (`_local_task`), keeping modes[i] modes on subdomain i. More modes than
+    the pencil has (`spectral.pencil_size`) raise TooManyModes; a caller
+    that wants at most that many caps modes[i] itself.
 
     When the process may use more than one core and the stage's estimated
     work (`_local_flops`) reaches `_POOL_FLOPS`, the tasks are shared by the
@@ -413,15 +413,15 @@ def local_setup(system, decomp, pu, modes, kind="harmonic", _width=None):
     matrix is still factored once, and the bases come in subdomain order,
     bit for bit as a serial loop gives them. A typed failure raises as the
     serial loop would raise it: that of the failing subdomain with the
-    lowest index.
+    lowest index, WorkerLost for a task whose worker ended without it.
 
     stats has `workers`, the processes that ran the tasks; `local_s`, the
-    tasks' own seconds summed per step (factor, reduce and eig, or geneo);
-    and `workers_rss_upper_mb`, the largest peak resident set of any child
-    process this process has waited for (ru_maxrss of RUSAGE_CHILDREN) after
-    a pooled stage, else None. A forked worker's count includes the pages
-    it shares with its parent, so it bounds the memory a worker added from
-    above."""
+    tasks' own seconds summed per step (reduce, which includes the interior
+    factorization, and eig, or geneo); and `workers_rss_upper_mb`, the
+    largest peak resident set of any child process this process has waited
+    for (ru_maxrss of RUSAGE_CHILDREN) after a pooled stage, else None. A
+    forked worker's count includes the pages it shares with its parent, so
+    it bounds the memory a worker added from above."""
     n = decomp.n_subdomains
     if len(modes) != n:
         raise ValueError(f"modes: {len(modes)} values for {n} subdomains")
@@ -438,12 +438,10 @@ def local_setup(system, decomp, pu, modes, kind="harmonic", _width=None):
         # where the caller and the workers meet and the last of them wait
         by_cost = np.argsort(-flops, kind="stable").tolist()
         results = _pooled(task, by_cost[0::2] + by_cost[1::2][::-1], width)
-    local_s = {}
-    for i, (_, factor, seconds) in enumerate(results):
+    for i, (_, factor, _) in enumerate(results):
         if factor is not None:
             decomp.factors.setdefault(("dofs0_star", i), factor)
-        for name, t in seconds.items():
-            local_s[name] = local_s.get(name, 0.0) + t
+    local_s = {name: sum(seconds[name] for *_, seconds in results) for name in results[0][2]}
     rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
     stats = {"workers": width, "local_s": local_s,
              "workers_rss_upper_mb": rss if width > 1 else None}
@@ -474,21 +472,18 @@ class Pipeline:
     it ran: a stage whose value exceeds every earlier one set a new peak.
 
     The bases stage (`local_setup`, timed as eigensolves) is one task per
-    subdomain. A harmonic task builds the interior factor of omega_i^*,
-    which the decomposition caches for the oversampled preconditioners, so
-    each is built once; without a harmonic stage the first preconditioner
-    that needs them builds them, timed as local factorizations. With more
-    than one usable core and an estimated stage work of at least
-    `_POOL_FLOPS` (1.5e9 flops: the 256^2, 8x8 harmonic stage is about 7e9
-    and the 128^2 GenEO stage 2e9, the 128^2 harmonic one 1e9, which stays
-    serial), the tasks are shared between this process and one forked
-    worker per further core, which live for the stage only. `local` keeps,
-    per basis kind, the stats of its last stage (processes, the tasks'
-    seconds per step, and the workers' peak memory, an upper bound since it
-    counts the pages they share with this process, which `memory_mb` does
-    not see), and `run` puts them in the records. The subdomain-local
-    stages (bases, preconditioner) run on one BLAS thread in every process;
-    the coarse space and the drive keep the caller's setting."""
+    subdomain. A harmonic task's reduction builds the interior factor of
+    omega_i^*, which the decomposition caches for the oversampled
+    preconditioners, so each is built once; without a harmonic stage the
+    first preconditioner that needs them builds them, timed as local
+    factorizations. With more than one usable core and an estimated stage
+    work of at least `_POOL_FLOPS`, the tasks are shared between this
+    process and one forked worker per further core, which live for the
+    stage only. `local` keeps, per basis kind, the stats of its last stage
+    (see `local_setup`), and `run` puts them in the records. The
+    subdomain-local stages (bases, preconditioner) run on one BLAS thread in
+    every process; the coarse space and the drive keep the caller's
+    setting."""
 
     def __init__(self, cfg):
         self.cfg = cfg

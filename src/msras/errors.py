@@ -64,6 +64,10 @@ class Breakdown(MsrasError):
     coefficients in GMRES, a non-finite residual in Richardson."""
 
 
+class WorkerLost(MsrasError):
+    """A worker process ended (killed, out of memory) before its task did."""
+
+
 class ConfigError(MsrasError):
     """Invalid experiment configuration; message carries the config path."""
 

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import Breakdown, DimensionMismatch, Stagnation
+from .errors import (Breakdown, DimensionMismatch, FactorizationFailure, NotPositiveDefinite,
+                     Stagnation)
 from .linalg import SparseSym, factorize, submatrix
 from .spectral import interior_factor
 
@@ -37,6 +38,14 @@ class PreconditionerState:
     local_weights: list  # chi values aligned with local_dofs, or None
     coarse: object  # CoarseSpace or None
     system: object
+
+
+def _overlap_factor(system, sub):
+    """Factor of the global matrix on dofs0(omega_i), AS2_geneo's local solve."""
+    try:
+        return factorize(SparseSym(submatrix(system.A_free.mat, sub.dofs0, sub.dofs0)))
+    except NotPositiveDefinite as exc:
+        raise FactorizationFailure(f"subdomain {sub.id}: local block not SPD: {exc}") from exc
 
 
 def build_preconditioner(system, decomp, pu, scheme, coarse=None):
@@ -59,14 +68,12 @@ def build_preconditioner(system, decomp, pu, scheme, coarse=None):
     for sub in decomp.subdomains:
         if scheme == "AS2_geneo":
             dofs = sub.dofs0
-            local_factors.append(decomp.factor(
-                ("dofs0", sub.id),
-                lambda: factorize(SparseSym(submatrix(system.A_free.mat, dofs, dofs)))
-            ))
+            factor = decomp.factor(("dofs0", sub.id), lambda: _overlap_factor(system, sub))
         else:
             dofs = sub.dofs0_star
-            local_factors.append(interior_factor(decomp, sub.id))
+            factor = interior_factor(decomp, sub.id)
         local_dofs.append(dofs)
+        local_factors.append(factor)
         local_weights.append(
             pu.on_star(sub)[sub.star_positions(dofs)] if scheme in _PU_WEIGHTED else None
         )

@@ -32,9 +32,10 @@ definition of Gamma_i, and `pencil_size` gives the order of either pencil,
 the most modes a basis can keep. Both eliminations are one blocked banded
 solve of all the coupling columns at once. Each pencil is solved for the
 m + 1 leading pairs only: the m the basis keeps and the next eigenvalue.
-The GenEO left-hand side chi A_over chi is A_over with its entries scaled in
-place, and every block either pencil needs of an assembled matrix is one
-`linalg.submatrix` cut.
+Each local quantity is formed once, in the call that uses it: the interior
+factor in `reduce_to_harmonic`, and the overlap zone, Gamma_i and the GenEO
+left-hand side chi A_over chi, assembled on Gamma_i alone, in
+`geneo_coupling`. Every other block a pencil needs is one `submatrix` cut.
 
 A basis keeps only what the coarse space uses of its vectors phi: the
 products chi_i phi on s = dofs0(omega_i), the dofs where chi_i > 0, formed
@@ -55,7 +56,7 @@ Cholesky, whose pivot order gives the columns the coarse solve keeps.
 """
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -95,35 +96,35 @@ def local_stiffness(system, box, dofs, cells=None):
     )
 
 
+def _factor(A, what):
+    """The factor of the csr matrix A; a failed factorization raises
+    FactorizationFailure, its message led by `what`."""
+    try:
+        return factorize(SparseSym(A))
+    except NotPositiveDefinite as exc:
+        raise FactorizationFailure(f"{what} not SPD: {exc}") from exc
+
+
 def interior_factor(decomp, i):
     """Factor of the global matrix on dofs0(omega_i^*), the interior dofs of
     the oversampling domain. It is the interior block A11 of the harmonic
     reduction and the oversampled Schwarz local solve (the MS-GFEM particular
     solve) alike, so it is computed once per decomposition and cached there."""
-    sub = decomp.subdomains[i]
-
-    def build():
-        dofs = sub.dofs0_star
-        A11 = SparseSym(submatrix(decomp.system.A_free.mat, dofs, dofs))
-        try:
-            return factorize(A11)
-        except NotPositiveDefinite as exc:
-            raise FactorizationFailure(f"subdomain {i}: interior block not SPD: {exc}") from exc
-
-    return decomp.factor(("dofs0_star", i), build)
+    dofs = decomp.subdomains[i].dofs0_star
+    return decomp.factor(("dofs0_star", i), lambda: _factor(
+        submatrix(decomp.system.A_free.mat, dofs, dofs), f"subdomain {i}: interior block"))
 
 
 def schur_complement(A_ek, A_kk, solve):
     """Exact elimination of a block of dofs from a sparse symmetric matrix,
     given its sparse blocks A_ek (eliminated rows, kept columns) and A_kk
     (kept rows and columns). `solve` applies A_ee^{-1} to a dense block of
-    columns. Returns (S, E): E = A_ee^{-1} A_ek and the dense, symmetrized
-    Schur complement S = A_kk - A_ke E. A vector on the kept dofs extends to
-    the eliminated ones as -E x. The block is handed to `solve` in C order,
-    the row layout of the blocked banded solve."""
+    columns. Returns (S, E): E = A_ee^{-1} A_ek and the dense Schur
+    complement S = A_kk - A_ke E, symmetric to rounding. A vector on the
+    kept dofs extends to the eliminated ones as -E x. The block is handed to
+    `solve` in C order, the row layout of the blocked banded solve."""
     E = solve(A_ek.toarray())
-    S = A_kk.toarray() - A_ek.T @ E
-    return 0.5 * (S + S.T), E
+    return A_kk.toarray() - A_ek.T @ E, E
 
 
 def reduce_to_harmonic(system, decomp, pu, i):
@@ -134,7 +135,7 @@ def reduce_to_harmonic(system, decomp, pu, i):
     matrix that takes interface values x to chi_i times their harmonic
     extension on s = dofs0(omega_i), the dofs where chi_i > 0. The pencil
     Ptil x = lambda S x has exactly the eigenpairs of the eigenproblem on the
-    a-harmonic subspace.
+    a-harmonic subspace. The interior factor is made here (`interior_factor`).
     """
     sub = decomp.subdomains[i]
     if sub.boundary_star.size == 0:
@@ -151,8 +152,7 @@ def reduce_to_harmonic(system, decomp, pu, i):
     # are -chi E there
     chi = pu.weights[i][np.searchsorted(sub.dofs, sub.dofs0)]
     W = -chi[:, None] * E[np.searchsorted(sub.dofs0_star, sub.dofs0)]
-    Ptil = W.T @ (submatrix(A, sub.dofs0, sub.dofs0) @ W)
-    return S, 0.5 * (Ptil + Ptil.T), W
+    return S, W.T @ (submatrix(A, sub.dofs0, sub.dofs0) @ W), W
 
 
 @dataclass
@@ -175,10 +175,11 @@ class LocalSpectralBasis:
         return self.glued.shape[1]
 
 
-def _assemble_basis(sub_id, kind, pencil, m, glued):
-    """The basis of the leading m modes of `pencil`, kernel first, with
-    `glued` the product of chi_i and their extension on dofs0(omega_i)."""
-    l, n = pencil.kernel_dim, pencil.vectors.shape[0]
+def _assemble_basis(sub_id, kind, spectrum, n, m, glued):
+    """The basis of the leading m of the n modes of `spectrum` (a pencil
+    solve or a larger basis), kernel first, with `glued` their product with
+    chi_i on dofs0(omega_i). m must keep the kernel and not exceed n."""
+    l = spectrum.kernel_dim
     if m < l:
         raise TooManyModes(
             f"subdomain {sub_id}: {l} zero-energy modes must be retained, got m={m}"
@@ -188,9 +189,9 @@ def _assemble_basis(sub_id, kind, pencil, m, glued):
     return LocalSpectralBasis(
         subdomain_id=sub_id,
         kind=kind,
-        eigenvalues=pencil.eigenvalues[:m],
+        eigenvalues=spectrum.eigenvalues[:m],
         glued=glued,
-        next_eigenvalue=float(pencil.eigenvalues[m]) if m < n else 0.0,
+        next_eigenvalue=float(spectrum.eigenvalues[m]) if m < n else 0.0,
         kernel_dim=l,
     )
 
@@ -206,32 +207,25 @@ def solve_local_eigenproblem(S, Ptil, W, m, sub_id=0):
     interface.
     """
     pencil = dense_generalized_sym_eig(Ptil, S, n_pairs=m + 1)
-    return _assemble_basis(sub_id, "harmonic", pencil, m, W @ pencil.vectors[:, :m])
+    return _assemble_basis(sub_id, "harmonic", pencil, S.shape[0], m, W @ pencil.vectors[:, :m])
 
 
 def truncate_basis(basis, m):
     """Shrink a basis to its leading m modes, recomputing next_eigenvalue."""
-    if m > basis.n_modes:
-        raise TooManyModes(f"cannot grow a basis from {basis.n_modes} to {m} modes")
-    if m < basis.kernel_dim:
-        raise TooManyModes(
-            f"{basis.kernel_dim} zero-energy modes must be retained, got m={m}"
-        )
     if m == basis.n_modes:
         return basis
-    return replace(basis, eigenvalues=basis.eigenvalues[:m], glued=basis.glued[:, :m],
-                   next_eigenvalue=float(basis.eigenvalues[m]))
+    return _assemble_basis(basis.subdomain_id, basis.kind, basis, basis.n_modes, m,
+                           basis.glued[:, :m])
 
 
-def coupling_rows(decomp, pu, i):
+def coupling_rows(decomp, pu, i, zone):
     """Gamma_i, the rows of omega_i's GenEO pencil, as positions in its
     dofs: the dofs where chi_i > 0 (dofs0(omega_i)) that are incident to a
-    cell of the overlap zone, found on the zone's mask dilated to the nodes
-    of omega_i's window. When no other subdomain meets omega_i, Gamma_i is
-    every dof of omega_i."""
+    cell of the overlap zone (`overlap_zone(decomp, i)`), found on the
+    zone's mask dilated to the nodes of omega_i's window. When no other
+    subdomain meets omega_i, Gamma_i is every dof of omega_i."""
     sub = decomp.subdomains[i]
     x0, x1, y0, y1 = sub.box
-    zone = overlap_zone(decomp, i)
     touched = np.zeros((y1 - y0 + 1, x1 - x0 + 1), dtype=bool)
     for dy in (0, 1):  # a node touches the (up to) four cells around it
         for dx in (0, 1):
@@ -246,23 +240,25 @@ def pencil_size(decomp, pu, kind, i):
     keep: the interface of omega_i^* for the harmonic kind, |Gamma_i| for
     GenEO."""
     if kind == "geneo":
-        return coupling_rows(decomp, pu, i).size
+        return coupling_rows(decomp, pu, i, overlap_zone(decomp, i)).size
     return decomp.subdomains[i].boundary_star.size
 
 
 def geneo_coupling(system, decomp, pu, i):
-    """The left-hand side of the GenEO pencil of omega_i, the PU-weighted
-    overlap-zone energy K = chi A_over chi on the free dofs of omega_i
-    (csr, A_over's pattern with its entries scaled in place), and the
-    positions the pencil is solved on, Gamma_i of `coupling_rows`: K is PSD
-    and has a positive diagonal exactly there. Without an overlap K is zero,
-    and the positions are all of omega_i's dofs."""
+    """(K, Gamma_i): the GenEO pencil's left-hand side on omega_i and the
+    positions in its dofs it is solved on (`coupling_rows`). The PU-weighted
+    overlap-zone energy chi A_over chi is PSD, has a positive diagonal
+    exactly on Gamma_i and vanishes elsewhere, so K is assembled on Gamma_i
+    alone (csr, scaled in place). Without an overlap K is zero, and Gamma_i
+    is all of omega_i's dofs."""
     sub = decomp.subdomains[i]
-    K = local_stiffness(system, sub.box, sub.dofs, overlap_zone(decomp, i))
-    chi = pu.weights[sub.id]
-    K.data *= chi[np.repeat(np.arange(sub.dofs.size), np.diff(K.indptr))]
+    zone = overlap_zone(decomp, i)
+    gamma = coupling_rows(decomp, pu, i, zone)
+    K = local_stiffness(system, sub.box, sub.dofs[gamma], zone)
+    chi = pu.weights[i][gamma]
+    K.data *= chi[np.repeat(np.arange(gamma.size), np.diff(K.indptr))]
     K.data *= chi[K.indices]
-    return K, coupling_rows(decomp, pu, i)
+    return K, gamma
 
 
 def geneo_eigenproblem(system, decomp, pu, i, m):
@@ -280,16 +276,12 @@ def geneo_eigenproblem(system, decomp, pu, i, m):
     K, gamma = geneo_coupling(system, decomp, pu, i)
     rest = np.setdiff1d(np.arange(sub.dofs.size), gamma, assume_unique=True)
     A_omega = local_stiffness(system, sub.box, sub.dofs)
-    try:
-        factor = factorize(SparseSym(submatrix(A_omega, rest, rest)))
-    except NotPositiveDefinite as exc:
-        raise FactorizationFailure(
-            f"subdomain {i}: local energy off the overlap zone not SPD: {exc}"
-        ) from exc
+    factor = _factor(submatrix(A_omega, rest, rest),
+                     f"subdomain {i}: local energy off the overlap zone")
     S, E = schur_complement(submatrix(A_omega, rest, gamma), submatrix(A_omega, gamma, gamma),
                             factor.solve)
 
-    pencil = dense_generalized_sym_eig(submatrix(K, gamma, gamma).toarray(), S, n_pairs=m + 1)
+    pencil = dense_generalized_sym_eig(K.toarray(), S, n_pairs=m + 1)
     # chi times the extension of the kept vectors X on the dofs where
     # chi > 0: the identity on Gamma and -E on the rest
     X = pencil.vectors[:, :m]
@@ -300,7 +292,7 @@ def geneo_eigenproblem(system, decomp, pu, i, m):
     glued = np.empty((row[-1] + 1, X.shape[1]))
     glued[row[g]] = chi[g, None] * X[on[gamma]]
     glued[row[r]] = (chi[r, None] * -E[on[rest]]) @ X
-    return _assemble_basis(i, "geneo", pencil, m, glued)
+    return _assemble_basis(i, "geneo", pencil, gamma.size, m, glued)
 
 
 @dataclass

@@ -6,6 +6,7 @@ import os
 import resource
 import subprocess
 import sys
+import threading
 import time
 import weakref
 from pathlib import Path
@@ -364,7 +365,7 @@ class TestOneRecord:
                                "converged", "failure", "workers", "local_s",
                                "workers_rss_upper_mb", "timings", "memory_mb"}
         assert report["workers"] == 1 and report["workers_rss_upper_mb"] is None
-        assert set(report["local_s"]) == {"factor", "reduce", "eig"}
+        assert set(report["local_s"]) == {"reduce", "eig"}
         assert set(compared["AS2_geneo"]["local_s"]) == {"geneo"}
 
         # a failed decomposition (solve) or shared sweep stage fills the same record
@@ -419,10 +420,11 @@ class TestRunSweep:
         assert len(lines) == 5
 
     def test_failed_cell_marked(self, tmp_path):
-        # requesting more modes than the interface can carry fails that cell only
+        # requesting more modes than the interface can carry fails that cell
+        # only, naming the first subdomain whose pencil is too small
         cfg = small_cfg(outputs={"sweep": str(tmp_path / "s.csv")})
         sweep = run_sweep(cfg, [1], [4, 10_000])
-        assert sweep.cells[(1, 10_000)].get("failure")
+        assert sweep.cells[(1, 10_000)]["failure"].startswith("TooManyModes: subdomain 0: ")
         assert not sweep.cells[(1, 4)].get("failure")
         body = (tmp_path / "s.csv").read_text()
         assert "FAIL:" in body
@@ -604,7 +606,30 @@ class TestPooledLocalSetup:
             rec = done[scheme]
             assert rec["converged"] and rec["workers"] == 2
             assert rec["workers_rss_upper_mb"] > 0.0
-            assert set(rec["local_s"]) == {"factor", "reduce", "eig"}
+            assert set(rec["local_s"]) == {"reduce", "eig"}
+
+    def test_lost_worker_is_a_typed_failure(self, monkeypatch):
+        # a worker that ends mid-task (killed, out of memory) fails the stage
+        # with a typed failure that the report records, naming a subdomain
+        # left without a result; the executor's thread raises nothing and no
+        # child is left running
+        caller = os.getpid()
+        task = msras.bench._local_task
+
+        def dying(*args):
+            if os.getpid() != caller:
+                os._exit(9)
+            return task(*args)
+
+        thread_errors = []
+        monkeypatch.setattr(threading, "excepthook", thread_errors.append)
+        monkeypatch.setattr(msras.bench, "_local_task", dying)
+        monkeypatch.setattr(msras.bench, "local_setup", functools.partial(local_setup, _width=2))
+        report, history, solution = run_single(small_cfg(nx=32, ny=32, px=4, py=4))
+        assert report["failure"].startswith("WorkerLost: subdomain ")
+        assert history is solution is None
+        assert not thread_errors
+        assert not multiprocessing.active_children()
 
     @pytest.mark.parametrize("kind", ["harmonic", "geneo"])
     def test_workers_run_on_one_blas_thread(self, blas_width_two, task_log, kind):

@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
+from msras import schwarz
 from msras.decomp import build_decomposition, build_partition_of_unity
-from msras.errors import Breakdown, DimensionMismatch, Stagnation
+from msras.errors import (
+    Breakdown,
+    DimensionMismatch,
+    FactorizationFailure,
+    NotPositiveDefinite,
+    Stagnation,
+)
 from msras.schwarz import (
     apply_one_level,
     apply_preconditioner,
@@ -136,6 +143,20 @@ class TestPreconditioner:
             assert state.scheme == one_level
             ref = build_preconditioner(system, dec, pu, one_level)
             assert np.array_equal(apply_preconditioner(state, r), apply_preconditioner(ref, r))
+
+    def test_overlap_factor_failure_names_subdomain(self, monkeypatch):
+        # AS2_geneo's local factor fails as the interior and GenEO factors
+        # do; a fresh decomposition, so nothing is cached in a shared one
+        def fail(A):
+            raise NotPositiveDefinite("leading minor of order 3 is not positive definite")
+
+        system = make_system(12, contrast=1e3)
+        dec = build_decomposition(system, 2, 2, 1, 2)
+        monkeypatch.setattr(schwarz, "factorize", fail)
+        with pytest.raises(FactorizationFailure, match="subdomain 0: local block not SPD") as err:
+            build_preconditioner(system, dec, build_partition_of_unity(dec), "AS2_geneo")
+        assert isinstance(err.value.__cause__, NotPositiveDefinite)
+        assert not dec.factors
 
     def test_full_coarse_space_gives_exact_inverse(self, small, rng):
         # coarse space spanning everything makes the hybrid correction exact

@@ -8,7 +8,12 @@ import scipy.sparse as sparse
 
 import msras.spectral as spectral
 from msras.bench import local_setup
-from msras.decomp import box_nodes, build_decomposition, build_partition_of_unity
+from msras.decomp import (
+    box_nodes,
+    build_decomposition,
+    build_partition_of_unity,
+    overlap_zone,
+)
 from msras.errors import (
     EmptyBoundary,
     FactorizationFailure,
@@ -141,7 +146,8 @@ def extended_vectors(system, dec, pu, i, S, P, b):
 
 def full_assembly_reduction(system, dec, pu, i):
     """S and Ptil formed from the full local assemblies on omega_i^* and on
-    the dofs where chi_i != 0, sliced locally."""
+    the dofs where chi_i != 0, sliced locally (not symmetrized: the pencil
+    solve does that)."""
     sub = dec.subdomains[i]
     i1 = sub.star_positions(sub.dofs0_star)
     i2 = sub.star_positions(sub.boundary_star)
@@ -154,7 +160,7 @@ def full_assembly_reduction(system, dec, pu, i):
     s = sub.dofs[nz]
     W = -chi[nz, None] * E[np.searchsorted(sub.dofs0_star, s)]
     Ptil = W.T @ (local_stiffness(system, sub.box, s) @ W)
-    return 0.5 * (S + S.T), 0.5 * (Ptil + Ptil.T)
+    return S, Ptil
 
 
 class TestReduceToHarmonic:
@@ -332,13 +338,15 @@ class TestLocalEigenproblem:
         assert rel.max() <= 1e-9, (int(rel.argmax()), rel.max())
 
     def test_truncate(self, system16, decomp16, pu16):
-        S, P, W = reduce_to_harmonic(system16, decomp16, pu16, 0)
-        b = solve_local_eigenproblem(S, P, W, 11, sub_id=0)
+        S, P, W = reduce_to_harmonic(system16, decomp16, pu16, 1)
+        b = solve_local_eigenproblem(S, P, W, 11, sub_id=1)
         t = truncate_basis(b, 6)
         assert t.n_modes == 6
         assert t.next_eigenvalue == b.eigenvalues[6]
         assert np.array_equal(t.glued, b.glued[:, :6])
-        with pytest.raises(TooManyModes):
+        assert truncate_basis(b, 11) is b
+        # the mode-count rule of a pencil solve, naming the subdomain
+        with pytest.raises(TooManyModes, match="^subdomain 1: requested 8 modes, only 6 available$"):
             truncate_basis(t, 8)
 
 
@@ -449,15 +457,19 @@ class TestGeneoReducedPencil:
 
     def test_pencil_has_coupling_rows(self, system16, decomp16, pu16, monkeypatch):
         # Gamma: the dofs with nonzero PU weight on a node of an overlap-zone
-        # cell; a fallback to the full omega_i pencil must fail here
-        sizes = []
+        # cell; a fallback to the full omega_i pencil must fail here. Each
+        # eigenproblem forms its overlap zone once.
+        sizes, zones = [], []
         original = spectral.dense_generalized_sym_eig
         monkeypatch.setattr(spectral, "dense_generalized_sym_eig",
                             lambda K, M, n_pairs=None: sizes.append(K.shape[0])
                             or original(K, M, n_pairs))
+        monkeypatch.setattr(spectral, "overlap_zone",
+                            lambda dec, i: zones.append(i) or overlap_zone(dec, i))
         masks = [box_mask(system16.grid, s.box) for s in decomp16.subdomains]
         for i, sub in enumerate(decomp16.subdomains):
             geneo_eigenproblem(system16, decomp16, pu16, i, 5)
+            assert zones == list(range(i + 1))
             on_zone, _ = node_incidence(mask_geneo_overlap(masks, i))
             in_gamma = on_zone.ravel()[system16.free_to_node[sub.dofs]] & (pu16.weights[i] != 0)
             assert sizes[-1] == np.count_nonzero(in_gamma) < sub.dofs.size
@@ -476,7 +488,7 @@ class TestGeneoReducedPencil:
             dec = build_decomposition(system, int(px), int(py), int(overlap), 1)
             pu = build_partition_of_unity(dec)
             for i in range(dec.n_subdomains):
-                gamma = spectral.coupling_rows(dec, pu, i)
+                gamma = spectral.coupling_rows(dec, pu, i, overlap_zone(dec, i))
                 ref = positive_diagonal_gamma(system, dec, pu, i)
                 assert np.array_equal(gamma, ref), (nx, ny, px, py, overlap, i)
                 assert spectral.pencil_size(dec, pu, "geneo", i) == gamma.size
