@@ -11,13 +11,14 @@ seed except for those two.
 
 import json
 import math
+import mmap
 import multiprocessing
 import os
 import resource
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -35,7 +36,7 @@ from .grid import (
     gaussian_bump_source,
     skyscraper_coefficient,
 )
-from .linalg import single_blas_thread
+from .linalg import SparseFactor
 
 _DRIVERS = ("richardson", "gmres")
 
@@ -266,15 +267,15 @@ _STAGES = ("assembly", "decomposition", "eigensolves", "coarse_setup", "local_fa
            "krylov")
 
 # The record of one scheme's run before any stage ran, the same for every
-# verb. `workers`, `local_s` and `workers_rss_upper_mb` are the stats of the
-# bases stage behind the scheme's coarse space (`local_setup`), None when
-# there is none. The last three fields hold objects (the bases, the
+# verb. `workers`, `local_s`, `wait_s` and `workers_rss_upper_mb` are the
+# stats of the bases stage behind the scheme's coarse space (`local_setup`),
+# None when there is none. The last three fields hold objects (the bases, the
 # iteration history and the solution), which a sweep cell drops.
 _RECORD = {
     "scheme_applied": None, "coarse_dim": 0, "lambda_bound": None,
     "max_next_eigenvalue": None, "iterations": None, "final_residual": None,
     "converged": False, "failure": None, "setup_s": 0.0, "solve_s": 0.0,
-    "workers": None, "local_s": None, "workers_rss_upper_mb": None,
+    "workers": None, "local_s": None, "wait_s": None, "workers_rss_upper_mb": None,
     "spectrum": None, "history": None, "solution": None,
 }
 _OBJECTS = ("spectrum", "history", "solution")
@@ -287,13 +288,16 @@ def basis_kind(scheme):
 
 
 # The estimated local work (`_local_flops`) from which a bases stage is
-# shared with worker processes. Measured on two cores in alternated fresh
-# processes (medians of 5 pairs), the pool took the 256^2, 8x8 harmonic
-# stage (7.2e9 flops) from 1.29 to 0.91 s and the 128^2, 8x8 GenEO stage
-# (2.2e9) from 0.77 to 0.52 s, while the 128^2, 8x8 harmonic stage (1.0e9)
-# won 3 pairs of 5, 0.42 against 0.39 s: below that size the fork, the
-# workers' start and the shipped results eat the gain.
-_POOL_FLOPS = 1.5e9
+# shared with worker processes. Measured on two cores, one BLAS thread per
+# process, in alternated fresh processes (stage wall time, medians), the pool
+# took the 256^2, 8x8 harmonic stage (7.2e9 flops) from 1.25 to 0.66 s (5 of
+# 5 pairs), the 128^2, 8x8 GenEO stage (2.2e9) from 0.66 to 0.40 s (5 of 5)
+# and the 128^2, 8x8 harmonic stage (1.0e9) from 0.37 to 0.27 s (10 of 10).
+# Smaller stages gain less than 0.1 s: the 64^2, 8x8 ones (2.2e8 and 2.4e8)
+# won 6 of 6 pairs, the 64^2, 4x4 ones (1.7e8 and 3.9e8) 5 of 6, and the
+# 32^2, 4x4 harmonic stage (3.7e7) lost 5 of 6. The gate sits just under the
+# 128^2 harmonic stage, so small instances stay serial.
+_POOL_FLOPS = 9e8
 
 
 def _local_flops(decomp, pu, kind):
@@ -331,12 +335,12 @@ def _local_task(system, decomp, pu, kind, modes, i):
     return basis, spectral.interior_factor(decomp, i), seconds  # cached by the reduction
 
 
-_WORKER = None  # set only in a worker process: (task, claims) of the stage that forked it
+_WORKER = None  # set only in a worker process: (task, claims, slots) of the stage that forked it
 
 
-def _adopt(task, claims):
+def _adopt(task, claims, slots):
     global _WORKER
-    _WORKER = task, claims
+    _WORKER = task, claims, slots
 
 
 def _claim(claims, i):
@@ -348,54 +352,115 @@ def _claim(claims, i):
 
 
 def _worker_task(i):
-    task, claims = _WORKER
+    task, claims, slots = _WORKER
     if not _claim(claims, i):
         return None  # the caller runs it
-    with single_blas_thread():
-        return task(i)
+    return slots.pack(i, task(i))
 
 
-def _pooled(task, order, width):
-    """[task(i) for i in range(len(order))], run by the calling process and
-    width - 1 forked workers. The workers take the tasks in `order` from the
-    front and the caller takes them from the back, each one that no worker
-    has started: a task runs in the process that claims it first, so the
-    split follows the tasks' real costs, and at the end the caller waits
-    only for the tasks the workers are running. The results are taken in
-    index order: the first failure raises, as in a serial loop, a task whose
-    worker ended without its result (killed, out of memory) as WorkerLost,
-    and the tasks not yet started are cancelled. Every worker has ended when
-    this returns or raises.
+def _pooled(task, order, width, slots):
+    """(results, wait_s): results is [task(i) for i in range(len(order))],
+    run by the calling process and width - 1 forked workers. The workers
+    take the tasks in `order` from the front and the caller takes them from
+    the back, each one that no worker has started: a task runs in the
+    process that claims it first, so the split follows the tasks' real
+    costs, and at the end the caller waits only for the tasks the workers
+    are running. wait_s is that wait, the seconds from the end of the
+    caller's last own task until every result is in. A worker sends
+    slots.pack(i, task(i)) back through the pool's pipe, and the caller
+    takes slots.unpack(i, that) as result i (`_ResultSlots`). The results
+    are taken in index order: the first failure raises, as in a serial
+    loop, a task whose worker ended without its result (killed, out of
+    memory) as WorkerLost, and the tasks not yet started are cancelled.
+    Every worker has ended when this returns or raises.
 
     The workers are forked, not spawned, so they start with the caller's
-    problem and decomposition in memory instead of a pickled copy of them;
-    the pool forks them before it starts its own threads, and OpenBLAS,
-    whose threads may exist, resets its pool in a forked child. A fork
-    copies only the calling thread, so any other thread of the caller's
-    must hold no lock the tasks take."""
+    problem and decomposition in memory instead of a pickled copy of them,
+    and `slots` can hold memory they share with the caller; the pool forks
+    them before it starts its own threads. A fork copies only the calling
+    thread, so any other thread of the caller's must hold no lock the tasks
+    take."""
     ctx = multiprocessing.get_context("fork")
     claims = ctx.Array("b", len(order))
     pool = ProcessPoolExecutor(width - 1, mp_context=ctx, initializer=_adopt,
-                               initargs=(task, claims))
+                               initargs=(task, claims, slots))
     try:
         futures = {i: pool.submit(_worker_task, i) for i in order}
+        own = set()
         for i in reversed(order):
             if not _claim(claims, i):  # the workers have come this far
                 break
+            own.add(i)
             futures[i] = Future()  # not cancelled: a pool that breaks fails all it holds
             try:
                 futures[i].set_result(task(i))
             except Exception as exc:  # raised in index order below
                 futures[i].set_exception(exc)
+        t = time.perf_counter()
         results = []
         for i in range(len(order)):
             try:
-                results.append(futures[i].result())
+                result = futures[i].result()
             except BrokenProcessPool as exc:
                 raise WorkerLost(f"subdomain {i}: its worker ended without a result") from exc
-        return results
+            results.append(result if i in own else slots.unpack(i, result))
+        return results, time.perf_counter() - t
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+def _shared_slots(sizes):
+    """One anonymous shared mapping, which the processes forked after it
+    inherit, cut into one slot of sizes[i] doubles per index, each slot on a
+    64-byte boundary: the slots as flat arrays. The mapping is unmapped once
+    no slot is referenced; a page no process writes takes no memory."""
+    starts = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(-(-np.asarray(sizes, dtype=np.int64) // 8) * 8, out=starts[1:])
+    flat = np.frombuffer(mmap.mmap(-1, 8 * max(int(starts[-1]), 1)), dtype=float)
+    return [flat[a:a + n] for a, n in zip(starts, sizes)]
+
+
+class _ResultSlots:
+    """Where the workers of a pooled bases stage leave a task's arrays
+    (`_local_task`), so that only its small fields cross the pool's pipe.
+    Subdomain i has one slot in each of two shared mappings
+    (`_shared_slots`), made before the fork: its glued block,
+    |dofs0(omega_i)| x modes[i] doubles in C order, and for the harmonic kind
+    its interior factor band, at most (x1 - x0 + 3) x |dofs0(omega_i^*)| in F
+    order for omega_i^*'s box columns x0..x1 (a row of the interior holds at
+    most x1 - x0 + 1 dofs, so the lower bandwidth is at most x1 - x0 + 2).
+    The blocks and the bands have a mapping each, so bases released with
+    their coarse space free theirs while the decomposition keeps the
+    factors."""
+
+    def __init__(self, decomp, modes, kind):
+        subs = decomp.subdomains
+        self.shapes = [(sub.dofs0.size, m) for sub, m in zip(subs, modes, strict=True)]
+        self.glued = _shared_slots([rows * m for rows, m in self.shapes])
+        self.bands = _shared_slots([
+            (sub.box_star[1] - sub.box_star[0] + 3) * sub.dofs0_star.size
+            if kind == "harmonic" else 0 for sub in subs])
+
+    def pack(self, i, result):
+        """In a worker: task i's result with its basis's glued block and its
+        factor's band copied to their slots, as (the basis without its block,
+        the band's shape or None, the seconds)."""
+        basis, factor, seconds = result
+        self.glued[i][:] = basis.glued.ravel()
+        shape = None
+        if factor is not None:
+            shape = factor.band.shape
+            self.bands[i][:factor.band.size] = factor.band.ravel(order="F")
+        return replace(basis, glued=None), shape, seconds
+
+    def unpack(self, i, packed):
+        """In the caller: the result `pack` sent, on views of the slots."""
+        basis, shape, seconds = packed
+        basis = replace(basis, glued=self.glued[i].reshape(self.shapes[i]))
+        if shape is None:
+            return basis, None, seconds
+        band = self.bands[i][:shape[0] * shape[1]].reshape(shape, order="F")
+        return basis, SparseFactor(band), seconds
 
 
 def local_setup(system, decomp, pu, modes, kind="harmonic", _width=None):
@@ -407,21 +472,26 @@ def local_setup(system, decomp, pu, modes, kind="harmonic", _width=None):
     When the process may use more than one core and the stage's estimated
     work (`_local_flops`) reaches `_POOL_FLOPS`, the tasks are shared by the
     caller and one forked worker per further core (`_pooled`; `_width` sets
-    the number of processes instead). Each worker caps its BLAS at one
-    thread; the caller's tasks run at the caller's width. The interior
-    factors the workers made are installed in decomp.factors, so each
-    matrix is still factored once, and the bases come in subdomain order,
-    bit for bit as a serial loop gives them. A typed failure raises as the
+    the number of processes instead). Every process runs its BLAS on one
+    thread (`linalg`). A worker leaves a task's glued block and interior
+    factor band in the task's slots of memory it shares with the caller
+    (`_ResultSlots`) and returns only the small fields; the caller's bases
+    and factors of those tasks are views of the slots. The interior factors
+    the workers made are installed in decomp.factors, so each matrix is
+    still factored once, and the bases come in subdomain order, bit for bit
+    as a serial loop gives them. A typed failure raises as the
     serial loop would raise it: that of the failing subdomain with the
     lowest index, WorkerLost for a task whose worker ended without it.
 
     stats has `workers`, the processes that ran the tasks; `local_s`, the
     tasks' own seconds summed per step (reduce, which includes the interior
-    factorization, and eig, or geneo); and `workers_rss_upper_mb`, the
-    largest peak resident set of any child process this process has waited
-    for (ru_maxrss of RUSAGE_CHILDREN) after a pooled stage, else None. A
-    forked worker's count includes the pages it shares with its parent, so
-    it bounds the memory a worker added from above."""
+    factorization, and eig, or geneo); `wait_s`, the seconds the caller
+    waited for the workers' last results after its own last task (0 for a
+    serial stage); and `workers_rss_upper_mb`, the largest peak resident
+    set of any child process this process has waited for (ru_maxrss of
+    RUSAGE_CHILDREN) after a pooled stage, else None. A forked worker's
+    count includes the pages it shares with its parent, so it bounds the
+    memory a worker added from above."""
     n = decomp.n_subdomains
     if len(modes) != n:
         raise ValueError(f"modes: {len(modes)} values for {n} subdomains")
@@ -432,18 +502,19 @@ def local_setup(system, decomp, pu, modes, kind="harmonic", _width=None):
     width = min(width, n)
     task = partial(_local_task, system, decomp, pu, kind, modes)
     if width == 1:
-        results = [task(i) for i in range(n)]
+        results, wait_s = [task(i) for i in range(n)], 0.0
     else:
         # the costliest tasks at both ends and the cheapest in the middle,
         # where the caller and the workers meet and the last of them wait
         by_cost = np.argsort(-flops, kind="stable").tolist()
-        results = _pooled(task, by_cost[0::2] + by_cost[1::2][::-1], width)
+        results, wait_s = _pooled(task, by_cost[0::2] + by_cost[1::2][::-1], width,
+                                  _ResultSlots(decomp, modes, kind))
     for i, (_, factor, _) in enumerate(results):
         if factor is not None:
             decomp.factors.setdefault(("dofs0_star", i), factor)
     local_s = {name: sum(seconds[name] for *_, seconds in results) for name in results[0][2]}
     rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
-    stats = {"workers": width, "local_s": local_s,
+    stats = {"workers": width, "local_s": local_s, "wait_s": wait_s,
              "workers_rss_upper_mb": rss if width > 1 else None}
     return [basis for basis, _, _ in results], stats
 
@@ -480,10 +551,9 @@ class Pipeline:
     work of at least `_POOL_FLOPS`, the tasks are shared between this
     process and one forked worker per further core, which live for the
     stage only. `local` keeps, per basis kind, the stats of its last stage
-    (see `local_setup`), and `run` puts them in the records. The
-    subdomain-local stages (bases, preconditioner) run on one BLAS thread in
-    every process; the coarse space and the drive keep the caller's
-    setting."""
+    (see `local_setup`), and `run` puts them in the records. Every stage
+    runs its BLAS on one thread, set for the process when `linalg` is
+    imported."""
 
     def __init__(self, cfg):
         self.cfg = cfg
@@ -517,9 +587,8 @@ class Pipeline:
         """Local bases of the scheme's eigenproblem, modes[i] on subdomain i
         (see `local_setup`)."""
         kind = basis_kind(scheme)
-        with single_blas_thread():
-            bases, self.local[kind] = self._timed("eigensolves", local_setup, self.system,
-                                                  decomp, pu, modes, kind)
+        bases, self.local[kind] = self._timed("eigensolves", local_setup, self.system, decomp,
+                                              pu, modes, kind)
         return bases
 
     def coarse_space(self, decomp, pu, scheme, modes, full=None):
@@ -567,10 +636,9 @@ class Pipeline:
                 if coarse is not None:
                     rec.update(coarse_dim=coarse.m, lambda_bound=coarse.lam,
                                max_next_eigenvalue=coarse.max_next_eigenvalue)
-                with single_blas_thread():
-                    state, rec["failure"] = _attempt(
-                        self._timed, "local_factorizations", schwarz.build_preconditioner,
-                        self.system, decomp, pu, scheme, coarse)
+                state, rec["failure"] = _attempt(
+                    self._timed, "local_factorizations", schwarz.build_preconditioner,
+                    self.system, decomp, pu, scheme, coarse)
             rec["setup_s"] = time.perf_counter() - t
             if rec["failure"] is not None:
                 continue
@@ -609,7 +677,7 @@ def run_single(cfg):
         "xi_star": decomp.xi_star if decomp is not None else None,
         **{key: rec[key] for key in ("coarse_dim", "lambda_bound", "iterations",
                                      "final_residual", "converged", "failure", "workers",
-                                     "local_s", "workers_rss_upper_mb")},
+                                     "local_s", "wait_s", "workers_rss_upper_mb")},
         "timings": dict(pipe.timings),
         "memory_mb": dict(pipe.memory_mb),
     }

@@ -23,11 +23,13 @@ whose steps are level-3 BLAS (`dtrsm`, `dgemm`), so it agrees with its
 column solves to rounding but not bit for bit. The global matrix is not
 factored here: its direct reference solve,
 `grid.AssembledSystem.solve_direct`, uses a sparse LU.
-`single_blas_thread` caps the bundled OpenBLAS at one thread for the small
-subdomain-local kernels.
+
+Importing this module sets the OpenBLAS libraries bundled with the numpy and
+scipy wheels to one thread for the whole process, once and before any
+process is forked: every stage runs its BLAS on one thread in every process
+(`_bundled_openblas`).
 """
 
-import contextlib
 import ctypes
 import glob
 import os
@@ -40,40 +42,39 @@ import scipy.sparse as sparse
 from .errors import DimensionMismatch, NonConvergence, NotPositiveDefinite, NotSymmetric
 
 
+# The global thread-count setters of the bundled OpenBLAS builds: numpy's
+# 64-bit-integer copy, scipy's copy, and the unprefixed name of older wheels.
+_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                   "openblas_set_num_threads")
+
+
 def _bundled_openblas():
-    """The OpenBLAS libraries bundled with the numpy and scipy wheels that
-    export the per-thread setter `openblas_set_num_threads_local`."""
-    libs = []
+    """The OpenBLAS libraries bundled with the numpy and scipy wheels, each
+    with its global thread-count setter, as (library, setter) pairs."""
+    found = []
     for pkg in (np, scipy):
         for path in sorted(glob.glob(os.path.dirname(pkg.__file__) + ".libs/*openblas*.so*")):
             try:
                 lib = ctypes.CDLL(path)
             except OSError:
                 continue
-            if hasattr(lib, "openblas_set_num_threads_local"):
-                libs.append(lib)
-    return libs
+            name = next((n for n in _THREAD_SETTERS if hasattr(lib, n)), None)
+            if name is not None:
+                found.append((lib, getattr(lib, name)))
+    return found
 
 
+# One BLAS thread per process, set once for the process here, before any
+# fork. The local kernels (a banded solve on w x w blocks, dense pencils of a
+# few hundred rows) and the Krylov loop's single-vector solves are too small
+# to gain from a second thread. A per-thread cap
+# (`openblas_set_num_threads_local`) would cost more: a fork shuts OpenBLAS's
+# helper threads down, and the next call of that setter starts one helper per
+# library again, which busy-waits on the cores the processes need. After the
+# global setting no call and no fork starts a helper.
 _OPENBLAS = _bundled_openblas()
-
-
-@contextlib.contextmanager
-def single_blas_thread():
-    """Run the block with the calling thread's OpenBLAS capped at one thread.
-
-    The subdomain-local kernels (a few-thousand-row sparse solve, a dense
-    pencil of a few hundred) are too small to gain from more threads, and
-    spreading them costs more than it saves. The previous per-thread value,
-    which the setter returns, is restored on exit, also on an exception.
-    Without a bundled OpenBLAS this does nothing.
-    """
-    previous = [lib.openblas_set_num_threads_local(1) for lib in _OPENBLAS]
-    try:
-        yield
-    finally:
-        for lib, n in zip(_OPENBLAS, previous, strict=True):
-            lib.openblas_set_num_threads_local(n)
+for _lib, _set_threads in _OPENBLAS:
+    _set_threads(1)
 
 
 class SparseSym:

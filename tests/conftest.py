@@ -84,25 +84,20 @@ _OPENBLAS_GETTERS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_nu
 
 
 def openblas_threads():
-    """The thread count each bundled OpenBLAS reports for the calling thread."""
+    """The thread count each bundled OpenBLAS is set to."""
     counts = []
-    for lib in linalg._OPENBLAS:
+    for lib, _ in linalg._OPENBLAS:
         name = next(n for n in _OPENBLAS_GETTERS if hasattr(lib, n))
         counts.append(getattr(lib, name)())
     return counts
 
 
 @pytest.fixture
-def blas_width_two():
-    """The calling thread's OpenBLAS at two threads for the test, so a cap to
-    one is visible whatever OPENBLAS_NUM_THREADS says; skips without a
-    bundled OpenBLAS."""
+def bundled_openblas():
+    """Skips the test without a bundled OpenBLAS whose thread count it can
+    set and read."""
     if not linalg._OPENBLAS:
-        pytest.skip("no bundled OpenBLAS with a per-thread setter")
-    previous = [lib.openblas_set_num_threads_local(2) for lib in linalg._OPENBLAS]
-    yield 2
-    for lib, n in zip(linalg._OPENBLAS, previous, strict=True):
-        lib.openblas_set_num_threads_local(n)
+        pytest.skip("no bundled OpenBLAS with a global thread-count setter")
 
 
 _GMRES_RSS = """

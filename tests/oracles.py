@@ -38,16 +38,21 @@ solve of an ill-conditioned high-contrast block carries.
 The dense diagnostics of the preconditioned operator (its energy-norm
 contraction and the condition number of the additive schemes) assemble the
 operator column by column through the package's preconditioner apply and
-decompose it densely, so they serve small instances only. The coarse
+decompose it densely, so they serve small instances only, with BLAS on
+every core for their duration (`blas_width`). The coarse
 solve's dense reference starts from its kept columns, written out densely
 from the coarse space's blocks.
 """
+
+import contextlib
+import os
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
+from msras import linalg
 from msras.schwarz import apply_preconditioner
 
 _GP = ((1.0 - 1.0 / np.sqrt(3.0)) / 2.0, (1.0 + 1.0 / np.sqrt(3.0)) / 2.0)
@@ -475,6 +480,26 @@ class TooLarge(Exception):
     """Problem exceeds the size limit of a dense diagnostic."""
 
 
+@contextlib.contextmanager
+def blas_width(n):
+    """Every bundled OpenBLAS at n threads inside the block (or the function
+    it decorates), and back at the package's one thread after it, also on an
+    exception."""
+    for _, set_threads in linalg._OPENBLAS:
+        set_threads(n)
+    try:
+        yield
+    finally:
+        for _, set_threads in linalg._OPENBLAS:
+            set_threads(1)
+
+
+# The dense oracles' n^3 eigensolves of a few thousand rows gain from every
+# core, unlike the package's small kernels.
+_ALL_CORES = len(os.sched_getaffinity(0))
+
+
+@blas_width(_ALL_CORES)
 def contraction_norm(state, system, max_dofs=3000):
     """Exact ||I - B A|| in the energy norm, via dense assembly of the
     preconditioned operator and a symmetric eigensolve of its similarity
@@ -494,6 +519,7 @@ def contraction_norm(state, system, max_dofs=3000):
     return float(np.sqrt(max(s2, 0.0)))
 
 
+@blas_width(_ALL_CORES)
 def spd_condition_number(state, system, max_dofs=3000):
     """Spectral condition number of the preconditioned operator B A for a
     symmetric preconditioner (the additive schemes), via the symmetric form

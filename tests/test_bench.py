@@ -3,6 +3,7 @@ import importlib
 import json
 import multiprocessing
 import os
+import pickle
 import resource
 import subprocess
 import sys
@@ -224,16 +225,16 @@ class TestRunSingle:
 
 
 class TestBlasWidthPerStage:
-    """The subdomain-local stages run on one BLAS thread; the drive keeps the
-    caller's width."""
+    """Every stage, the drive included, runs on one BLAS thread."""
 
     @pytest.mark.parametrize("module, name, width", [
         ("spectral", "reduce_to_harmonic", 1),
         ("spectral", "geneo_eigenproblem", 1),
+        ("spectral", "build_coarse_space", 1),
         ("schwarz", "build_preconditioner", 1),
-        ("schwarz", "gmres", 2),
+        ("schwarz", "gmres", 1),
     ])
-    def test_probe_sees_stage_width(self, blas_width_two, monkeypatch, module, name, width):
+    def test_probe_sees_stage_width(self, bundled_openblas, monkeypatch, module, name, width):
         target = importlib.import_module(f"msras.{module}")
         seen = []
         original = getattr(target, name)
@@ -247,7 +248,37 @@ class TestBlasWidthPerStage:
         report, _, _ = run_single(small_cfg(scheme=scheme))
         assert report["failure"] is None and report["converged"]
         assert seen and all(counts == [width] * len(counts) for counts in seen)
-        assert openblas_threads() == [blas_width_two] * len(seen[0])
+        assert openblas_threads() == [1] * len(seen[0])
+
+
+# A pooled run_single in a fresh process, whose OpenBLAS starts with helper
+# threads (OPENBLAS_NUM_THREADS=2): its report, and the threads the process
+# has after it.
+_THREADS_AFTER_POOL = """
+import functools, json, os, sys
+import msras.bench as bench
+
+bench.local_setup = functools.partial(bench.local_setup, _width=2)
+report, _, _ = bench.run_single(bench.ExperimentConfig.from_dict(json.loads(sys.argv[1])))
+print(json.dumps({"workers": report["workers"], "converged": report["converged"],
+                  "pid": os.getpid(), "threads": os.listdir("/proc/self/task")}))
+"""
+
+
+def test_pooled_run_leaves_no_blas_helper(bundled_openblas):
+    # the fork shuts down the helpers that OpenBLAS started at load, and at
+    # one thread per process no later call starts one, in the caller or in
+    # a worker
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no /proc/self/task to count the threads in")
+    proc = subprocess.run(
+        [sys.executable, "-c", _THREADS_AFTER_POOL, json.dumps(small_cfg().to_dict())],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "2",
+             "PYTHONPATH": str(Path(schwarz.__file__).parents[1])})
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["workers"] == 2 and out["converged"]
+    assert out["threads"] == [str(out["pid"])]  # the main thread alone
 
 
 class TestRunComparison:
@@ -334,7 +365,7 @@ class TestRunComparison:
 # The record every verb gets per scheme from Pipeline.run, and its objects
 RECORD_KEYS = {"scheme_applied", "coarse_dim", "lambda_bound", "max_next_eigenvalue",
                "iterations", "final_residual", "converged", "failure", "setup_s", "solve_s",
-               "workers", "local_s", "workers_rss_upper_mb"}
+               "workers", "local_s", "wait_s", "workers_rss_upper_mb"}
 RECORD_OBJECTS = {"spectrum", "history", "solution"}
 
 
@@ -362,9 +393,10 @@ class TestOneRecord:
         assert all(set(cell) == RECORD_KEYS for cell in sweep.cells.values())
         assert set(report) == {"config", "scheme_applied", "n_free_dofs", "xi", "xi_star",
                                "coarse_dim", "lambda_bound", "iterations", "final_residual",
-                               "converged", "failure", "workers", "local_s",
+                               "converged", "failure", "workers", "local_s", "wait_s",
                                "workers_rss_upper_mb", "timings", "memory_mb"}
         assert report["workers"] == 1 and report["workers_rss_upper_mb"] is None
+        assert report["wait_s"] == 0.0
         assert set(report["local_s"]) == {"reduce", "eig"}
         assert set(compared["AS2_geneo"]["local_s"]) == {"geneo"}
 
@@ -559,6 +591,7 @@ class TestPooledLocalSetup:
         runs = [_bases_stage(cfg, kind, modes, capped, width) for width in (1, 2)]
         assert {pid for pid, _ in rows()} - {caller}, "no task ran in a worker"
         assert [stats["workers"] for *_, stats in runs] == [1, 2]
+        assert runs[0][-1]["wait_s"] == 0.0 and runs[1][-1]["wait_s"] >= 0.0
         (_, dec1, _, b1, _), (_, dec2, _, b2, _) = runs
         assert any(b.n_modes < modes for b in b1) == capped  # as a sweep caps them
         for a, b in zip(b1, b2, strict=True):
@@ -632,31 +665,82 @@ class TestPooledLocalSetup:
         assert not multiprocessing.active_children()
 
     @pytest.mark.parametrize("kind", ["harmonic", "geneo"])
-    def test_workers_run_on_one_blas_thread(self, blas_width_two, task_log, kind):
-        # called outside the Pipeline's cap: the caller's tasks run at its
-        # width of two, and every worker task at one
+    def test_workers_run_on_one_blas_thread(self, bundled_openblas, task_log, kind):
+        # called outside any Pipeline: the caller's tasks and every worker
+        # task run at the one thread set at import
         caller, rows = task_log
         _bases_stage(small_cfg(), kind, 5, False, 2)
-        widths = {pid != caller: [] for pid, _ in rows()}
-        for pid, counts in rows():
-            widths[pid != caller].append(counts)
-        assert set(widths) == {False, True}
-        assert all(counts == [1] * len(counts) for counts in widths[True])
-        assert all(counts == [blas_width_two] * len(counts) for counts in widths[False])
+        assert {pid == caller for pid, _ in rows()} == {False, True}
+        assert all(counts == [1] * len(counts) for _, counts in rows())
+
+    @pytest.mark.parametrize("kind", ["harmonic", "geneo"])
+    def test_worker_result_leaves_its_arrays_in_the_slots(self, monkeypatch, kind):
+        # a worker's result carries the small fields only; the caller reads
+        # the glued block and the factor band from the slots, bit for bit
+        # as the task made them
+        system = build_problem(small_cfg())
+
+        def parts():  # a fresh decomposition, with no cached factor
+            dec = build_decomposition(system, 2, 2, 1, 2)
+            return dec, build_partition_of_unity(dec)
+
+        (dec, pu), (fresh, fresh_pu) = parts(), parts()
+        modes = [5] * dec.n_subdomains
+        slots = msras.bench._ResultSlots(dec, modes, kind)
+        task = functools.partial(msras.bench._local_task, system, dec, pu, kind, modes)
+        claims = multiprocessing.Array("b", dec.n_subdomains)
+        monkeypatch.setattr(msras.bench, "_WORKER", (task, claims, slots))
+        for i in range(dec.n_subdomains):
+            sent = pickle.dumps(msras.bench._worker_task(i))
+            assert len(sent) <= 2048
+            basis, factor, _ = slots.unpack(i, pickle.loads(sent))
+            want, want_factor, _ = msras.bench._local_task(system, fresh, fresh_pu, kind,
+                                                           modes, i)
+            assert basis.glued.flags.c_contiguous and np.array_equal(basis.glued, want.glued)
+            assert np.array_equal(basis.eigenvalues, want.eigenvalues)
+            assert (basis.subdomain_id, basis.kind, basis.kernel_dim, basis.next_eigenvalue) == (
+                want.subdomain_id, want.kind, want.kernel_dim, want.next_eigenvalue)
+            if kind == "geneo":
+                assert factor is want_factor is None
+            else:
+                assert factor.band.flags.f_contiguous
+                assert np.array_equal(factor.band, want_factor.band)
+        assert msras.bench._worker_task(0) is None  # claimed: the caller runs it
+
+    def test_band_slot_holds_neumann_rows(self, task_log):
+        # with Neumann sides across the rows, a row of omega_i^*'s interior
+        # reaches its box's edge nodes and the lower bandwidth x1 - x0 + 2,
+        # which the band slot still holds
+        caller, rows = task_log
+        sides = {side: {"type": "neumann"} for side in ("left", "right", "top")}
+        cfg = small_cfg(nx=24, ny=24, px=1, py=3, boundary={**sides,
+                        "bottom": {"type": "dirichlet"}})
+        runs = [_bases_stage(cfg, "harmonic", 4, False, width) for width in (1, 2)]
+        assert {pid for pid, _ in rows()} - {caller}, "no task ran in a worker"
+        (_, dec1, _, b1, _), (_, dec2, _, b2, _) = runs
+        boxes = [sub.box_star for sub in dec1.subdomains]
+        assert max(f.band.shape[0] - 1 - (boxes[i][1] - boxes[i][0])
+                   for (_, i), f in dec1.factors.items()) == 2
+        for key, factor in dec1.factors.items():
+            assert np.array_equal(factor.band, dec2.factors[key].band)
+        for a, b in zip(b1, b2, strict=True):
+            assert np.array_equal(a.glued, b.glued)
 
     def test_gate_pools_only_the_large_stages(self):
         # the estimated work of the benchmark's stages against the gate:
-        # the 256^2, 8x8 harmonic and the 128^2, 8x8 GenEO stage are shared,
-        # the 128^2 harmonic one is not, and the tier-1 configs stay far
-        # below it
-        def flops(n, kind):
-            cfg = small_cfg(nx=n, ny=n, px=8, py=8, overlap_layers=2, oversampling_layers=4)
-            dec = build_decomposition(build_problem(cfg), 8, 8, 2, 4)
+        # the 256^2, 8x8 harmonic and the 128^2, 8x8 GenEO and harmonic
+        # stages are shared, the 32^2, 4x4 stages of its smoke runs are not,
+        # and the tier-1 configs stay far below it
+        def flops(n, kind, parts=8):
+            cfg = small_cfg(nx=n, ny=n, px=parts, py=parts, overlap_layers=2,
+                            oversampling_layers=4)
+            dec = build_decomposition(build_problem(cfg), parts, parts, 2, 4)
             return msras.bench._local_flops(dec, build_partition_of_unity(dec), kind).sum()
 
         gate = msras.bench._POOL_FLOPS
         assert flops(256, "harmonic") > gate and flops(128, "geneo") > gate
-        assert flops(128, "harmonic") < gate
+        assert flops(128, "harmonic") > gate
+        assert max(flops(32, kind, 4) for kind in ("harmonic", "geneo")) < gate
         cfg = small_cfg()
         dec = build_decomposition(build_problem(cfg), 2, 2, 1, 2)
         pu = build_partition_of_unity(dec)

@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sparse
@@ -16,7 +22,6 @@ from msras.linalg import (
     SparseSym,
     dense_generalized_sym_eig,
     factorize,
-    single_blas_thread,
     submatrix,
 )
 from msras.spectral import local_stiffness
@@ -444,28 +449,16 @@ class TestKernelRule:
         assert np.allclose(np.abs(pe.vectors[:, 0]), np.eye(11)[0])
 
 
-class TestSingleBlasThread:
-    def test_capped_inside_restored_after(self, blas_width_two):
-        assert openblas_threads() == [2] * len(linalg._OPENBLAS)
-        with single_blas_thread():
-            assert openblas_threads() == [1] * len(linalg._OPENBLAS)
-        assert openblas_threads() == [2] * len(linalg._OPENBLAS)
+class TestOneBlasThread:
+    def test_set_at_import_whatever_the_environment_says(self, bundled_openblas):
+        code = ("import json; from tests.conftest import openblas_threads; "
+                "print(json.dumps(openblas_threads()))")
+        root = Path(__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, cwd=root,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "2",
+                 "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root)])})
+        assert json.loads(proc.stdout) == [1] * len(linalg._OPENBLAS)
+        assert openblas_threads() == [1] * len(linalg._OPENBLAS)
 
-    def test_restored_after_exception(self, blas_width_two):
-        with pytest.raises(NotSymmetric), single_blas_thread():
-            assert openblas_threads() == [1] * len(linalg._OPENBLAS)
-            dense_generalized_sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]), np.eye(2))
-        assert openblas_threads() == [2] * len(linalg._OPENBLAS)
 
-    def test_nested_blocks_restore_in_turn(self, blas_width_two):
-        with single_blas_thread():
-            with single_blas_thread():
-                assert openblas_threads() == [1] * len(linalg._OPENBLAS)
-            assert openblas_threads() == [1] * len(linalg._OPENBLAS)
-        assert openblas_threads() == [2] * len(linalg._OPENBLAS)
-
-    def test_without_openblas_runs_the_block(self, monkeypatch):
-        monkeypatch.setattr(linalg, "_OPENBLAS", [])
-        with single_blas_thread():
-            eigenvalues = dense_generalized_sym_eig(np.eye(3), np.eye(3)).eigenvalues
-        assert np.allclose(eigenvalues, 1.0)

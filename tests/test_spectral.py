@@ -22,7 +22,7 @@ from msras.errors import (
     TooManyModes,
 )
 from msras.grid import BoundarySpec, element_stiffness
-from msras.linalg import dense_generalized_sym_eig, single_blas_thread
+from msras.linalg import dense_generalized_sym_eig
 from msras.schwarz import apply_one_level, build_preconditioner
 from msras.spectral import (
     LocalSpectralBasis,
@@ -42,6 +42,7 @@ from tests.conftest import (
     pinned_instance,
 )
 from tests.oracles import (
+    blas_width,
     box_mask,
     dense_harmonic_extension,
     dense_local_stiffness,
@@ -524,17 +525,19 @@ def test_kernel_follows_topology(nx, parts, seed):
 
 class TestBlasWidth:
     @pytest.mark.parametrize("kind", ["harmonic", "geneo"])
-    def test_bases_do_not_depend_on_blas_width(self, interior_case, blas_width_two, kind):
-        # a fresh decomposition per run, so no cached factor crosses the cap
+    def test_bases_do_not_depend_on_blas_width(self, interior_case, bundled_openblas, kind):
+        # the package runs BLAS on one thread; a second one changes the
+        # bases only by rounding. A fresh decomposition per run, so no
+        # cached factor crosses from one width to the other.
         system, _, _ = interior_case
 
         def bases():
             dec = build_decomposition(system, 3, 3, 1, 1)
             return local_setup(system, dec, build_partition_of_unity(dec), [6] * 9, kind)[0]
 
-        wide = bases()
-        with single_blas_thread():
-            narrow = bases()
+        with blas_width(2):
+            wide = bases()
+        narrow = bases()
         for a, b in zip(wide, narrow, strict=True):
             assert a.kernel_dim == b.kernel_dim
             fin = slice(a.kernel_dim, None)
