@@ -268,9 +268,9 @@ _STAGES = ("assembly", "decomposition", "eigensolves", "coarse_setup", "local_fa
 
 # The record of one scheme's run before any stage ran, the same for every
 # verb. `workers`, `local_s`, `wait_s` and `workers_rss_upper_mb` are the
-# stats of the bases stage behind the scheme's coarse space (`local_setup`),
-# None when there is none. The last three fields hold objects (the bases, the
-# iteration history and the solution), which a sweep cell drops.
+# stats of the bases behind the scheme's coarse space (`_Bases.collect`),
+# None when there are none. The last three fields hold objects (the bases,
+# the iteration history and the solution), which a sweep cell drops.
 _RECORD = {
     "scheme_applied": None, "coarse_dim": 0, "lambda_bound": None,
     "max_next_eigenvalue": None, "iterations": None, "final_residual": None,
@@ -287,21 +287,23 @@ def basis_kind(scheme):
     return "geneo" if scheme == "AS2_geneo" else "harmonic"
 
 
-# The estimated local work (`_local_flops`) from which a bases stage is
-# shared with worker processes. Measured on two cores, one BLAS thread per
-# process, in alternated fresh processes (stage wall time, medians), the pool
-# took the 256^2, 8x8 harmonic stage (7.2e9 flops) from 1.25 to 0.66 s (5 of
-# 5 pairs), the 128^2, 8x8 GenEO stage (2.2e9) from 0.66 to 0.40 s (5 of 5)
-# and the 128^2, 8x8 harmonic stage (1.0e9) from 0.37 to 0.27 s (10 of 10).
-# Smaller stages gain less than 0.1 s: the 64^2, 8x8 ones (2.2e8 and 2.4e8)
-# won 6 of 6 pairs, the 64^2, 4x4 ones (1.7e8 and 3.9e8) 5 of 6, and the
-# 32^2, 4x4 harmonic stage (3.7e7) lost 5 of 6. The gate sits just under the
-# 128^2 harmonic stage, so small instances stay serial.
+# The estimated local work (`_local_flops`, summed over a session's kinds)
+# from which a bases session is shared with worker processes. Measured on
+# two cores, one BLAS thread per process, in alternated fresh processes
+# (stage wall time, medians), the pool took the 256^2, 8x8 harmonic stage
+# (7.2e9 flops) from 1.25 to 0.66 s (5 of 5 pairs), the 128^2, 8x8 GenEO
+# stage (2.2e9) from 0.66 to 0.40 s (5 of 5) and the 128^2, 8x8 harmonic
+# stage (1.0e9) from 0.37 to 0.27 s (10 of 10). Smaller stages gain less
+# than 0.1 s: the 64^2, 8x8 ones (2.2e8 and 2.4e8) won 6 of 6 pairs, the
+# 64^2, 4x4 ones (1.7e8 and 3.9e8) 5 of 6, and the 32^2, 4x4 harmonic stage
+# (3.7e7) lost 5 of 6. The gate sits just under the 128^2 harmonic stage,
+# so small instances stay serial, the two kinds of a 64^2, 8x8 comparison
+# (4.6e8 together) included.
 _POOL_FLOPS = 9e8
 
 
 def _local_flops(decomp, pu, kind):
-    """Estimated flops of each subdomain's task in a bases stage, from the
+    """Estimated flops of each subdomain's task of one kind, from the
     subdomain sizes: 4 n w k for the banded solve of its k coupling columns
     (n rows eliminated, lower bandwidth w about the box's width in cells),
     for the harmonic kind 2 |s| k^2 for Ptil on s = dofs0(omega_i), and
@@ -320,7 +322,7 @@ def _local_flops(decomp, pu, kind):
 
 
 def _local_task(system, decomp, pu, kind, modes, i):
-    """Subdomain i's part of a bases stage: (its basis, its interior factor
+    """Subdomain i's task of one kind: (its basis, its interior factor
     for the harmonic kind or None for GenEO, the seconds of each step). The
     steps are the traced spectral calls: geneo, or reduce (which makes the
     interior factor) and eig."""
@@ -335,78 +337,28 @@ def _local_task(system, decomp, pu, kind, modes, i):
     return basis, spectral.interior_factor(decomp, i), seconds  # cached by the reduction
 
 
-_WORKER = None  # set only in a worker process: (task, claims, slots) of the stage that forked it
+_WORKER = None  # set only in a worker process: (jobs, claims) of the session that forked it
 
 
-def _adopt(task, claims, slots):
+def _adopt(jobs, claims):
     global _WORKER
-    _WORKER = task, claims, slots
+    _WORKER = jobs, claims
 
 
-def _claim(claims, i):
-    """Whether this process is the first to claim task i."""
+def _claim(claims, g):
+    """Whether this process is the first to claim job g."""
     with claims.get_lock():
-        first = not claims[i]
-        claims[i] = True
+        first = not claims[g]
+        claims[g] = True
     return first
 
 
-def _worker_task(i):
-    task, claims, slots = _WORKER
-    if not _claim(claims, i):
+def _worker_task(g):
+    jobs, claims = _WORKER
+    if not _claim(claims, g):
         return None  # the caller runs it
+    task, slots, i = jobs[g]
     return slots.pack(i, task(i))
-
-
-def _pooled(task, order, width, slots):
-    """(results, wait_s): results is [task(i) for i in range(len(order))],
-    run by the calling process and width - 1 forked workers. The workers
-    take the tasks in `order` from the front and the caller takes them from
-    the back, each one that no worker has started: a task runs in the
-    process that claims it first, so the split follows the tasks' real
-    costs, and at the end the caller waits only for the tasks the workers
-    are running. wait_s is that wait, the seconds from the end of the
-    caller's last own task until every result is in. A worker sends
-    slots.pack(i, task(i)) back through the pool's pipe, and the caller
-    takes slots.unpack(i, that) as result i (`_ResultSlots`). The results
-    are taken in index order: the first failure raises, as in a serial
-    loop, a task whose worker ended without its result (killed, out of
-    memory) as WorkerLost, and the tasks not yet started are cancelled.
-    Every worker has ended when this returns or raises.
-
-    The workers are forked, not spawned, so they start with the caller's
-    problem and decomposition in memory instead of a pickled copy of them,
-    and `slots` can hold memory they share with the caller; the pool forks
-    them before it starts its own threads. A fork copies only the calling
-    thread, so any other thread of the caller's must hold no lock the tasks
-    take."""
-    ctx = multiprocessing.get_context("fork")
-    claims = ctx.Array("b", len(order))
-    pool = ProcessPoolExecutor(width - 1, mp_context=ctx, initializer=_adopt,
-                               initargs=(task, claims, slots))
-    try:
-        futures = {i: pool.submit(_worker_task, i) for i in order}
-        own = set()
-        for i in reversed(order):
-            if not _claim(claims, i):  # the workers have come this far
-                break
-            own.add(i)
-            futures[i] = Future()  # not cancelled: a pool that breaks fails all it holds
-            try:
-                futures[i].set_result(task(i))
-            except Exception as exc:  # raised in index order below
-                futures[i].set_exception(exc)
-        t = time.perf_counter()
-        results = []
-        for i in range(len(order)):
-            try:
-                result = futures[i].result()
-            except BrokenProcessPool as exc:
-                raise WorkerLost(f"subdomain {i}: its worker ended without a result") from exc
-            results.append(result if i in own else slots.unpack(i, result))
-        return results, time.perf_counter() - t
-    finally:
-        pool.shutdown(cancel_futures=True)
 
 
 def _shared_slots(sizes):
@@ -421,10 +373,10 @@ def _shared_slots(sizes):
 
 
 class _ResultSlots:
-    """Where the workers of a pooled bases stage leave a task's arrays
-    (`_local_task`), so that only its small fields cross the pool's pipe.
-    Subdomain i has one slot in each of two shared mappings
-    (`_shared_slots`), made before the fork: its glued block,
+    """Where the workers of a pooled bases session leave a task's arrays
+    (`_local_task`), so that only its small fields cross the pool's pipe;
+    one per basis kind. Subdomain i has one slot in each of two shared
+    mappings (`_shared_slots`), made before the fork: its glued block,
     |dofs0(omega_i)| x modes[i] doubles in C order, and for the harmonic kind
     its interior factor band, at most (x1 - x0 + 3) x |dofs0(omega_i^*)| in F
     order for omega_i^*'s box columns x0..x1 (a row of the interior holds at
@@ -463,60 +415,163 @@ class _ResultSlots:
         return basis, SparseFactor(band), seconds
 
 
+class _Bases:
+    """A bases session: the local bases of one or more basis kinds on one
+    decomposition, one task per subdomain and kind (`_local_task`), where
+    `needs` maps each kind to its modes in the order the caller will
+    collect them (`collect`). Close it (`close`, or leave its `with`) once
+    done: every worker it forked has then ended.
+
+    When the process may use more than one core and the estimated work of
+    all its kinds (`_local_flops`, summed) reaches `_POOL_FLOPS`, the
+    session forks one worker per further core when it opens (`_width` sets
+    the number of processes instead), and they start on the tasks at once:
+    the kinds in the order of `needs`, within a kind the costliest tasks at
+    both ends and the cheapest in the middle. Collecting a kind, the caller
+    runs the kind's tasks no worker has started, from the back, and then
+    waits for the ones the workers are running: a task runs in the process
+    that claims it first (one shared flag per task), so the split follows
+    the tasks' real costs, and the caller's wait is for the last tasks the
+    workers are running, the cheap ones. Meanwhile the workers go on with
+    the next kind, so its tasks run while the caller uses the first. A
+    worker copies a task's arrays into the kind's slots of memory it shares
+    with the caller (`_ResultSlots`) and sends back only the small fields.
+
+    The workers are forked, not spawned, so they start with the caller's
+    problem and decomposition in memory instead of a pickled copy of them,
+    the Gamma_i the work estimate cached included (`spectral.gamma_rows`);
+    the pool forks them before it starts its own threads. A fork copies
+    only the calling thread, so any other thread of the caller's must hold
+    no lock the tasks take. Below the gate, or on one core, no process is
+    forked and each kind's tasks run in a serial loop when it is collected."""
+
+    def __init__(self, system, decomp, pu, needs, _width=None):
+        n = decomp.n_subdomains
+        for modes in needs.values():
+            if len(modes) != n:
+                raise ValueError(f"modes: {len(modes)} values for {n} subdomains")
+        flops = {kind: _local_flops(decomp, pu, kind) for kind in needs}
+        width = _width or len(os.sched_getaffinity(0))
+        if _width is None and sum(f.sum() for f in flops.values()) < _POOL_FLOPS:
+            width = 1
+        self.width = min(width, n)
+        self.decomp = decomp
+        self.tasks = {kind: partial(_local_task, system, decomp, pu, kind, modes)
+                      for kind, modes in needs.items()}
+        self.stats = {}  # basis kind -> the stats of its collection
+        self.pool = None
+        if self.width == 1:
+            return
+        # job g is (task, slots, subdomain); a kind's jobs are one range of g
+        self.jobs, self.ranges = [], {}
+        for kind, modes in needs.items():
+            by_cost = np.argsort(-flops[kind], kind="stable").tolist()
+            slots = _ResultSlots(decomp, modes, kind)
+            self.ranges[kind] = range(len(self.jobs), len(self.jobs) + n)
+            self.jobs += [(self.tasks[kind], slots, i)
+                          for i in by_cost[0::2] + by_cost[1::2][::-1]]
+        ctx = multiprocessing.get_context("fork")
+        self.claims = ctx.Array("b", len(self.jobs))
+        self.pool = ProcessPoolExecutor(self.width - 1, mp_context=ctx, initializer=_adopt,
+                                        initargs=(self.jobs, self.claims))
+        try:
+            self.futures = [self.pool.submit(_worker_task, g) for g in range(len(self.jobs))]
+        except BaseException:
+            self.close()
+            raise
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def collect(self, kind):
+        """(bases, stats) of one kind: its bases in subdomain order, bit for
+        bit as a serial loop gives them. The interior factors the tasks made
+        are installed in decomp.factors, so each matrix is still factored
+        once. A typed failure raises as the serial loop would raise it: that
+        of the failing subdomain with the lowest index, WorkerLost for a task
+        whose worker ended without it (killed, out of memory). Either fails
+        this kind only: a kind collected later runs on, in the caller if the
+        workers are gone.
+
+        stats has `workers`, the session's processes; `local_s`, the tasks'
+        own seconds summed per step (reduce, which includes the interior
+        factorization, and eig, or geneo), wherever and whenever they ran;
+        `wait_s`, the seconds the caller waited for the workers' last
+        results of the kind after its own last task (0 for a serial
+        session); and `workers_rss_upper_mb`, which `close` sets."""
+        if self.pool is None:
+            task = self.tasks[kind]
+            results, wait_s = [task(i) for i in range(self.decomp.n_subdomains)], 0.0
+        else:
+            results, wait_s = self._gather(self.ranges[kind])
+        for i, (_, factor, _) in enumerate(results):
+            if factor is not None:
+                self.decomp.factors.setdefault(("dofs0_star", i), factor)
+        local_s = {name: sum(seconds[name] for *_, seconds in results) for name in results[0][2]}
+        self.stats[kind] = {"workers": self.width, "local_s": local_s, "wait_s": wait_s,
+                            "workers_rss_upper_mb": None}
+        return [basis for basis, _, _ in results], self.stats[kind]
+
+    def _gather(self, jobs):
+        """(results, wait_s) of the pooled jobs of one kind, results in
+        subdomain order: the caller runs the jobs no worker has claimed, from
+        the back, then takes each result in subdomain order, a worker's
+        through its slots. The first failure raises, as in a serial loop."""
+        own = set()
+        for g in reversed(jobs):
+            if not _claim(self.claims, g):  # the workers have come this far
+                break
+            own.add(g)
+            task, _, i = self.jobs[g]
+            self.futures[g] = Future()  # not cancelled: a pool that breaks fails all it holds
+            try:
+                self.futures[g].set_result(task(i))
+            except Exception as exc:  # raised in subdomain order below
+                self.futures[g].set_exception(exc)
+        t = time.perf_counter()
+        results = [None] * len(jobs)
+        for g in sorted(jobs, key=lambda g: self.jobs[g][2]):
+            _, slots, i = self.jobs[g]
+            try:
+                result = self.futures[g].result()
+            except BrokenProcessPool as exc:
+                raise WorkerLost(f"subdomain {i}: its worker ended without a result") from exc
+            results[i] = result if g in own else slots.unpack(i, result)
+        return results, time.perf_counter() - t
+
+    def close(self):
+        """End every worker, cancelling the tasks no process has started,
+        and set `workers_rss_upper_mb` in the stats of every kind collected:
+        the largest peak resident set (ru_maxrss of RUSAGE_CHILDREN) of any
+        child process this process has waited for, which only reaped
+        children count. A forked worker's count includes the pages it shares
+        with its parent, the slots it wrote among them, so it bounds the
+        memory a worker added from above. A serial session has nothing to
+        end, and its stats keep None."""
+        if self.pool is None:
+            return
+        with self.claims.get_lock():  # the workers skip the tasks still queued
+            self.claims[:] = [True] * len(self.jobs)
+        self.pool.shutdown(cancel_futures=True)
+        self.pool = None
+        rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
+        for stats in self.stats.values():
+            stats["workers_rss_upper_mb"] = rss
+
+
 def local_setup(system, decomp, pu, modes, kind="harmonic", _width=None):
-    """(bases, stats) of a bases stage: one task per subdomain
-    (`_local_task`), keeping modes[i] modes on subdomain i. More modes than
-    the pencil has (`spectral.pencil_size`) raise TooManyModes; a caller
-    that wants at most that many caps modes[i] itself.
-
-    When the process may use more than one core and the stage's estimated
-    work (`_local_flops`) reaches `_POOL_FLOPS`, the tasks are shared by the
-    caller and one forked worker per further core (`_pooled`; `_width` sets
-    the number of processes instead). Every process runs its BLAS on one
-    thread (`linalg`). A worker leaves a task's glued block and interior
-    factor band in the task's slots of memory it shares with the caller
-    (`_ResultSlots`) and returns only the small fields; the caller's bases
-    and factors of those tasks are views of the slots. The interior factors
-    the workers made are installed in decomp.factors, so each matrix is
-    still factored once, and the bases come in subdomain order, bit for bit
-    as a serial loop gives them. A typed failure raises as the
-    serial loop would raise it: that of the failing subdomain with the
-    lowest index, WorkerLost for a task whose worker ended without it.
-
-    stats has `workers`, the processes that ran the tasks; `local_s`, the
-    tasks' own seconds summed per step (reduce, which includes the interior
-    factorization, and eig, or geneo); `wait_s`, the seconds the caller
-    waited for the workers' last results after its own last task (0 for a
-    serial stage); and `workers_rss_upper_mb`, the largest peak resident
-    set of any child process this process has waited for (ru_maxrss of
-    RUSAGE_CHILDREN) after a pooled stage, else None. A forked worker's
-    count includes the pages it shares with its parent, so it bounds the
-    memory a worker added from above."""
-    n = decomp.n_subdomains
-    if len(modes) != n:
-        raise ValueError(f"modes: {len(modes)} values for {n} subdomains")
-    flops = _local_flops(decomp, pu, kind)
-    width = _width or len(os.sched_getaffinity(0))
-    if _width is None and flops.sum() < _POOL_FLOPS:
-        width = 1
-    width = min(width, n)
-    task = partial(_local_task, system, decomp, pu, kind, modes)
-    if width == 1:
-        results, wait_s = [task(i) for i in range(n)], 0.0
-    else:
-        # the costliest tasks at both ends and the cheapest in the middle,
-        # where the caller and the workers meet and the last of them wait
-        by_cost = np.argsort(-flops, kind="stable").tolist()
-        results, wait_s = _pooled(task, by_cost[0::2] + by_cost[1::2][::-1], width,
-                                  _ResultSlots(decomp, modes, kind))
-    for i, (_, factor, _) in enumerate(results):
-        if factor is not None:
-            decomp.factors.setdefault(("dofs0_star", i), factor)
-    local_s = {name: sum(seconds[name] for *_, seconds in results) for name in results[0][2]}
-    rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
-    stats = {"workers": width, "local_s": local_s, "wait_s": wait_s,
-             "workers_rss_upper_mb": rss if width > 1 else None}
-    return [basis for basis, _, _ in results], stats
+    """(bases, stats) of a bases stage of one kind: a session of that kind
+    alone (`_Bases`), collected at once and closed, so any workers live for
+    the stage only. modes[i] modes are kept on subdomain i; more than the
+    pencil has (`spectral.pencil_size`) raise TooManyModes, and a caller
+    that wants at most that many caps modes[i] itself. Failures and stats
+    are those of `_Bases.collect`, with `workers_rss_upper_mb` set when the
+    stage was pooled."""
+    with _Bases(system, decomp, pu, {kind: modes}, _width) as session:
+        return session.collect(kind)
 
 
 def _has_coarse(decomp, modes):
@@ -542,24 +597,31 @@ class Pipeline:
     resident set (ru_maxrss) after the stage last ran, in MB, or None before
     it ran: a stage whose value exceeds every earlier one set a new peak.
 
-    The bases stage (`local_setup`, timed as eigensolves) is one task per
-    subdomain. A harmonic task's reduction builds the interior factor of
-    omega_i^*, which the decomposition caches for the oversampled
-    preconditioners, so each is built once; without a harmonic stage the
-    first preconditioner that needs them builds them, timed as local
-    factorizations. With more than one usable core and an estimated stage
-    work of at least `_POOL_FLOPS`, the tasks are shared between this
-    process and one forked worker per further core, which live for the
-    stage only. `local` keeps, per basis kind, the stats of its last stage
-    (see `local_setup`), and `run` puts them in the records. Every stage
-    runs its BLAS on one thread, set for the process when `linalg` is
-    imported."""
+    The local bases of a kind are one task per subdomain (`_Bases`). A
+    harmonic task's reduction builds the interior factor of omega_i^*, which
+    the decomposition caches for the oversampled preconditioners, so each is
+    built once; without harmonic bases the first preconditioner that needs
+    them builds them, timed as local factorizations. A `run` whose schemes
+    need the bases of more than one kind opens one session for all of them
+    before its first scheme and collects each kind when its first scheme
+    needs it, so with more than one usable core and an estimated work of at
+    least `_POOL_FLOPS` in all, the forked workers solve the later kinds'
+    pencils while this process sets up and drives the earlier schemes. The
+    bases of one kind are a stage of their own (`local_setup`), at the
+    first scheme that needs them, with workers that live for the stage
+    only. eigensolves times this process's part: opening the session,
+    collecting each kind (its own tasks and its waits for the workers) and
+    closing it; the tasks a worker ran before their kind was collected count
+    only in that kind's `local_s`. `local` keeps, per basis kind, the stats
+    of its last collection (see `_Bases.collect`), and `run` puts them in
+    the records. Every stage runs its BLAS on one thread, set for the
+    process when `linalg` is imported."""
 
     def __init__(self, cfg):
         self.cfg = cfg
         self.timings = {f"{stage}_s": 0.0 for stage in _STAGES}
         self.memory_mb = dict.fromkeys(_STAGES)
-        self.local = {}  # basis kind -> the stats of its last bases stage
+        self.local = {}  # basis kind -> the stats of its last collection
         self.system = self._timed("assembly", build_problem, cfg)
 
     def _timed(self, stage, fn, *args):
@@ -583,23 +645,27 @@ class Pipeline:
 
         return self._timed("decomposition", build)
 
-    def bases(self, decomp, pu, scheme, modes):
-        """Local bases of the scheme's eigenproblem, modes[i] on subdomain i
-        (see `local_setup`)."""
+    def bases(self, decomp, pu, scheme, modes, session=None):
+        """Local bases of the scheme's eigenproblem, modes[i] on subdomain i:
+        collected from `session`, opened with these modes, or else a stage
+        of their own (`local_setup`)."""
         kind = basis_kind(scheme)
-        bases, self.local[kind] = self._timed("eigensolves", local_setup, self.system, decomp,
-                                              pu, modes, kind)
+        if session is None:
+            bases, self.local[kind] = self._timed("eigensolves", local_setup, self.system,
+                                                  decomp, pu, modes, kind)
+        else:
+            bases, self.local[kind] = self._timed("eigensolves", session.collect, kind)
         return bases
 
-    def coarse_space(self, decomp, pu, scheme, modes, full=None):
+    def coarse_space(self, decomp, pu, scheme, modes, full=None, session=None):
         """(bases, coarse space) with modes[i] modes on subdomain i, or
         (None, None) when there is no coarse space (`_has_coarse`). Larger
         bases in `full` are truncated instead of solving the local
-        eigenproblems again."""
+        eigenproblems again; other bases come as `bases` gives them."""
         if not _has_coarse(decomp, modes):
             return None, None
         if full is None:
-            bases = self.bases(decomp, pu, scheme, modes)
+            bases = self.bases(decomp, pu, scheme, modes, session)
         else:
             bases = [spectral.truncate_basis(b, m) for b, m in zip(full, modes, strict=True)]
         coarse = self._timed("coarse_setup", spectral.build_coarse_space, self.system,
@@ -610,50 +676,63 @@ class Pipeline:
         """One record per scheme (the keys of `_RECORD`), keyed by scheme, with
         modes[i] modes on subdomain i. The schemes on one local eigenproblem
         share its bases and coarse space, set up once (`full` as in
-        `coarse_space`) and released after the last of them. A typed failure
-        is recorded, not raised: a failed coarse set-up in the record of
-        every scheme that shares it. A record keeps the fields of the stages
-        that ran. setup_s is the scheme's preconditioner build plus, for the
-        first scheme of its eigenproblem, the coarse set-up; solve_s is the
-        drive."""
+        `coarse_space`) and released after the last of them. When the
+        schemes need the bases of more than one kind, one session
+        (`_Bases`) holds them all, opened before the first scheme and
+        closed, every worker ended, when this returns or raises. A typed
+        failure is recorded, not raised: a failed coarse set-up in the
+        record of every scheme that shares it. A record keeps the fields of
+        the stages that ran. setup_s is the scheme's preconditioner build
+        plus, for the first scheme of its eigenproblem, the coarse set-up,
+        its bases' collection included; solve_s is the drive."""
         cfg = self.cfg
         last = {basis_kind(scheme): scheme for scheme in schemes}
+        session = None
+        if len(last) > 1 and full is None and _has_coarse(decomp, modes):
+            session = self._timed("eigensolves", _Bases, self.system, decomp, pu,
+                                  {basis_kind(scheme): modes for scheme in schemes})
         spaces = {}  # basis kind -> ((bases, coarse space), failure) of its one set-up
         records = {}
-        for scheme in schemes:
-            # drop the last scheme's references first: a coarse space its
-            # kind's last scheme popped is then released before the next set-up
-            space = coarse = state = out = None
-            rec = records[scheme] = dict(_RECORD)
-            t = time.perf_counter()
-            kind = basis_kind(scheme)
-            if kind not in spaces:
-                spaces[kind] = _attempt(self.coarse_space, decomp, pu, scheme, modes, full)
-            space, rec["failure"] = spaces.pop(kind) if last[kind] == scheme else spaces[kind]
-            rec.update(self.local.get(kind, {}))
-            if space is not None:
-                rec["spectrum"], coarse = space
-                if coarse is not None:
-                    rec.update(coarse_dim=coarse.m, lambda_bound=coarse.lam,
-                               max_next_eigenvalue=coarse.max_next_eigenvalue)
-                state, rec["failure"] = _attempt(
-                    self._timed, "local_factorizations", schwarz.build_preconditioner,
-                    self.system, decomp, pu, scheme, coarse)
-            rec["setup_s"] = time.perf_counter() - t
-            if rec["failure"] is not None:
-                continue
-            rec["scheme_applied"] = state.scheme
-            driver = schwarz.richardson if cfg.driver == "richardson" else schwarz.gmres
-            t = time.perf_counter()
-            out, rec["failure"] = _attempt(driver, state, self.system,
-                                           target_reduction=cfg.target_reduction,
-                                           maxit=cfg.maxit)
-            rec["solve_s"] = time.perf_counter() - t
-            self._record("krylov", rec["solve_s"])
-            if out is not None:
-                rec["solution"], history = out
-                rec.update(history=history, iterations=history.n_iterations,
-                           final_residual=history.res_b[-1], converged=history.converged)
+        try:
+            for scheme in schemes:
+                # drop the last scheme's references first: a coarse space its
+                # kind's last scheme popped is then released before the next set-up
+                space = coarse = state = out = None
+                rec = records[scheme] = dict(_RECORD)
+                t = time.perf_counter()
+                kind = basis_kind(scheme)
+                if kind not in spaces:
+                    spaces[kind] = _attempt(self.coarse_space, decomp, pu, scheme, modes, full,
+                                            session)
+                space, rec["failure"] = spaces.pop(kind) if last[kind] == scheme else spaces[kind]
+                if space is not None:
+                    rec["spectrum"], coarse = space
+                    if coarse is not None:
+                        rec.update(coarse_dim=coarse.m, lambda_bound=coarse.lam,
+                                   max_next_eigenvalue=coarse.max_next_eigenvalue)
+                    state, rec["failure"] = _attempt(
+                        self._timed, "local_factorizations", schwarz.build_preconditioner,
+                        self.system, decomp, pu, scheme, coarse)
+                rec["setup_s"] = time.perf_counter() - t
+                if rec["failure"] is not None:
+                    continue
+                rec["scheme_applied"] = state.scheme
+                driver = schwarz.richardson if cfg.driver == "richardson" else schwarz.gmres
+                t = time.perf_counter()
+                out, rec["failure"] = _attempt(driver, state, self.system,
+                                               target_reduction=cfg.target_reduction,
+                                               maxit=cfg.maxit)
+                rec["solve_s"] = time.perf_counter() - t
+                self._record("krylov", rec["solve_s"])
+                if out is not None:
+                    rec["solution"], history = out
+                    rec.update(history=history, iterations=history.n_iterations,
+                               final_residual=history.res_b[-1], converged=history.converged)
+        finally:
+            if session is not None:
+                self._timed("eigensolves", session.close)
+        for scheme, rec in records.items():  # once closed: the workers' rss is known
+            rec.update(self.local.get(basis_kind(scheme), {}))
         return records
 
 

@@ -83,7 +83,8 @@ class Decomposition:
     xi: int
     xi_star: int
     overlap_layers: int
-    # (dof-set name, subdomain id) -> factor of system.A_free on that dof set
+    # (name, subdomain id) -> a per-subdomain quantity: the factor of
+    # system.A_free on the dof set of that name, or Gamma_i under "gamma"
     factors: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -91,7 +92,7 @@ class Decomposition:
         return len(self.subdomains)
 
     def factor(self, key, build):
-        """The factor of system.A_free cached under `key`, made by build()."""
+        """The quantity cached under `key`, made by build() on first use."""
         if key not in self.factors:
             self.factors[key] = build()
         return self.factors[key]
@@ -145,6 +146,8 @@ def build_decomposition(system, px, py, overlap_layers, oversampling_layers):
             box_star = _grow(box, oversampling_layers, grid)
             dofs_star = _free_dofs(box_nodes(grid, box_star), node_to_free)
             dofs0_star = _free_dofs(box_nodes(grid, box_star, interior=True), node_to_free)
+            # every dof set is strictly increasing (row-major nodes, free ids
+            # numbered in node order), so the difference needs no sort
             subdomains.append(
                 Subdomain(
                     id=len(subdomains),
@@ -154,7 +157,7 @@ def build_decomposition(system, px, py, overlap_layers, oversampling_layers):
                     dofs0=_free_dofs(box_nodes(grid, box, interior=True), node_to_free),
                     dofs_star=dofs_star,
                     dofs0_star=dofs0_star,
-                    boundary_star=np.setdiff1d(dofs_star, dofs0_star),
+                    boundary_star=np.setdiff1d(dofs_star, dofs0_star, assume_unique=True),
                 )
             )
 

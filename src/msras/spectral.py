@@ -32,9 +32,10 @@ definition of Gamma_i, and `pencil_size` gives the order of either pencil,
 the most modes a basis can keep. Both eliminations are one blocked banded
 solve of all the coupling columns at once. Each pencil is solved for the
 m + 1 leading pairs only: the m the basis keeps and the next eigenvalue.
-Each local quantity is formed once, in the call that uses it: the interior
-factor in `reduce_to_harmonic`, and the overlap zone, Gamma_i and the GenEO
-left-hand side chi A_over chi, assembled on Gamma_i alone, in
+Each local quantity is formed once: the interior factor in
+`reduce_to_harmonic`, Gamma_i by whichever of the work estimate, a sweep's
+mode cap or the pencil reads it first (both cached in the decomposition),
+and the GenEO left-hand side chi A_over chi, assembled on Gamma_i alone, in
 `geneo_coupling`. Every other block a pencil needs is one `submatrix` cut.
 
 A basis keeps only what the coarse space uses of its vectors phi: the
@@ -235,25 +236,34 @@ def coupling_rows(decomp, pu, i, zone):
     return gamma if gamma.size else np.arange(sub.dofs.size)
 
 
+def gamma_rows(decomp, pu, i, zone=None):
+    """Gamma_i (`coupling_rows`, on omega_i's overlap zone `zone` if the
+    caller has it), formed once per decomposition and cached there: the
+    bases session's work estimate, a sweep's mode cap and the GenEO pencil all
+    read this one array."""
+    return decomp.factor(("gamma", i), lambda: coupling_rows(
+        decomp, pu, i, overlap_zone(decomp, i) if zone is None else zone))
+
+
 def pencil_size(decomp, pu, kind, i):
     """The order of subdomain i's local pencil, the most modes its basis can
     keep: the interface of omega_i^* for the harmonic kind, |Gamma_i| for
     GenEO."""
     if kind == "geneo":
-        return coupling_rows(decomp, pu, i, overlap_zone(decomp, i)).size
+        return gamma_rows(decomp, pu, i).size
     return decomp.subdomains[i].boundary_star.size
 
 
 def geneo_coupling(system, decomp, pu, i):
     """(K, Gamma_i): the GenEO pencil's left-hand side on omega_i and the
-    positions in its dofs it is solved on (`coupling_rows`). The PU-weighted
+    positions in its dofs it is solved on (`gamma_rows`). The PU-weighted
     overlap-zone energy chi A_over chi is PSD, has a positive diagonal
     exactly on Gamma_i and vanishes elsewhere, so K is assembled on Gamma_i
     alone (csr, scaled in place). Without an overlap K is zero, and Gamma_i
     is all of omega_i's dofs."""
     sub = decomp.subdomains[i]
     zone = overlap_zone(decomp, i)
-    gamma = coupling_rows(decomp, pu, i, zone)
+    gamma = gamma_rows(decomp, pu, i, zone)
     K = local_stiffness(system, sub.box, sub.dofs[gamma], zone)
     chi = pu.weights[i][gamma]
     K.data *= chi[np.repeat(np.arange(gamma.size), np.diff(K.indptr))]

@@ -29,7 +29,7 @@ from msras.bench import (
 )
 from msras.decomp import build_decomposition, build_partition_of_unity
 from msras.cli import main as cli_main
-from msras.errors import ConfigError, UncoveredNode
+from msras.errors import ConfigError, FactorizationFailure, UncoveredNode
 from tests.conftest import openblas_threads
 
 
@@ -599,11 +599,16 @@ class TestPooledLocalSetup:
                 b.subdomain_id, b.kernel_dim, b.next_eigenvalue)
             assert np.array_equal(a.eigenvalues, b.eigenvalues)
             assert np.array_equal(a.glued, b.glued)
-        # the workers' interior factors are installed: each matrix is factored once
-        assert dec1.factors.keys() == dec2.factors.keys()
-        assert len(dec1.factors) == (4 if kind == "harmonic" else 0)
-        for key, factor in dec1.factors.items():
-            assert np.array_equal(factor.band, dec2.factors[key].band)
+        # the workers' interior factors are installed: each matrix is factored
+        # once; a GenEO stage caches the Gamma_i its work estimate formed
+        cached = "dofs0_star" if kind == "harmonic" else "gamma"
+        assert dec1.factors.keys() == dec2.factors.keys() == {(cached, i) for i in range(4)}
+        for key, value in dec1.factors.items():
+            if kind == "harmonic":
+                value, other = value.band, dec2.factors[key].band
+            else:
+                other = dec2.factors[key]
+            assert np.array_equal(value, other)
 
         scheme = "AS2_geneo" if kind == "geneo" else "hybrid_RAS_msgfem"
         solved = []
@@ -689,7 +694,8 @@ class TestPooledLocalSetup:
         slots = msras.bench._ResultSlots(dec, modes, kind)
         task = functools.partial(msras.bench._local_task, system, dec, pu, kind, modes)
         claims = multiprocessing.Array("b", dec.n_subdomains)
-        monkeypatch.setattr(msras.bench, "_WORKER", (task, claims, slots))
+        jobs = [(task, slots, i) for i in range(dec.n_subdomains)]
+        monkeypatch.setattr(msras.bench, "_WORKER", (jobs, claims))
         for i in range(dec.n_subdomains):
             sent = pickle.dumps(msras.bench._worker_task(i))
             assert len(sent) <= 2048
@@ -746,6 +752,261 @@ class TestPooledLocalSetup:
         pu = build_partition_of_unity(dec)
         assert max(msras.bench._local_flops(dec, pu, kind).sum()
                    for kind in ("harmonic", "geneo")) < 1e-3 * gate
+
+
+# The schemes of a two-kind comparison: two on the harmonic bases, then GenEO
+TWO_KINDS = ["hybrid_RAS_msgfem", "RAS", "AS2_geneo"]
+
+
+def _compare_and_keep(cfg, schemes):
+    """run_comparison's records with, per scheme, the decomposition and
+    coarse space its drive used: (records, {scheme: (decomp, coarse)})."""
+    used = {}
+    precondition = schwarz.build_preconditioner
+
+    def note(system, decomp, pu, scheme, coarse=None):
+        used[scheme] = decomp, coarse
+        return precondition(system, decomp, pu, scheme, coarse)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(schwarz, "build_preconditioner", note)
+        records = run_comparison(cfg, schemes)
+    return records, used
+
+
+def _pool_sessions(monkeypatch):
+    """Force every later bases session of the test onto two processes;
+    returns the list of the pids os.fork returns in this process from then."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    monkeypatch.setattr(msras.bench, "_Bases", functools.partial(msras.bench._Bases, _width=2))
+    return forks
+
+
+class TestBasesSession:
+    """A run whose schemes need two basis kinds opens one bases session:
+    forked once, its worker solving the GenEO pencils while the caller
+    drives the oversampled schemes, with the serial run's numbers bit for
+    bit and each kind's failures in that kind's records only."""
+
+    def test_two_kinds_match_serial_bit_for_bit(self, monkeypatch, task_log):
+        caller, rows = task_log
+        serial, serial_used = _compare_and_keep(small_cfg(), TWO_KINDS)
+        assert {pid for pid, _ in rows()} == {caller}
+        pooled = _pool_sessions(monkeypatch)
+        records, used = _compare_and_keep(small_cfg(), TWO_KINDS)
+        assert len(pooled) == 1  # one fork for both kinds
+        assert {pid for pid, _ in rows()} - {caller}, "no task ran in a worker"
+        assert not multiprocessing.active_children()
+        for scheme in TWO_KINDS:
+            a, b = serial[scheme], records[scheme]
+            assert a["converged"] and b["converged"] and b["workers"] == 2
+            assert a["iterations"] == b["iterations"]
+            assert np.array_equal(a["solution"], b["solution"])
+            assert a["history"].res_b == b["history"].res_b
+            for x, y in zip(a["spectrum"], b["spectrum"], strict=True):
+                assert x.kind == y.kind and x.next_eigenvalue == y.next_eigenvalue
+                assert np.array_equal(x.eigenvalues, y.eigenvalues)
+                assert np.array_equal(x.glued, y.glued)
+            (dec1, c1), (dec2, c2) = serial_used[scheme], used[scheme]
+            assert np.array_equal(c1.keep, c2.keep) and np.array_equal(c1.scale, c2.scale)
+            assert np.array_equal(c1.factor.band, c2.factor.band) and c1.lam == c2.lam
+        assert dec1.factors.keys() == dec2.factors.keys()
+        for key, value in dec1.factors.items():
+            other = dec2.factors[key]
+            if key[0] == "gamma":
+                assert np.array_equal(value, other)
+            else:
+                assert np.array_equal(value.band, other.band)
+        # the one reading of the reaped worker is in every pooled record
+        assert len({rec["workers_rss_upper_mb"] for rec in records.values()}) == 1
+        assert records["RAS"]["workers_rss_upper_mb"] > 0.0
+        assert set(records["AS2_geneo"]["local_s"]) == {"geneo"}
+
+    def test_worker_solves_geneo_while_caller_drives(self, monkeypatch, tmp_path):
+        pooled = _pool_sessions(monkeypatch)
+        # the worker takes the kinds in the order the schemes need them, and
+        # the first drive waits until it has solved a GenEO pencil: it does,
+        # so the later kind runs ahead of its collection. The caller's tasks
+        # wait 20 ms first, so the worker takes harmonic tasks too
+        caller = os.getpid()
+        ahead = multiprocessing.get_context("fork").Event()
+        path = tmp_path / "worker.log"
+        path.touch()
+        task = msras.bench._local_task
+
+        def flagged(system, decomp, pu, kind, modes, i):
+            if os.getpid() == caller:
+                time.sleep(0.02)
+            out = task(system, decomp, pu, kind, modes, i)
+            if os.getpid() != caller:
+                with open(path, "a") as fh:
+                    fh.write(kind + "\n")
+                if kind == "geneo":
+                    ahead.set()
+            return out
+
+        waited = []
+        gmres = schwarz.gmres
+
+        def drive(state, *args, **kwargs):
+            if not waited:
+                waited.append(ahead.wait(timeout=30.0))
+            return gmres(state, *args, **kwargs)
+
+        monkeypatch.setattr(msras.bench, "_local_task", flagged)
+        monkeypatch.setattr(schwarz, "gmres", drive)
+        records = run_comparison(small_cfg(), TWO_KINDS)
+        assert waited == [True]
+        kinds = path.read_text().split()
+        assert kinds == sorted(kinds, key=["harmonic", "geneo"].index) and "harmonic" in kinds
+        assert all(rec["converged"] for rec in records.values())
+        assert len(pooled) == 1 and not multiprocessing.active_children()
+
+    def test_no_child_left_when_run_raises(self, monkeypatch):
+        pooled = _pool_sessions(monkeypatch)
+        # an untyped error in a drive propagates; the session still ends its worker
+        def broken(*args, **kwargs):
+            raise RuntimeError("drive broke")
+
+        monkeypatch.setattr(schwarz, "gmres", broken)
+        with pytest.raises(RuntimeError, match="drive broke"):
+            run_comparison(small_cfg(), TWO_KINDS)
+        assert len(pooled) == 1 and not multiprocessing.active_children()
+
+    def test_geneo_failure_lands_in_its_record_only(self, monkeypatch):
+        # GenEO pencils fail on subdomains 1 and 3, in whichever process
+        # runs them: AS2_geneo records the lowest, as the serial loop does,
+        # and the harmonic schemes run as if nothing failed
+        geneo = spectral.geneo_eigenproblem
+
+        def failing(system, decomp, pu, i, m):
+            if i in (1, 3):
+                raise FactorizationFailure(f"subdomain {i}: planted")
+            return geneo(system, decomp, pu, i, m)
+
+        monkeypatch.setattr(spectral, "geneo_eigenproblem", failing)
+        serial = run_comparison(small_cfg(), TWO_KINDS)
+        pooled = _pool_sessions(monkeypatch)
+        records = run_comparison(small_cfg(), TWO_KINDS)
+        assert len(pooled) == 1
+        assert not multiprocessing.active_children()
+        for run in (serial, records):
+            assert run["AS2_geneo"]["failure"] == "FactorizationFailure: subdomain 1: planted"
+            assert run["AS2_geneo"]["iterations"] is None
+        for scheme in TWO_KINDS[:2]:
+            assert records[scheme]["converged"] and records[scheme]["failure"] is None
+            assert records[scheme]["iterations"] == serial[scheme]["iterations"]
+            assert records[scheme]["workers"] == 2
+
+    def test_lost_worker_fails_its_kind_only(self, monkeypatch, tmp_path):
+        pooled = _pool_sessions(monkeypatch)
+        # the worker dies on its first GenEO task, while the caller drives
+        # the harmonic schemes: those records are complete, AS2_geneo's
+        # names WorkerLost, and the histories are still written
+        caller = os.getpid()
+        died = multiprocessing.get_context("fork").Event()
+        task = msras.bench._local_task
+
+        def dying(system, decomp, pu, kind, modes, i):
+            if kind == "geneo" and os.getpid() != caller:
+                died.set()
+                os._exit(9)
+            return task(system, decomp, pu, kind, modes, i)
+
+        waited = []
+        gmres = schwarz.gmres
+
+        def drive(state, *args, **kwargs):
+            if not waited:
+                waited.append(died.wait(timeout=30.0))
+            return gmres(state, *args, **kwargs)
+
+        thread_errors = []
+        monkeypatch.setattr(threading, "excepthook", thread_errors.append)
+        monkeypatch.setattr(msras.bench, "_local_task", dying)
+        monkeypatch.setattr(schwarz, "gmres", drive)
+        cfg = small_cfg(outputs={"history_prefix": str(tmp_path / "cmp_")})
+        records = run_comparison(cfg, TWO_KINDS)
+        assert waited == [True] and len(pooled) == 1
+        assert records["AS2_geneo"]["failure"].startswith("WorkerLost: subdomain ")
+        for scheme in TWO_KINDS[:2]:
+            assert records[scheme]["converged"] and records[scheme]["workers"] == 2
+            assert (tmp_path / f"cmp_{scheme}.csv").is_file()
+        assert not (tmp_path / "cmp_AS2_geneo.csv").exists()
+        assert not thread_errors
+        assert not multiprocessing.active_children()
+
+    def test_each_task_runs_once_with_more_workers_than_cores(self, monkeypatch, tmp_path):
+        # three workers and the caller race for the 32 claims of a 4x4,
+        # two-kind session, three times: every task runs in exactly one
+        # process, and the records are the serial run's
+        path = tmp_path / "tasks.log"
+        path.touch()
+        task = msras.bench._local_task
+
+        def logged(system, decomp, pu, kind, modes, i):
+            with open(path, "a") as fh:
+                fh.write(f"{kind} {i}\n")
+            return task(system, decomp, pu, kind, modes, i)
+
+        cfg = small_cfg(nx=32, ny=32, px=4, py=4)
+        serial = run_comparison(cfg, TWO_KINDS)
+        monkeypatch.setattr(msras.bench, "_local_task", logged)
+        monkeypatch.setattr(msras.bench, "_Bases", functools.partial(msras.bench._Bases, _width=4))
+        start = time.monotonic()
+        for _ in range(3):
+            path.write_text("")
+            records = run_comparison(cfg, TWO_KINDS)
+            ran = sorted(path.read_text().split("\n")[:-1])
+            assert ran == sorted(f"{kind} {i}" for kind in ("geneo", "harmonic")
+                                 for i in range(16))
+            for scheme in TWO_KINDS:
+                assert records[scheme]["workers"] == 4
+                assert records[scheme]["iterations"] == serial[scheme]["iterations"]
+                assert np.array_equal(records[scheme]["solution"], serial[scheme]["solution"])
+            assert not multiprocessing.active_children()
+        assert time.monotonic() - start < 60.0
+
+    def test_one_kind_keeps_its_own_stage(self, monkeypatch):
+        # solve, spectrum and each sweep depth open no shared session: their
+        # one kind is a stage of its own, at the first scheme that needs it
+        opened = []
+        session = msras.bench._Bases
+
+        def watched(system, decomp, pu, needs, _width=None):
+            opened.append(list(needs))
+            return session(system, decomp, pu, needs, _width)
+
+        monkeypatch.setattr(msras.bench, "_Bases", watched)
+        run_single(small_cfg())
+        run_sweep(small_cfg(scheme="AS2_geneo"), [1, 2], [3])
+        run_comparison(small_cfg(), ["hybrid_RAS_msgfem", "RAS"])
+        assert opened == [["harmonic"], ["geneo"], ["geneo"], ["harmonic"]]
+        run_comparison(small_cfg(), TWO_KINDS)
+        assert opened[-1] == ["harmonic", "geneo"]
+
+    def test_coupling_rows_formed_once_per_decomposition(self, monkeypatch):
+        # the work estimate, a sweep's cap and the GenEO pencils share one
+        # Gamma_i per subdomain and decomposition
+        calls = []
+        rows = spectral.coupling_rows
+        monkeypatch.setattr(spectral, "coupling_rows",
+                            lambda dec, pu, i, zone: calls.append(i) or rows(dec, pu, i, zone))
+        records = run_comparison(small_cfg(), TWO_KINDS)
+        assert records["AS2_geneo"]["converged"] and calls == [0, 1, 2, 3]
+        calls.clear()
+        sweep = run_sweep(small_cfg(scheme="AS2_geneo"), [1, 2], [3])
+        assert all(cell["converged"] for cell in sweep.cells.values())
+        assert calls == [0, 1, 2, 3] * 2
 
 
 class TestSpectrumVerb:
