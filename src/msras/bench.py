@@ -441,8 +441,12 @@ class _Bases:
     problem and decomposition in memory instead of a pickled copy of them,
     the Gamma_i the work estimate cached included (`spectral.gamma_rows`);
     the pool forks them before it starts its own threads. A fork copies
-    only the calling thread, so any other thread of the caller's must hold
-    no lock the tasks take. Below the gate, or on one core, no process is
+    only the calling thread, so no other thread of the caller's may be busy
+    then, holding a lock the tasks take. The one-level apply's helper
+    threads (`schwarz.apply_one_level`) work only while an apply runs, and
+    a session forks as it opens: before the first drive of a run, or
+    between two depths of a sweep, when the helpers sit idle; a worker
+    starts without them. Below the gate, or on one core, no process is
     forked and each kind's tasks run in a serial loop when it is collected."""
 
     def __init__(self, system, decomp, pu, needs, _width=None):

@@ -19,7 +19,7 @@ import scipy.sparse as sparse
 from scipy.sparse.linalg import splu
 
 from .errors import AllNeumann, InvalidBlockCount, NonpositiveCoefficient
-from .linalg import SparseSym, submatrix
+from .linalg import SparseSym
 
 SIDES = ("left", "right", "bottom", "top")
 
@@ -284,6 +284,28 @@ def assemble_partial_stiffness(grid, coeff, box, node_map, n_local, cells=None):
                              shape=(n_local, n_local))
 
 
+def _lifting(grid, coeff, dir_mask, lift):
+    """(near, a(u_D, .) on near): the nodes that share a cell with a
+    Dirichlet node, the Dirichlet nodes among them, and the product of their
+    stiffness with the lift, which vanishes off the Dirichlet nodes. A free
+    row sums its Dirichlet terms in column order, as the product of the
+    full-node stiffness would; the free columns that row would also hold add
+    only exact zeros."""
+    nx, ny = grid.nx, grid.ny
+    dirichlet = dir_mask.reshape(ny + 1, nx + 1)
+    near = dirichlet.copy()  # dilated by one node in each direction
+    near[1:] |= dirichlet[:-1]
+    near[:-1] |= dirichlet[1:]
+    rows = near.copy()
+    near[:, 1:] |= rows[:, :-1]
+    near[:, :-1] |= rows[:, 1:]
+    near = np.flatnonzero(near)
+    node_map = np.full(grid.n_nodes, -1, dtype=np.int64)
+    node_map[near] = np.arange(near.size)
+    A_near = assemble_partial_stiffness(grid, coeff, (0, nx, 0, ny), node_map, near.size)
+    return near, A_near @ lift[near]
+
+
 def assemble(grid, coeff, bc, source=None):
     """Assemble the free-dof system for -div(A grad u) = f with the given
     boundary spec.
@@ -292,7 +314,9 @@ def assemble(grid, coeff, bc, source=None):
     enters via nodal quadrature hx*hy*f(x_k) weighted by the fraction of
     surrounding cells present; a constant Neumann flux enters by
     trapezoidal edge quadrature. Nonhomogeneous Dirichlet data is eliminated
-    by lifting, keeping A_free SPD.
+    by lifting, keeping A_free SPD. A_free is assembled on the free
+    numbering and the lifting on the nodes next to the Dirichlet ones
+    (`_lifting`), so no full-node matrix is formed.
     """
     if coeff.values.shape != (grid.ny, grid.nx):
         raise ValueError("coefficient field does not match the grid")
@@ -326,12 +350,8 @@ def assemble(grid, coeff, bc, source=None):
     node_to_free = np.full(n_nodes, -1, dtype=np.int64)
     node_to_free[free_to_node] = np.arange(free_to_node.size)
 
-    # Full stiffness once; the free block is a slice of it, and the lifting
-    # correction its product with the lift, which vanishes on free nodes.
-    identity_map = np.arange(n_nodes, dtype=np.int64)
-    A_full = assemble_partial_stiffness(grid, coeff, (0, nx, 0, ny), identity_map, n_nodes)
-    dir_nodes = np.nonzero(dir_mask)[0]
-    A_free = SparseSym(submatrix(A_full, free_to_node, free_to_node))
+    A_free = SparseSym(assemble_partial_stiffness(grid, coeff, (0, nx, 0, ny), node_to_free,
+                                                  free_to_node.size))
 
     load = np.zeros(n_nodes)
     if source is not None:
@@ -354,8 +374,10 @@ def assemble(grid, coeff, bc, source=None):
         load[nodes] += w
 
     f_free = load[free_to_node]
-    if dir_nodes.size and np.any(lift[dir_nodes] != 0.0):
-        f_free = f_free - (A_full @ lift)[free_to_node]
+    if np.any(lift[dir_mask] != 0.0):
+        near, lifting = _lifting(grid, coeff, dir_mask, lift)
+        free = node_to_free[near] >= 0
+        f_free[node_to_free[near[free]]] -= lifting[free]
 
     return AssembledSystem(
         grid=grid,

@@ -24,6 +24,13 @@ column solves to rounding but not bit for bit. The global matrix is not
 factored here: its direct reference solve,
 `grid.AssembledSystem.solve_direct`, uses a sparse LU.
 
+`dpbtrs` is bound once, through `ctypes`, to the function pointer that
+scipy's `scipy.linalg.cython_lapack` exports in a capsule: the same routine
+of the same LAPACK that `scipy.linalg.lapack.dpbtrs` calls, so the results
+agree bit for bit. Unlike that f2py wrapper, which holds the GIL, a `ctypes`
+call releases it, so threads solving different vectors or different runs of
+one vector (`solve_spans`) run on different cores at once.
+
 Importing this module sets the OpenBLAS libraries bundled with the numpy and
 scipy wheels to one thread for the whole process, once and before any
 process is forked: every stage runs its BLAS on one thread in every process
@@ -37,6 +44,7 @@ import os
 import numpy as np
 import scipy
 import scipy.linalg
+import scipy.linalg.cython_lapack
 import scipy.sparse as sparse
 
 from .errors import DimensionMismatch, NonConvergence, NotPositiveDefinite, NotSymmetric
@@ -62,6 +70,26 @@ def _bundled_openblas():
             if name is not None:
                 found.append((lib, getattr(lib, name)))
     return found
+
+
+def _capsule_function(name, *argtypes):
+    """The LAPACK routine `name` of scipy's Cython LAPACK as a ctypes
+    function with these argument types and no result; a call releases the
+    GIL."""
+    capsule = ctypes.py_object(scipy.linalg.cython_lapack.__pyx_capi__[name])
+    get_name = ctypes.pythonapi.PyCapsule_GetName
+    get_name.restype, get_name.argtypes = ctypes.c_char_p, [ctypes.py_object]
+    get_pointer = ctypes.pythonapi.PyCapsule_GetPointer
+    get_pointer.restype = ctypes.c_void_p
+    get_pointer.argtypes = [ctypes.py_object, ctypes.c_char_p]
+    return ctypes.CFUNCTYPE(None, *argtypes)(get_pointer(capsule, get_name(capsule)))
+
+
+_INT = ctypes.POINTER(ctypes.c_int)
+_ONE = ctypes.c_int(1)
+# dpbtrs(uplo, n, kd, nrhs, ab, ldab, b, ldb, info)
+_dpbtrs = _capsule_function("dpbtrs", ctypes.c_char_p, _INT, _INT, _INT, ctypes.c_void_p, _INT,
+                            ctypes.c_void_p, _INT, _INT)
 
 
 # One BLAS thread per process, set once for the process here, before any
@@ -96,21 +124,31 @@ class SparseFactor:
     """
 
     def __init__(self, band):
-        self.band = band
+        self.band = np.asfortranarray(band, dtype=float)
         self.n = band.shape[1]
+        w = band.shape[0] - 1
+        # dpbtrs's n, kd, ab and ldab for this band (`solve_spans`)
+        self.lapack_args = (ctypes.c_int(self.n), ctypes.c_int(w), self.band.ctypes.data,
+                            ctypes.c_int(w + 1))
+
+    def __reduce__(self):
+        # a copy or an unpickled factor takes the address of its own band
+        return SparseFactor, (self.band,)
 
     def solve(self, rhs):
         """A^{-1} rhs for a vector or a block of columns, in a new array.
 
-        A vector goes through LAPACK's `dpbtrs`. A block is solved by the
-        blocked substitution of `_block_solve` and returned in C order; it
-        agrees with its column solves to rounding, not bit for bit."""
+        A vector goes through LAPACK's `dpbtrs` (`solve_spans`). A block is
+        solved by the blocked substitution of `_block_solve` and returned in
+        C order; it agrees with its column solves to rounding, not bit for
+        bit."""
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape[0] != self.n:
             raise DimensionMismatch(f"rhs has leading dimension {rhs.shape[0]}, expected {self.n}")
         if rhs.ndim == 1:
-            x, _ = scipy.linalg.lapack.dpbtrs(self.band, rhs[:, None], lower=1)
-            return x[:, 0]
+            x = np.array(rhs)
+            solve_spans([(self, 0)], x)
+            return x
         return self._block_solve(rhs)
 
     def _block_solve(self, rhs):
@@ -164,6 +202,22 @@ class SparseFactor:
                 dgemm(-1.0, X[(k + 1) * b:(k + 2) * b].T, Ot[k].T, 1.0, xk, overwrite_c=1)
             dtrsm(1.0, Dt[k].T, xk, side=1, lower=1, overwrite_b=1)
         return X[:n]
+
+
+def solve_spans(spans, x):
+    """Overwrite x[start:start + factor.n] by factor's solve of it for each
+    (factor, start) of `spans`, the runs of the C-contiguous float vector x
+    that the spans name: one LAPACK `dpbtrs` call each, through scipy's
+    Cython capsule, with the GIL released for the call. Spans solved at the
+    same time must not overlap."""
+    if x.dtype != float or x.ndim != 1 or not x.flags.c_contiguous:
+        raise ValueError("solve_spans needs a C-contiguous float vector")
+    address, info = x.ctypes.data, ctypes.c_int()
+    for factor, start in spans:
+        if not 0 <= start <= x.size - factor.n:
+            raise DimensionMismatch(f"span [{start}, {start + factor.n}) outside {x.size} entries")
+        n, kd, ab, ldab = factor.lapack_args
+        _dpbtrs(b"L", n, kd, _ONE, ab, ldab, address + 8 * start, n, info)
 
 
 def factorize(A):

@@ -14,7 +14,10 @@ additive two-level method: unweighted local solves on the overlap subdomains
 themselves plus an additive coarse solve.
 """
 
+import functools
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +25,7 @@ import scipy.linalg
 
 from .errors import (Breakdown, DimensionMismatch, FactorizationFailure, NotPositiveDefinite,
                      Stagnation)
-from .linalg import SparseSym, factorize, submatrix
+from .linalg import SparseSym, factorize, solve_spans, submatrix
 from .spectral import interior_factor
 
 SCHEMES = ("hybrid_RAS_msgfem", "RAS", "AS", "hybrid_AS", "AS2_geneo")
@@ -32,12 +35,46 @@ _PU_WEIGHTED = ("hybrid_RAS_msgfem", "RAS")
 
 @dataclass
 class PreconditionerState:
+    """What a preconditioner application reads. The local solves are laid
+    out end to end, as the coarse space lays out its blocks: subdomain k's
+    dofs are gather[start:start + factor.n] for its span (factor, start) in
+    `spans`, and its PU weights (PU-weighted schemes only, else None) are
+    weights[start:start + factor.n]. `shares` deals the spans between the
+    calling thread (shares[0]) and one helper thread per further usable
+    core, by estimated cost (`_deal`)."""
+
     scheme: str
-    local_dofs: list  # global free indices per subdomain
-    local_factors: list
-    local_weights: list  # chi values aligned with local_dofs, or None
+    gather: np.ndarray  # the subdomains' dofs end to end, in subdomain order
+    spans: list  # per subdomain: (its local factor, the start of its run)
+    weights: object  # the PU weights end to end, or None
+    shares: list  # the spans each thread solves, the caller's first
     coarse: object  # CoarseSpace or None
     system: object
+
+
+@functools.lru_cache(maxsize=None)
+def _helpers(count):
+    """`count` helper threads for the one-level apply, started on first use
+    and idle between applies. A forked child starts without them."""
+    return ThreadPoolExecutor(count, thread_name_prefix="msras-apply")
+
+
+os.register_at_fork(after_in_child=_helpers.cache_clear)
+
+
+def _deal(spans, width):
+    """The spans dealt into at most `width` shares of about equal estimated
+    cost n (w + 1), the size of a factor's band (n rows, lower bandwidth w):
+    the costliest first, each to the share with the least so far. Each
+    share keeps its spans in order."""
+    shares = [[] for _ in range(min(width, len(spans)))]
+    load = [0] * len(shares)
+    cost = [f.band.size for f, _ in spans]
+    for k in sorted(range(len(spans)), key=lambda k: -cost[k]):
+        j = load.index(min(load))
+        shares[j].append(k)
+        load[j] += cost[k]
+    return [[spans[k] for k in sorted(share)] for share in shares]
 
 
 def _overlap_factor(system, sub):
@@ -63,8 +100,9 @@ def build_preconditioner(system, decomp, pu, scheme, coarse=None):
     if coarse is None:
         scheme = _HYBRID.get(scheme, scheme)
     local_dofs = []
-    local_factors = []
-    local_weights = []
+    spans = []
+    weights = []
+    start = 0
     for sub in decomp.subdomains:
         if scheme == "AS2_geneo":
             dofs = sub.dofs0
@@ -73,15 +111,16 @@ def build_preconditioner(system, decomp, pu, scheme, coarse=None):
             dofs = sub.dofs0_star
             factor = interior_factor(decomp, sub.id)
         local_dofs.append(dofs)
-        local_factors.append(factor)
-        local_weights.append(
-            pu.on_star(sub)[sub.star_positions(dofs)] if scheme in _PU_WEIGHTED else None
-        )
+        spans.append((factor, start))
+        start += dofs.size
+        if scheme in _PU_WEIGHTED:
+            weights.append(pu.on_star(sub)[sub.star_positions(dofs)])
     return PreconditionerState(
         scheme=scheme,
-        local_dofs=local_dofs,
-        local_factors=local_factors,
-        local_weights=local_weights,
+        gather=np.concatenate(local_dofs),
+        spans=spans,
+        weights=np.concatenate(weights) if weights else None,
+        shares=_deal(spans, len(os.sched_getaffinity(0))),
         coarse=coarse,
         system=system,
     )
@@ -90,18 +129,40 @@ def build_preconditioner(system, decomp, pu, scheme, coarse=None):
 def apply_one_level(state, r):
     """Sum of zero-extended (optionally PU-weighted) local solves of r.
 
-    Accepts a vector or a stack of columns.
+    Accepts a vector or a stack of columns. r is gathered once on the
+    subdomains' dofs end to end, every subdomain's run is solved in place
+    there, the weights are applied once, and one scatter sums the runs back
+    in subdomain order, as a loop adding one subdomain at a time would. A
+    vector's runs are solved by the calling thread and the helper threads
+    together (`state.shares`), each run by one LAPACK call that releases
+    the GIL (`linalg.solve_spans`); the helpers call nothing else, and all
+    are idle again when this returns. Each run's solve and the order of the
+    sums are the same for any split, so z is too. A stack goes run by run
+    through the blocked solve in this thread.
     """
     r = np.asarray(r, dtype=float)
     n = state.system.n_free
     if r.shape[0] != n:
         raise DimensionMismatch(f"residual has length {r.shape[0]}, expected {n}")
-    z = np.zeros_like(r)
-    for dofs, fac, w in zip(state.local_dofs, state.local_factors, state.local_weights):
-        y = fac.solve(r[dofs])
-        if w is not None:
-            y = (w * y.T).T
-        z[dofs] += y
+    g = r[state.gather]
+    if r.ndim == 1:
+        own, *helped = state.shares
+        running = [_helpers(len(helped)).submit(solve_spans, share, g) for share in helped]
+        try:
+            solve_spans(own, g)
+        finally:  # no helper is left working, even if the caller's share raised
+            for future in running:
+                future.result()
+        if state.weights is not None:
+            g *= state.weights
+        return np.bincount(state.gather, g, minlength=n)
+    for factor, p in state.spans:
+        g[p:p + factor.n] = factor.solve(g[p:p + factor.n])
+    if state.weights is not None:
+        g *= state.weights[:, None]
+    z = np.empty_like(r)
+    for j, u in enumerate(g.T):
+        z[:, j] = np.bincount(state.gather, u, minlength=n)
     return z
 
 

@@ -377,19 +377,23 @@ def _galerkin(A, rows, blocks, offsets, coupled):
     a, and w is the widest of those pairs, so no m x m array is formed. For
     each block a, T = A[reached, rows_a] X_a is formed once on the rows
     `reached` that A couples to rows_a (A's columns compacted to them), and
-    X_b^T T on the rows of rows_b among them is written for each coupled b;
-    one position map over the free dofs, set and cleared per block, finds
-    those rows."""
+    X_b^T T on the rows of rows_b among them is written for each coupled b.
+    A mark over the free dofs finds `reached`, and one position map over
+    them numbers A's columns and finds those rows; both are set and cleared
+    per block."""
     m = offsets[-1]
     w = max(offsets[a + 1] - 1 - offsets[b] for a, bs in enumerate(coupled) for b in bs)
     band = np.zeros((w + 1, m), order="F")
+    mark = np.zeros(A.shape[0], dtype=bool)
     position = np.full(A.shape[0], -1)
     for a, bs in enumerate(coupled):
         A_a = submatrix(A, rows[a])
-        reached, local = np.unique(A_a.indices, return_inverse=True)
-        T = sparse.csr_matrix((A_a.data, local, A_a.indptr),
-                              shape=(rows[a].size, reached.size)).T @ blocks[a]
+        mark[A_a.indices] = True
+        reached = np.flatnonzero(mark)
+        mark[reached] = False
         position[reached] = np.arange(reached.size)
+        T = sparse.csr_matrix((A_a.data, position[A_a.indices], A_a.indptr),
+                              shape=(rows[a].size, reached.size)).T @ blocks[a]
         i = np.arange(offsets[a], offsets[a + 1])
         for b in bs:
             p = position[rows[b]]

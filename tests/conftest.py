@@ -31,6 +31,14 @@ def make_system(nx, ny=None, contrast=None, bc=None, source=gaussian_bump_source
     return assemble(grid, coeff, bc, source=source)
 
 
+def local_solves(state):
+    """Per subdomain of a preconditioner state: (its dofs, its local factor,
+    its PU weights or None), read from the state's end-to-end layout."""
+    for factor, p in state.spans:
+        run = slice(p, p + factor.n)
+        yield state.gather[run], factor, None if state.weights is None else state.weights[run]
+
+
 def columns_coarse_space(system, columns, max_next_eigenvalue=0.0):
     """The coarse space of the dense (n_free, k) `columns` through
     `build_coarse_space`: one subdomain covering the grid, whose dofs0 is
@@ -104,15 +112,16 @@ _GMRES_RSS = """
 import resource, sys, types
 import numpy as np
 import scipy.sparse as sparse
-from msras.linalg import SparseSym
+from msras.linalg import SparseFactor, SparseSym
 from msras.schwarz import PreconditionerState, gmres
 
 n, maxit, solves = map(int, sys.argv[1:])
-# three distinct eigenvalues and an identity preconditioner: three steps
+# three distinct eigenvalues and an identity preconditioner (one local
+# solve on every dof, with the factor L = I): three steps
 A = SparseSym(sparse.diags(np.resize([1.0, 2.0, 3.0], n)).tocsr())
 system = types.SimpleNamespace(A_free=A, f_free=np.ones(n), n_free=n)
-identity = types.SimpleNamespace(solve=lambda r: r)
-state = PreconditionerState("RAS", [np.arange(n)], [identity], [None], None, system)
+identity = [(SparseFactor(np.ones((1, n))), 0)]
+state = PreconditionerState("RAS", np.arange(n), identity, None, [identity], None, system)
 for _ in range(solves):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     _, history = gmres(state, system, maxit=maxit)

@@ -19,6 +19,9 @@ per-cell / per-node loop references here, which the vectorized production
 code must reproduce bit for bit. The COO triplet assembly the package used
 before its stencil writer is kept as the reference its matrices must match
 bit for bit, with scipy's fancy indexing as the reference for its slices.
+The full-node stiffness whose free block the package cut before it
+assembled that block directly is kept as the reference of the free system
+and its Dirichlet lifting.
 
 The package stores subdomains as boxes of cells. The full-grid mask builder
 it replaced is kept here as the reference the box arithmetic must match bit
@@ -53,6 +56,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from msras import linalg
+from msras.grid import assemble_partial_stiffness
 from msras.schwarz import apply_preconditioner
 
 _GP = ((1.0 - 1.0 / np.sqrt(3.0)) / 2.0, (1.0 + 1.0 / np.sqrt(3.0)) / 2.0)
@@ -408,6 +412,22 @@ def coo_stiffness(grid, coeff, cellmask, node_map, n, kref):
     return scipy.sparse.coo_matrix(
         (vals[keep], (rows[keep], cols[keep])), shape=(n, n)
     ).tocsr()
+
+
+def cut_free_system(system, load):
+    """(A_free, f_free) of an assembled system by the full-node path the
+    package took before it assembled the free block on the free numbering:
+    the stiffness on every node, its free block cut by `linalg.submatrix`,
+    and f_free = load - (A_full @ lift) on the free nodes when the lift is
+    nonzero, with `load` the free nodes' load."""
+    grid = system.grid
+    A_full = assemble_partial_stiffness(grid, system.coeff, (0, grid.nx, 0, grid.ny),
+                                        np.arange(grid.n_nodes), grid.n_nodes)
+    free = system.free_to_node
+    f_free = load
+    if np.any(system.lift != 0.0):  # the lift vanishes off the Dirichlet nodes
+        f_free = load - (A_full @ system.lift)[free]
+    return linalg.submatrix(A_full, free, free), f_free
 
 
 def mask_local_stiffness(system, cellmask, dofs, kref):

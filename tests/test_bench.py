@@ -252,23 +252,25 @@ class TestBlasWidthPerStage:
 
 
 # A pooled run_single in a fresh process, whose OpenBLAS starts with helper
-# threads (OPENBLAS_NUM_THREADS=2): its report, and the threads the process
-# has after it.
+# threads (OPENBLAS_NUM_THREADS=2): its report, the threads the process has
+# after it, and the names of those Python started, by thread id.
 _THREADS_AFTER_POOL = """
-import functools, json, os, sys
+import functools, json, os, sys, threading
 import msras.bench as bench
 
 bench.local_setup = functools.partial(bench.local_setup, _width=2)
 report, _, _ = bench.run_single(bench.ExperimentConfig.from_dict(json.loads(sys.argv[1])))
 print(json.dumps({"workers": report["workers"], "converged": report["converged"],
-                  "pid": os.getpid(), "threads": os.listdir("/proc/self/task")}))
+                  "pid": os.getpid(), "threads": os.listdir("/proc/self/task"),
+                  "python": {t.native_id: t.name for t in threading.enumerate()}}))
 """
 
 
 def test_pooled_run_leaves_no_blas_helper(bundled_openblas):
     # the fork shuts down the helpers that OpenBLAS started at load, and at
     # one thread per process no later call starts one, in the caller or in
-    # a worker
+    # a worker: every thread left is the main thread or one of the one-level
+    # apply's helpers, which Python started
     if not os.path.isdir("/proc/self/task"):
         pytest.skip("no /proc/self/task to count the threads in")
     proc = subprocess.run(
@@ -278,7 +280,11 @@ def test_pooled_run_leaves_no_blas_helper(bundled_openblas):
              "PYTHONPATH": str(Path(schwarz.__file__).parents[1])})
     out = json.loads(proc.stdout.splitlines()[-1])
     assert out["workers"] == 2 and out["converged"]
-    assert out["threads"] == [str(out["pid"])]  # the main thread alone
+    assert sorted(out["threads"]) == sorted(out["python"])
+    helpers = [name for tid, name in out["python"].items() if tid != str(out["pid"])]
+    assert str(out["pid"]) in out["python"]
+    assert len(helpers) < len(os.sched_getaffinity(0))
+    assert all(name.startswith("msras-apply") for name in helpers)
 
 
 class TestRunComparison:
@@ -426,6 +432,29 @@ class TestRunSweep:
         for s in (1, 2):
             assert sweep.cells[(s, 3)]["converged"]
             assert sweep.cells[(s, 10_000)]["failure"].startswith("TooManyModes: ")
+
+    def test_pooled_depth_after_a_threaded_drive_matches_serial(self, monkeypatch):
+        # the second depth's bases session forks while the one-level apply's
+        # helper thread, started by the first depth's drive, is alive and idle
+        cfg = small_cfg()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        serial = run_sweep(cfg, [1, 2], [3])
+        helpers = []
+
+        def pooled_stage(*args, **kwargs):
+            helpers.append([t for t in threading.enumerate() if t.name.startswith("msras-apply")])
+            return local_setup(*args, _width=2, **kwargs)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(msras.bench, "local_setup", pooled_stage)
+        pooled = run_sweep(cfg, [1, 2], [3])
+        assert len(helpers) == 2 and helpers[1] and all(t.is_alive() for t in helpers[1])
+        for key, cell in pooled.cells.items():
+            ref = serial.cells[key]
+            assert (cell["workers"], ref["workers"]) == (2, 1)
+            assert cell["converged"] and cell["failure"] is None
+            for field in ("iterations", "final_residual", "lambda_bound", "coarse_dim"):
+                assert cell[field] == ref[field]
 
     def test_single_cell_matches_run_single(self):
         cfg = small_cfg()

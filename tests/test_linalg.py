@@ -1,11 +1,14 @@
+import copy
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sparse
 from scipy.sparse.linalg import splu
 
@@ -84,6 +87,53 @@ class TestBlockSolve:
     def test_empty_block(self):
         f = factorize(banded_spd(23, 5, seed=1))
         assert f.solve(np.zeros((23, 0))).shape == (23, 0)
+
+
+class TestCapsuleSolve:
+    """The vector solve calls LAPACK's dpbtrs through scipy's Cython capsule,
+    the routine scipy's f2py wrapper calls: the two agree bit for bit."""
+
+    @pytest.mark.parametrize("n, w", [(1, 0), (9, 0), (12, 3), (40, 8), (46, 45), (90, 45),
+                                      (200, 23), (331, 44)])
+    def test_matches_f2py_bit_for_bit(self, n, w):
+        f = factorize(banded_spd(n, w, seed=n + w))
+        assert f.band.shape == (w + 1, n)
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            b = rng.standard_normal(n)
+            ref, info = scipy.linalg.lapack.dpbtrs(f.band, b[:, None], lower=1)
+            assert info == 0
+            assert f.solve(b).tobytes() == ref[:, 0].tobytes()
+
+    def test_copies_solve_on_their_own_band(self):
+        f = factorize(banded_spd(40, 8, seed=1))
+        b = np.random.default_rng(1).standard_normal(40)
+        x = f.solve(b)
+        for g in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
+            f.band[:] = np.nan  # a copy that read the original's band would see this
+            assert g.solve(b).tobytes() == x.tobytes()
+
+    def test_spans_solve_in_place(self):
+        # three factors on runs of one buffer, with entries between and after
+        # the runs that no span names and that stay as they were
+        factors = [factorize(banded_spd(n, w, seed=n)) for n, w in ((30, 4), (7, 0), (52, 45))]
+        starts = [2, 33, 40]
+        x = np.random.default_rng(0).standard_normal(95)
+        ref = x.copy()
+        for f, p in zip(factors, starts):
+            ref[p:p + f.n] = scipy.linalg.lapack.dpbtrs(f.band, x[p:p + f.n, None], lower=1)[0][:, 0]
+        linalg.solve_spans(list(zip(factors, starts)), x)
+        assert x.tobytes() == ref.tobytes()
+
+    def test_spans_need_a_contiguous_float_vector_around_them(self):
+        f = factorize(banded_spd(5, 1, seed=0))
+        with pytest.raises(ValueError):
+            linalg.solve_spans([(f, 0)], np.zeros(10)[::2])
+        with pytest.raises(ValueError):
+            linalg.solve_spans([(f, 0)], np.zeros(5, dtype=np.float32))
+        for start in (-1, 6):  # a span must lie inside the vector
+            with pytest.raises(DimensionMismatch):
+                linalg.solve_spans([(f, start)], np.zeros(10))
 
 
 class TestSparseSym:

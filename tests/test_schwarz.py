@@ -1,5 +1,11 @@
+import os
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from msras import schwarz
 from msras.decomp import build_decomposition, build_partition_of_unity
@@ -22,7 +28,7 @@ from msras.spectral import (
     reduce_to_harmonic,
     solve_local_eigenproblem,
 )
-from tests.conftest import columns_coarse_space, gmres_rss_growth, make_system
+from tests.conftest import columns_coarse_space, gmres_rss_growth, local_solves, make_system
 from tests.oracles import (
     TooLarge,
     contraction_norm,
@@ -49,7 +55,7 @@ def dense_one_level(system, state):
     n = system.n_free
     A = system.A_free.mat.toarray()
     B1 = np.zeros((n, n))
-    for dofs, w in zip(state.local_dofs, state.local_weights):
+    for dofs, _, w in local_solves(state):
         Ai = np.linalg.inv(A[np.ix_(dofs, dofs)])
         scaled = Ai if w is None else w[:, None] * Ai
         B1[np.ix_(dofs, dofs)] += scaled
@@ -99,6 +105,74 @@ class TestOneLevded:
             apply_one_level(state, np.ones(3))
 
 
+def loop_one_level(state, r):
+    """The one-level apply as a loop adding one subdomain at a time: a
+    vector's local solves through scipy's f2py dpbtrs, a stack's through
+    the blocked solve."""
+    z = np.zeros_like(r)
+    for dofs, fac, w in local_solves(state):
+        if r.ndim == 1:
+            y = scipy.linalg.lapack.dpbtrs(fac.band, r[dofs][:, None], lower=1)[0][:, 0]
+        else:
+            y = fac.solve(r[dofs])
+        z[dofs] += y if w is None else (w * y.T).T
+    return z
+
+
+class TestThreadedApply:
+    """A vector's local solves are dealt between the calling thread and
+    helper threads, one per further usable core; z is the per-subdomain
+    loop's, bit for bit, for any split."""
+
+    @pytest.mark.parametrize("cores", [2, 3])
+    @pytest.mark.parametrize("scheme", schwarz.SCHEMES)
+    def test_shares_match_serial_loop(self, small, monkeypatch, rng, scheme, cores):
+        system, dec, pu, coarse = small
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+        state = build_preconditioner(system, dec, pu, scheme, coarse=coarse)
+        assert state.scheme == scheme and len(state.shares) == cores and all(state.shares)
+        assert sorted(p for share in state.shares for _, p in share) == [
+            p for _, p in state.spans]
+        r = rng.standard_normal(system.n_free)
+        R = rng.standard_normal((system.n_free, 3))
+        z = loop_one_level(state, r)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # the threads hand the GIL over as often as they can
+        try:
+            for _ in range(20):
+                assert apply_one_level(state, r).tobytes() == z.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+        assert apply_one_level(state, R).tobytes() == loop_one_level(state, R).tobytes()
+
+    def test_one_core_solves_in_the_caller(self, small, monkeypatch, rng):
+        system, dec, pu, _ = small
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        state = build_preconditioner(system, dec, pu, "RAS")
+        assert state.shares == [state.spans]
+        monkeypatch.setattr(schwarz, "_helpers", lambda count: pytest.fail("helper threads"))
+        r = rng.standard_normal(system.n_free)
+        assert apply_one_level(state, r).tobytes() == loop_one_level(state, r).tobytes()
+
+    def test_caller_error_waits_for_the_helpers(self, small, monkeypatch, rng):
+        # the apply returns, here by raising, only once no helper is working
+        system, dec, pu, _ = small
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        state = build_preconditioner(system, dec, pu, "RAS")
+        finished = threading.Event()
+
+        def solve(spans, x):
+            if threading.current_thread() is threading.main_thread():
+                raise ValueError("the caller's share")
+            time.sleep(0.2)
+            finished.set()
+
+        monkeypatch.setattr(schwarz, "solve_spans", solve)
+        with pytest.raises(ValueError, match="the caller's share"):
+            apply_one_level(state, rng.standard_normal(system.n_free))
+        assert finished.is_set()
+
+
 class TestPreconditioner:
     @pytest.mark.parametrize("scheme", ["hybrid_RAS_msgfem", "RAS", "AS", "hybrid_AS"])
     def test_matches_dense_oracle(self, small, scheme, rng):
@@ -128,8 +202,7 @@ class TestPreconditioner:
         # chi_i on dofs0(omega_i^*): its weights where that meets dofs(omega_i), 0 elsewhere
         system, dec, pu, _ = small
         state = build_preconditioner(system, dec, pu, "RAS")
-        for sub, dofs, w in zip(dec.subdomains, state.local_dofs, state.local_weights,
-                                strict=True):
+        for sub, (dofs, _, w) in zip(dec.subdomains, local_solves(state), strict=True):
             assert np.array_equal(dofs, sub.dofs0_star)
             ref = np.zeros(dofs.size)
             ref[np.isin(dofs, sub.dofs)] = pu.weights[sub.id][np.isin(sub.dofs, dofs)]

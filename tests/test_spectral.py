@@ -7,6 +7,7 @@ import scipy.linalg
 import scipy.sparse as sparse
 
 import msras.spectral as spectral
+from msras import linalg
 from msras.bench import local_setup
 from msras.decomp import (
     box_nodes,
@@ -38,6 +39,7 @@ from tests.conftest import (
     PINNED_DECOMPOSITIONS,
     coarse_rss_growth,
     columns_coarse_space,
+    local_solves,
     make_system,
     pinned_instance,
 )
@@ -110,7 +112,7 @@ class TestParticularSolve:
     def test_interior_residual_vanishes(self, system16, decomp16, pu16):
         # a(u - phi_i, v) = 0 for v supported inside omega_i^*
         state = build_preconditioner(system16, decomp16, pu16, "RAS")
-        for dofs, fac in zip(state.local_dofs, state.local_factors, strict=True):
+        for dofs, fac, _ in local_solves(state):
             full = np.zeros(system16.n_free)
             full[dofs] = fac.solve(system16.f_free[dofs])
             r = system16.f_free - system16.A_free.mat @ full
@@ -197,9 +199,8 @@ class TestReduceToHarmonic:
         # E = A11^{-1} A12 runs the level-3 blocked substitution; dpbtrs, one
         # column at a time, is left to the vector solves of the preconditioner
         calls = []
-        dpbtrs = scipy.linalg.lapack.dpbtrs
-        monkeypatch.setattr(scipy.linalg.lapack, "dpbtrs",
-                            lambda *args, **kwargs: calls.append(1) or dpbtrs(*args, **kwargs))
+        dpbtrs = linalg._dpbtrs
+        monkeypatch.setattr(linalg, "_dpbtrs", lambda *args: calls.append(1) or dpbtrs(*args))
         for i in range(len(decomp16.subdomains)):
             reduce_to_harmonic(system16, decomp16, pu16, i)
         assert not calls
