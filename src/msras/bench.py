@@ -419,8 +419,11 @@ class _Bases:
     """A bases session: the local bases of one or more basis kinds on one
     decomposition, one task per subdomain and kind (`_local_task`), where
     `needs` maps each kind to its modes in the order the caller will
-    collect them (`collect`). Close it (`close`, or leave its `with`) once
-    done: every worker it forked has then ended.
+    collect them (`collect`). Collecting its last kind closes it (`close`):
+    every worker it forked has then ended, and what the caller still holds
+    of it goes with its last reference, its jobs, their futures and the
+    slots no basis or factor views. A caller that may leave kinds
+    uncollected, on a failure, closes it itself.
 
     When the process may use more than one core and the estimated work of
     all its kinds (`_local_flops`, summed) reaches `_POOL_FLOPS`, the
@@ -463,6 +466,8 @@ class _Bases:
         self.tasks = {kind: partial(_local_task, system, decomp, pu, kind, modes)
                       for kind, modes in needs.items()}
         self.stats = {}  # basis kind -> the stats of its collection
+        self.waiting = set(needs)  # the kinds not yet collected
+        self.workers_rss_upper_mb = None  # set by `close` when pooled
         self.pool = None
         if self.width == 1:
             return
@@ -484,12 +489,6 @@ class _Bases:
             self.close()
             raise
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-
     def collect(self, kind):
         """(bases, stats) of one kind: its bases in subdomain order, bit for
         bit as a serial loop gives them. The interior factors the tasks made
@@ -505,18 +504,25 @@ class _Bases:
         factorization, and eig, or geneo), wherever and whenever they ran;
         `wait_s`, the seconds the caller waited for the workers' last
         results of the kind after its own last task (0 for a serial
-        session); and `workers_rss_upper_mb`, which `close` sets."""
-        if self.pool is None:
-            task = self.tasks[kind]
-            results, wait_s = [task(i) for i in range(self.decomp.n_subdomains)], 0.0
-        else:
-            results, wait_s = self._gather(self.ranges[kind])
+        session); and `workers_rss_upper_mb`, which `close` sets. The last
+        kind's collection closes the session, whether it fails or not: no
+        task is left for the workers then."""
+        try:
+            if self.pool is None:
+                task = self.tasks[kind]
+                results, wait_s = [task(i) for i in range(self.decomp.n_subdomains)], 0.0
+            else:
+                results, wait_s = self._gather(self.ranges[kind])
+        finally:
+            self.waiting.discard(kind)
+            if not self.waiting:
+                self.close()
         for i, (_, factor, _) in enumerate(results):
             if factor is not None:
                 self.decomp.factors.setdefault(("dofs0_star", i), factor)
         local_s = {name: sum(seconds[name] for *_, seconds in results) for name in results[0][2]}
         self.stats[kind] = {"workers": self.width, "local_s": local_s, "wait_s": wait_s,
-                            "workers_rss_upper_mb": None}
+                            "workers_rss_upper_mb": self.workers_rss_upper_mb}
         return [basis for basis, _, _ in results], self.stats[kind]
 
     def _gather(self, jobs):
@@ -561,21 +567,21 @@ class _Bases:
             self.claims[:] = [True] * len(self.jobs)
         self.pool.shutdown(cancel_futures=True)
         self.pool = None
-        rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
+        rss = self.workers_rss_upper_mb = (
+            resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0)
         for stats in self.stats.values():
             stats["workers_rss_upper_mb"] = rss
 
 
 def local_setup(system, decomp, pu, modes, kind="harmonic", _width=None):
     """(bases, stats) of a bases stage of one kind: a session of that kind
-    alone (`_Bases`), collected at once and closed, so any workers live for
-    the stage only. modes[i] modes are kept on subdomain i; more than the
-    pencil has (`spectral.pencil_size`) raise TooManyModes, and a caller
-    that wants at most that many caps modes[i] itself. Failures and stats
-    are those of `_Bases.collect`, with `workers_rss_upper_mb` set when the
-    stage was pooled."""
-    with _Bases(system, decomp, pu, {kind: modes}, _width) as session:
-        return session.collect(kind)
+    alone (`_Bases`), collected at once, which closes it, so any workers
+    live for the stage only. modes[i] modes are kept on subdomain i; more
+    than the pencil has (`spectral.pencil_size`) raise TooManyModes, and a
+    caller that wants at most that many caps modes[i] itself. Failures and
+    stats are those of `_Bases.collect`, with `workers_rss_upper_mb` set
+    when the stage was pooled."""
+    return _Bases(system, decomp, pu, {kind: modes}, _width).collect(kind)
 
 
 def _has_coarse(decomp, modes):
@@ -600,6 +606,7 @@ class Pipeline:
     accumulates in `timings`, and `memory_mb` holds the process's peak
     resident set (ru_maxrss) after the stage last ran, in MB, or None before
     it ran: a stage whose value exceeds every earlier one set a new peak.
+    It is a high-water mark, so a stage after a release shows no drop.
 
     The local bases of a kind are one task per subdomain (`_Bases`). A
     harmonic task's reduction builds the interior factor of omega_i^*, which
@@ -613,13 +620,13 @@ class Pipeline:
     pencils while this process sets up and drives the earlier schemes. The
     bases of one kind are a stage of their own (`local_setup`), at the
     first scheme that needs them, with workers that live for the stage
-    only. eigensolves times this process's part: opening the session,
-    collecting each kind (its own tasks and its waits for the workers) and
-    closing it; the tasks a worker ran before their kind was collected count
-    only in that kind's `local_s`. `local` keeps, per basis kind, the stats
-    of its last collection (see `_Bases.collect`), and `run` puts them in
-    the records. Every stage runs its BLAS on one thread, set for the
-    process when `linalg` is imported."""
+    only. eigensolves times this process's part: opening the session and
+    collecting each kind (its own tasks and its waits for the workers), the
+    close at the last collection included; the tasks a worker ran before
+    their kind was collected count only in that kind's `local_s`. `local`
+    keeps, per basis kind, the stats of its last collection (see
+    `_Bases.collect`), and `run` puts them in the records. Every stage runs
+    its BLAS on one thread, set for the process when `linalg` is imported."""
 
     def __init__(self, cfg):
         self.cfg = cfg
@@ -678,19 +685,26 @@ class Pipeline:
 
     def run(self, decomp, pu, schemes, modes, full=None):
         """One record per scheme (the keys of `_RECORD`), keyed by scheme, with
-        modes[i] modes on subdomain i. The schemes on one local eigenproblem
-        share its bases and coarse space, set up once (`full` as in
-        `coarse_space`) and released after the last of them. When the
-        schemes need the bases of more than one kind, one session
-        (`_Bases`) holds them all, opened before the first scheme and
-        closed, every worker ended, when this returns or raises. A typed
-        failure is recorded, not raised: a failed coarse set-up in the
-        record of every scheme that shares it. A record keeps the fields of
-        the stages that ran. setup_s is the scheme's preconditioner build
-        plus, for the first scheme of its eigenproblem, the coarse set-up,
-        its bases' collection included; solve_s is the drive."""
+        modes[i] modes on subdomain i. The run keeps only what its remaining
+        schemes read. The schemes on one local eigenproblem share its bases
+        and coarse space, set up once (`full` as in `coarse_space`) and
+        released after the last of them. The local factors of each
+        `schwarz.factor_family` leave decomp.factors after the drive of the
+        last scheme that reads them, when later schemes follow; the last
+        scheme's stay for the next run on this decomposition (a sweep's next
+        cell). When the schemes need the bases of more than one kind, one
+        session (`_Bases`) holds them all, opened before the first scheme:
+        the collection of its last kind closes it, every worker ended, and
+        the run drops it there, or closes it when this returns or raises if
+        a failure left it open. A typed failure is recorded, not raised: a
+        failed coarse set-up in the record of every scheme that shares it. A
+        record keeps the fields of the stages that ran. setup_s is the
+        scheme's preconditioner build plus, for the first scheme of its
+        eigenproblem, the coarse set-up, its bases' collection included;
+        solve_s is the drive."""
         cfg = self.cfg
         last = {basis_kind(scheme): scheme for scheme in schemes}
+        last_read = {schwarz.factor_family(scheme): k for k, scheme in enumerate(schemes)}
         session = None
         if len(last) > 1 and full is None and _has_coarse(decomp, modes):
             session = self._timed("eigensolves", _Bases, self.system, decomp, pu,
@@ -698,16 +712,21 @@ class Pipeline:
         spaces = {}  # basis kind -> ((bases, coarse space), failure) of its one set-up
         records = {}
         try:
-            for scheme in schemes:
+            for k, scheme in enumerate(schemes):
                 # drop the last scheme's references first: a coarse space its
-                # kind's last scheme popped is then released before the next set-up
+                # kind's last scheme popped, and the factors no scheme from
+                # here on reads, are then released before the next set-up
                 space = coarse = state = out = None
+                for key in [key for key in decomp.factors if last_read.get(key[0]) == k - 1]:
+                    del decomp.factors[key]
                 rec = records[scheme] = dict(_RECORD)
                 t = time.perf_counter()
                 kind = basis_kind(scheme)
                 if kind not in spaces:
                     spaces[kind] = _attempt(self.coarse_space, decomp, pu, scheme, modes, full,
                                             session)
+                    if session is not None and not session.waiting:
+                        session = None  # closed by the collection of its last kind
                 space, rec["failure"] = spaces.pop(kind) if last[kind] == scheme else spaces[kind]
                 if space is not None:
                     rec["spectrum"], coarse = space

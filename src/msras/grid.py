@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sparse
-from scipy.sparse.linalg import splu
 
 from .errors import AllNeumann, InvalidBlockCount, NonpositiveCoefficient
 from .linalg import SparseSym
@@ -201,8 +200,13 @@ class AssembledSystem:
         """Reference solution of the global system by a sparse LU with a
         fill-reducing ordering (SuperLU, cached on first use). The box
         matrices' banded factor `linalg.factorize` would store the whole
-        band of the global matrix, about one grid row wide."""
+        band of the global matrix, about one grid row wide. SuperLU is
+        imported here, on the first direct solve: no solve, comparison,
+        sweep or spectrum run of the package uses `scipy.sparse.linalg`, so
+        only a caller that checks a solution against this one loads it."""
         if self._factor is None:
+            from scipy.sparse.linalg import splu
+
             self._factor = splu(self.A_free.mat.tocsc(), permc_spec="MMD_AT_PLUS_A",
                                 diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
         return self._factor.solve(self.f_free)

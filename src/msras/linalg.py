@@ -318,10 +318,15 @@ _KERNEL_GAP = 1e-10
 
 
 def _shifted_pairs(K, M, k):
-    """The k leading pairs of K x = mu (K + M) x, mu descending."""
+    """The k leading pairs of K x = mu (K + M) x, mu descending, or all n
+    pairs when a solve for k < n of them returns fewer: LAPACK's dsygvx can,
+    without an error, when the subset's edge cuts a cluster. A solve that
+    fails raises NonConvergence."""
     n = K.shape[0]
     try:
         mu, X = scipy.linalg.eigh(K, K + M, subset_by_index=[n - k, n - 1] if k < n else None)
+        if mu.size < k:
+            mu, X = scipy.linalg.eigh(K, K + M)
     except scipy.linalg.LinAlgError as exc:
         raise NonConvergence(f"K + M not positive definite or eigensolve failed: {exc}") from exc
     return mu[::-1], X[:, ::-1]
@@ -344,7 +349,8 @@ def dense_generalized_sym_eig(K, M, n_pairs=None):
     The top k = min(n, n_pairs) pairs are computed (n_pairs=None computes
     all n). If all k are kernel and k < n, the kernel may go on past them,
     so all n pairs are computed once and max(n_pairs, kernel_dim) returned:
-    the whole kernel always comes back.
+    the whole kernel always comes back. A solve for the k pairs that
+    returns fewer takes the same path (`_shifted_pairs`).
 
     The result is one descending spectrum, kernel first (`DensePencilEig`).
     Kernel vectors are normalized to unit length: in exact arithmetic they
@@ -359,10 +365,10 @@ def dense_generalized_sym_eig(K, M, n_pairs=None):
     k = n if n_pairs is None else min(n, n_pairs)
     mu, X = _shifted_pairs(K, M, k)
     kernel_dim = int(np.count_nonzero(1.0 - mu <= _KERNEL_GAP))
-    if kernel_dim == k < n:  # the kernel may go on past the k pairs
+    if kernel_dim == mu.size == k < n:  # the kernel may go on past the k pairs
         mu, X = _shifted_pairs(K, M, n)
         kernel_dim = int(np.count_nonzero(1.0 - mu <= _KERNEL_GAP))
-        mu, X = mu[:max(k, kernel_dim)], X[:, :max(k, kernel_dim)]
+    mu, X = mu[:max(k, kernel_dim)], X[:, :max(k, kernel_dim)]
     mu_f = np.clip(mu[kernel_dim:], 0.0, None)
     lam = np.full(mu.size, np.inf)
     lam[kernel_dim:] = mu_f / (1.0 - mu_f)

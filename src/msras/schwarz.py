@@ -85,30 +85,37 @@ def _overlap_factor(system, sub):
         raise FactorizationFailure(f"subdomain {sub.id}: local block not SPD: {exc}") from exc
 
 
+def factor_family(scheme):
+    """The dof set of each subdomain a scheme's local solves factor, the name
+    its factors are cached under in decomp.factors: dofs0, the interior of
+    the overlap subdomain, for AS2_geneo, and dofs0_star, the interior of
+    the oversampling domain, for the others."""
+    return "dofs0" if scheme == "AS2_geneo" else "dofs0_star"
+
+
 def build_preconditioner(system, decomp, pu, scheme, coarse=None):
     """Factorize the per-subdomain solves and bundle the application state.
 
-    MS-GFEM flavours solve on the interior dofs of the oversampling domains,
-    sharing the decomposition's cached interior factors with the spectral
-    layer; AS2_geneo solves on the interior dofs of the overlap subdomains,
-    factored once per decomposition into the same cache. Without a coarse
-    space a hybrid scheme is its one-level part: the state's scheme is then
-    RAS or AS.
+    The local solves are on the scheme's `factor_family`. MS-GFEM flavours
+    share the decomposition's cached interior factors with the spectral
+    layer; AS2_geneo's are factored once per decomposition into the same
+    cache. Without a coarse space a hybrid scheme is its one-level part: the
+    state's scheme is then RAS or AS.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
     if coarse is None:
         scheme = _HYBRID.get(scheme, scheme)
+    family = factor_family(scheme)
     local_dofs = []
     spans = []
     weights = []
     start = 0
     for sub in decomp.subdomains:
-        if scheme == "AS2_geneo":
-            dofs = sub.dofs0
+        dofs = getattr(sub, family)
+        if family == "dofs0":
             factor = decomp.factor(("dofs0", sub.id), lambda: _overlap_factor(system, sub))
         else:
-            dofs = sub.dofs0_star
             factor = interior_factor(decomp, sub.id)
         local_dofs.append(dofs)
         spans.append((factor, start))

@@ -67,6 +67,7 @@ from .decomp import overlap_zone
 from .errors import (
     EmptyBoundary,
     FactorizationFailure,
+    NonConvergence,
     NotPositiveDefinite,
     RankDeficientCoarse,
     TooManyModes,
@@ -197,6 +198,15 @@ def _assemble_basis(sub_id, kind, spectrum, n, m, glued):
     )
 
 
+def _pencil(K, M, m, sub_id):
+    """The m + 1 leading pairs of K x = lambda M x
+    (`dense_generalized_sym_eig`), a failed solve named by its subdomain."""
+    try:
+        return dense_generalized_sym_eig(K, M, n_pairs=m + 1)
+    except NonConvergence as exc:
+        raise NonConvergence(f"subdomain {sub_id}: {exc}") from exc
+
+
 def solve_local_eigenproblem(S, Ptil, W, m, sub_id=0):
     """Top-m eigenpairs of Ptil x = lambda S x, glued through the matrix W of
     `reduce_to_harmonic`. Only the m + 1 leading pairs are solved for: the
@@ -207,7 +217,7 @@ def solve_local_eigenproblem(S, Ptil, W, m, sub_id=0):
     oversampling domain; kernel vectors have unit Euclidean norm on the
     interface.
     """
-    pencil = dense_generalized_sym_eig(Ptil, S, n_pairs=m + 1)
+    pencil = _pencil(Ptil, S, m, sub_id)
     return _assemble_basis(sub_id, "harmonic", pencil, S.shape[0], m, W @ pencil.vectors[:, :m])
 
 
@@ -291,7 +301,7 @@ def geneo_eigenproblem(system, decomp, pu, i, m):
     S, E = schur_complement(submatrix(A_omega, rest, gamma), submatrix(A_omega, gamma, gamma),
                             factor.solve)
 
-    pencil = dense_generalized_sym_eig(K.toarray(), S, n_pairs=m + 1)
+    pencil = _pencil(K.toarray(), S, m, i)
     # chi times the extension of the kept vectors X on the dofs where
     # chi > 0: the identity on Gamma and -E on the rest
     X = pencil.vectors[:, :m]

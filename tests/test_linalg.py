@@ -14,7 +14,7 @@ from scipy.sparse.linalg import splu
 
 from msras import linalg
 from msras.decomp import build_decomposition
-from msras.errors import DimensionMismatch, NotPositiveDefinite, NotSymmetric
+from msras.errors import DimensionMismatch, NonConvergence, NotPositiveDefinite, NotSymmetric
 from msras.grid import (
     CartesianGrid,
     CoefficientField,
@@ -463,6 +463,42 @@ class TestPartialPencil:
         assert Qk.shape == (20, 3)
         assert np.linalg.matrix_rank(Qk) == 3
         assert np.linalg.norm(M @ Qk) <= 1e-8 * np.linalg.norm(M, 2)
+
+    @pytest.mark.parametrize("kernel_dim", [0, 2])
+    def test_short_subset_solve_solves_all_pairs(self, monkeypatch, kernel_dim):
+        # LAPACK's dsygvx can return fewer pairs than asked, without an
+        # error, when the subset's edge cuts a cluster: the pencil is then
+        # solved for all pairs once, and the leading ones are returned
+        K, M = planted_pencil(30, kernel_dim, seed=40 + kernel_dim)
+        full = dense_generalized_sym_eig(K, M)
+        eigh = scipy.linalg.eigh
+        subsets = []
+
+        def short(a, b, subset_by_index=None):
+            subsets.append(subset_by_index)
+            w, v = eigh(a, b, subset_by_index=subset_by_index)
+            return (w[2:], v[:, 2:]) if subset_by_index else (w, v)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", short)
+        part = dense_generalized_sym_eig(K, M, n_pairs=8)
+        assert subsets == [[22, 29], None]
+        assert part.kernel_dim == kernel_dim and part.eigenvalues.size == 8
+        assert np.array_equal(part.eigenvalues, full.eigenvalues[:8])
+        assert np.allclose(part.vectors, full.vectors[:, :8], rtol=0.0, atol=1e-12)
+
+    def test_failed_full_solve_after_a_short_one_raises(self, monkeypatch):
+        K, M = planted_pencil(30, 0, seed=42)
+        eigh = scipy.linalg.eigh
+
+        def short_then_fail(a, b, subset_by_index=None):
+            if subset_by_index is None:
+                raise scipy.linalg.LinAlgError("2 eigenvectors failed to converge")
+            w, v = eigh(a, b, subset_by_index=subset_by_index)
+            return w[1:], v[:, 1:]
+
+        monkeypatch.setattr(scipy.linalg, "eigh", short_then_fail)
+        with pytest.raises(NonConvergence, match="failed to converge"):
+            dense_generalized_sym_eig(K, M, n_pairs=8)
 
     def test_all_kernel_m(self):
         pe = dense_generalized_sym_eig(np.eye(5), np.zeros((5, 5)), n_pairs=2)
