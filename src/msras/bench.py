@@ -5,8 +5,8 @@ One JSON document describes one experiment (grid, coefficient, boundary
 data, source, decomposition, coarse-space size, scheme, solver). Every verb
 runs its schemes through `Pipeline.run`, which gives each scheme one record
 with the same keys in every verb. Reports echo every input parameter, carry
-per-stage wall times and peak memory, and are deterministic in the config
-seed except for those two.
+per-stage wall times and memory, and are deterministic in the config seed
+except for those.
 """
 
 import json
@@ -337,7 +337,8 @@ def _local_task(system, decomp, pu, kind, modes, i):
     return basis, spectral.interior_factor(decomp, i), seconds  # cached by the reduction
 
 
-_WORKER = None  # set only in a worker process: (jobs, claims) of the session that forked it
+_WORKER = None  # set only in a worker process: (jobs, claims) of the session that forked
+# it, jobs as the session's table by kind at the fork
 
 
 def _adopt(jobs, claims):
@@ -353,11 +354,11 @@ def _claim(claims, g):
     return first
 
 
-def _worker_task(g):
+def _worker_task(kind, g):
     jobs, claims = _WORKER
     if not _claim(claims, g):
         return None  # the caller runs it
-    task, slots, i = jobs[g]
+    task, slots, i = jobs[kind][g]
     return slots.pack(i, task(i))
 
 
@@ -419,11 +420,16 @@ class _Bases:
     """A bases session: the local bases of one or more basis kinds on one
     decomposition, one task per subdomain and kind (`_local_task`), where
     `needs` maps each kind to its modes in the order the caller will
-    collect them (`collect`). Collecting its last kind closes it (`close`):
-    every worker it forked has then ended, and what the caller still holds
-    of it goes with its last reference, its jobs, their futures and the
-    slots no basis or factor views. A caller that may leave kinds
-    uncollected, on a failure, closes it itself.
+    collect them (`collect`). Collecting a kind hands it over whole, whether
+    the collection succeeds or fails: the session then holds nothing of it,
+    neither its task, its jobs and the slots they carry, nor the futures
+    that hold the caller's own results, so its slots go once no basis or
+    factor views them. Each kind is one entry of `jobs` and of `futures`,
+    which its collection pops; the pool's initializer and a worker's
+    `_WORKER` reference that same `jobs` table, so nothing the session
+    cannot clear pins an entry. Collecting its last kind closes it
+    (`close`): every worker it forked has then ended. A caller that may
+    leave kinds uncollected, on a failure, closes it itself.
 
     When the process may use more than one core and the estimated work of
     all its kinds (`_local_flops`, summed) reaches `_POOL_FLOPS`, the
@@ -468,23 +474,24 @@ class _Bases:
         self.stats = {}  # basis kind -> the stats of its collection
         self.waiting = set(needs)  # the kinds not yet collected
         self.workers_rss_upper_mb = None  # set by `close` when pooled
-        self.pool = None
+        # when pooled, one entry per kind, which its collection pops: its jobs,
+        # {g: (task, slots, subdomain)} with g the job's flag in claims, and
+        # their futures, {g: future}
+        self.jobs, self.futures, self.pool = {}, {}, None
         if self.width == 1:
             return
-        # job g is (task, slots, subdomain); a kind's jobs are one range of g
-        self.jobs, self.ranges = [], {}
-        for kind, modes in needs.items():
+        for k, (kind, modes) in enumerate(needs.items()):
             by_cost = np.argsort(-flops[kind], kind="stable").tolist()
             slots = _ResultSlots(decomp, modes, kind)
-            self.ranges[kind] = range(len(self.jobs), len(self.jobs) + n)
-            self.jobs += [(self.tasks[kind], slots, i)
-                          for i in by_cost[0::2] + by_cost[1::2][::-1]]
+            self.jobs[kind] = {k * n + j: (self.tasks[kind], slots, i)
+                               for j, i in enumerate(by_cost[0::2] + by_cost[1::2][::-1])}
         ctx = multiprocessing.get_context("fork")
-        self.claims = ctx.Array("b", len(self.jobs))
+        self.claims = ctx.Array("b", n * len(needs))
         self.pool = ProcessPoolExecutor(self.width - 1, mp_context=ctx, initializer=_adopt,
                                         initargs=(self.jobs, self.claims))
         try:
-            self.futures = [self.pool.submit(_worker_task, g) for g in range(len(self.jobs))]
+            for kind, jobs in self.jobs.items():
+                self.futures[kind] = {g: self.pool.submit(_worker_task, kind, g) for g in jobs}
         except BaseException:
             self.close()
             raise
@@ -497,7 +504,9 @@ class _Bases:
         of the failing subdomain with the lowest index, WorkerLost for a task
         whose worker ended without it (killed, out of memory). Either fails
         this kind only: a kind collected later runs on, in the caller if the
-        workers are gone.
+        workers are gone. Either way the kind leaves the session: its task,
+        jobs, slots and futures are no longer held once this returns or
+        raises.
 
         stats has `workers`, the session's processes; `local_s`, the tasks'
         own seconds summed per step (reduce, which includes the interior
@@ -507,13 +516,16 @@ class _Bases:
         session); and `workers_rss_upper_mb`, which `close` sets. The last
         kind's collection closes the session, whether it fails or not: no
         task is left for the workers then."""
+        task = self.tasks.pop(kind)
+        jobs, futures = self.jobs.pop(kind, {}), self.futures.pop(kind, {})
         try:
             if self.pool is None:
-                task = self.tasks[kind]
                 results, wait_s = [task(i) for i in range(self.decomp.n_subdomains)], 0.0
             else:
-                results, wait_s = self._gather(self.ranges[kind])
+                results, wait_s = self._gather(jobs, futures)
         finally:
+            jobs.clear()  # emptied: a failure's traceback holds the frames that
+            futures.clear()  # reference them, and a future holds the failure
             self.waiting.discard(kind)
             if not self.waiting:
                 self.close()
@@ -525,28 +537,28 @@ class _Bases:
                             "workers_rss_upper_mb": self.workers_rss_upper_mb}
         return [basis for basis, _, _ in results], self.stats[kind]
 
-    def _gather(self, jobs):
-        """(results, wait_s) of the pooled jobs of one kind, results in
-        subdomain order: the caller runs the jobs no worker has claimed, from
-        the back, then takes each result in subdomain order, a worker's
-        through its slots. The first failure raises, as in a serial loop."""
+    def _gather(self, jobs, futures):
+        """(results, wait_s) of the pooled jobs of one kind and their futures,
+        results in subdomain order: the caller runs the jobs no worker has
+        claimed, from the back, then takes each result in subdomain order, a
+        worker's through its slots. The first failure raises, as in a serial
+        loop."""
         own = set()
         for g in reversed(jobs):
             if not _claim(self.claims, g):  # the workers have come this far
                 break
             own.add(g)
-            task, _, i = self.jobs[g]
-            self.futures[g] = Future()  # not cancelled: a pool that breaks fails all it holds
+            task, _, i = jobs[g]
+            futures[g] = Future()  # not cancelled: a pool that breaks fails all it holds
             try:
-                self.futures[g].set_result(task(i))
+                futures[g].set_result(task(i))
             except Exception as exc:  # raised in subdomain order below
-                self.futures[g].set_exception(exc)
+                futures[g].set_exception(exc)
         t = time.perf_counter()
         results = [None] * len(jobs)
-        for g in sorted(jobs, key=lambda g: self.jobs[g][2]):
-            _, slots, i = self.jobs[g]
+        for g, (_, slots, i) in sorted(jobs.items(), key=lambda item: item[1][2]):
             try:
-                result = self.futures[g].result()
+                result = futures[g].result()
             except BrokenProcessPool as exc:
                 raise WorkerLost(f"subdomain {i}: its worker ended without a result") from exc
             results[i] = result if g in own else slots.unpack(i, result)
@@ -564,7 +576,7 @@ class _Bases:
         if self.pool is None:
             return
         with self.claims.get_lock():  # the workers skip the tasks still queued
-            self.claims[:] = [True] * len(self.jobs)
+            self.claims[:] = [True] * len(self.claims)
         self.pool.shutdown(cancel_futures=True)
         self.pool = None
         rss = self.workers_rss_upper_mb = (
@@ -590,6 +602,19 @@ def _has_coarse(decomp, modes):
     return sum(modes) > 0 and decomp.n_subdomains > 1
 
 
+def _shared_mb():
+    """This process's resident shared pages (RssShmem in /proc/self/status)
+    in MB, or None where that file or field is absent."""
+    try:
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                if line.startswith("RssShmem:"):
+                    return int(line.split()[1]) / 1024.0
+    except OSError:
+        pass
+    return None
+
+
 def _attempt(fn, *args, **kwargs):
     """(fn(...), None), or (None, "<type>: <message>") when fn raises a typed
     failure: the one place where a failure becomes a record field."""
@@ -607,6 +632,9 @@ class Pipeline:
     resident set (ru_maxrss) after the stage last ran, in MB, or None before
     it ran: a stage whose value exceeds every earlier one set a new peak.
     It is a high-water mark, so a stage after a release shows no drop.
+    Beside it `shared_mb` holds the process's resident shared pages then
+    (`_shared_mb`), which do drop: the slot pages of a pooled bases session
+    (`_ResultSlots`) that this process has read and still maps.
 
     The local bases of a kind are one task per subdomain (`_Bases`). A
     harmonic task's reduction builds the interior factor of omega_i^*, which
@@ -632,6 +660,7 @@ class Pipeline:
         self.cfg = cfg
         self.timings = {f"{stage}_s": 0.0 for stage in _STAGES}
         self.memory_mb = dict.fromkeys(_STAGES)
+        self.shared_mb = dict.fromkeys(_STAGES)
         self.local = {}  # basis kind -> the stats of its last collection
         self.system = self._timed("assembly", build_problem, cfg)
 
@@ -644,6 +673,7 @@ class Pipeline:
     def _record(self, stage, seconds):
         self.timings[f"{stage}_s"] += seconds
         self.memory_mb[stage] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        self.shared_mb[stage] = _shared_mb()
 
     def decompose(self, oversampling_layers):
         """(decomposition, partition of unity) at one oversampling depth."""
@@ -693,15 +723,18 @@ class Pipeline:
         last scheme that reads them, when later schemes follow; the last
         scheme's stay for the next run on this decomposition (a sweep's next
         cell). When the schemes need the bases of more than one kind, one
-        session (`_Bases`) holds them all, opened before the first scheme:
-        the collection of its last kind closes it, every worker ended, and
-        the run drops it there, or closes it when this returns or raises if
-        a failure left it open. A typed failure is recorded, not raised: a
-        failed coarse set-up in the record of every scheme that shares it. A
-        record keeps the fields of the stages that ran. setup_s is the
-        scheme's preconditioner build plus, for the first scheme of its
-        eigenproblem, the coarse set-up, its bases' collection included;
-        solve_s is the drive."""
+        session (`_Bases`) holds them all, opened before the first scheme.
+        Each kind leaves it when collected, and its slots are then held only
+        by the bases and factors that view them, so in a comparison the
+        oversampled factors' slots go with those factors, before AS2_geneo's
+        bases are collected. The collection of its last kind closes it,
+        every worker ended, and the run drops it there, or closes it when
+        this returns or raises if a failure left it open. A typed failure is
+        recorded, not raised: a failed coarse set-up in the record of every
+        scheme that shares it. A record keeps the fields of the stages that
+        ran. setup_s is the scheme's preconditioner build plus, for the
+        first scheme of its eigenproblem, the coarse set-up, its bases'
+        collection included; solve_s is the drive."""
         cfg = self.cfg
         last = {basis_kind(scheme): scheme for scheme in schemes}
         last_read = {schwarz.factor_family(scheme): k for k, scheme in enumerate(schemes)}
@@ -782,6 +815,7 @@ def run_single(cfg):
                                      "local_s", "wait_s", "workers_rss_upper_mb")},
         "timings": dict(pipe.timings),
         "memory_mb": dict(pipe.memory_mb),
+        "shared_mb": dict(pipe.shared_mb),
     }
     out = cfg.outputs
     if out.get("report"):

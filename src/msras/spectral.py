@@ -374,6 +374,8 @@ class CoarseSpace:
         y = (self.scale * y.T).T
         for X, a, b, p, q in self.spans:
             g[p:q] = X @ y[a:b]
+        if r.ndim == 1:
+            return np.bincount(self.gather, g, minlength=r.shape[0])
         z = [np.bincount(self.gather, u, minlength=r.shape[0])
              for u in g.reshape(g.shape[0], -1).T]
         return np.column_stack(z).reshape(r.shape)

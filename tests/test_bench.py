@@ -1,3 +1,4 @@
+import concurrent.futures
 import functools
 import importlib
 import json
@@ -184,9 +185,10 @@ class TestRunSingle:
         cfg = small_cfg()
         r1, h1, _ = run_single(cfg)
         r2, h2, _ = run_single(cfg)
-        for report in (r1, r2):  # wall times and peak memory vary from run to run
+        for report in (r1, r2):  # wall times and memory vary from run to run
             report.pop("timings")
             report.pop("memory_mb")
+            report.pop("shared_mb")
             report.pop("local_s")
         assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
         assert h1.res_b == h2.res_b
@@ -200,6 +202,21 @@ class TestRunSingle:
         assert all(isinstance(mb, float) and mb > 0.0 for mb in memory.values())
         assert max(memory.values()) == memory["krylov"]
         assert memory["krylov"] <= resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+    def test_shared_pages_by_stage(self, monkeypatch):
+        # a serial solve maps no slot: its shared pages stay under 1 MB at
+        # every stage; a pooled one reads its factor bands from the slots in
+        # the drive, so its Krylov mark is at least its eigensolves mark
+        report, _, _ = run_single(small_cfg())
+        assert report["shared_mb"].keys() == report["memory_mb"].keys()
+        assert all(mb is None or mb < 1.0 for mb in report["shared_mb"].values())
+        monkeypatch.setattr(msras.bench, "local_setup", functools.partial(local_setup, _width=2))
+        report, _, _ = run_single(small_cfg())
+        assert report["workers"] == 2
+        shared = report["shared_mb"]
+        assert shared.keys() == report["memory_mb"].keys()
+        if shared["krylov"] is not None:
+            assert shared["krylov"] >= shared["eigensolves"]
 
     def test_report_carries_all_inputs(self, tmp_path):
         out = {
@@ -422,7 +439,7 @@ class TestOneRecord:
         assert set(report) == {"config", "scheme_applied", "n_free_dofs", "xi", "xi_star",
                                "coarse_dim", "lambda_bound", "iterations", "final_residual",
                                "converged", "failure", "workers", "local_s", "wait_s",
-                               "workers_rss_upper_mb", "timings", "memory_mb"}
+                               "workers_rss_upper_mb", "timings", "memory_mb", "shared_mb"}
         assert report["workers"] == 1 and report["workers_rss_upper_mb"] is None
         assert report["wait_s"] == 0.0
         assert set(report["local_s"]) == {"reduce", "eig"}
@@ -757,10 +774,10 @@ class TestPooledLocalSetup:
         slots = msras.bench._ResultSlots(dec, modes, kind)
         task = functools.partial(msras.bench._local_task, system, dec, pu, kind, modes)
         claims = multiprocessing.Array("b", dec.n_subdomains)
-        jobs = [(task, slots, i) for i in range(dec.n_subdomains)]
+        jobs = {kind: {i: (task, slots, i) for i in range(dec.n_subdomains)}}
         monkeypatch.setattr(msras.bench, "_WORKER", (jobs, claims))
         for i in range(dec.n_subdomains):
-            sent = pickle.dumps(msras.bench._worker_task(i))
+            sent = pickle.dumps(msras.bench._worker_task(kind, i))
             assert len(sent) <= 2048
             basis, factor, _ = slots.unpack(i, pickle.loads(sent))
             want, want_factor, _ = msras.bench._local_task(system, fresh, fresh_pu, kind,
@@ -774,7 +791,7 @@ class TestPooledLocalSetup:
             else:
                 assert factor.band.flags.f_contiguous
                 assert np.array_equal(factor.band, want_factor.band)
-        assert msras.bench._worker_task(0) is None  # claimed: the caller runs it
+        assert msras.bench._worker_task(kind, 0) is None  # claimed: the caller runs it
 
     def test_band_slot_holds_neumann_rows(self, task_log):
         # with Neumann sides across the rows, a row of omega_i^*'s interior
@@ -836,7 +853,7 @@ def _compare_and_keep(cfg, schemes):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(schwarz, "build_preconditioner", note)
-        records = run_comparison(cfg, schemes)
+        records = run_comparison(cfg, TWO_KINDS)
     return records, used
 
 
@@ -855,6 +872,48 @@ def _pool_sessions(monkeypatch):
     monkeypatch.setattr(os, "fork", counted)
     monkeypatch.setattr(msras.bench, "_Bases", functools.partial(msras.bench._Bases, _width=2))
     return forks
+
+
+def _held_at_geneo_collection(monkeypatch):
+    """Run a pooled comparison (`_pool_sessions`) of TWO_KINDS and note, when
+    the session starts collecting the GenEO kind: whether the harmonic
+    kind's slots are dead, the futures reachable from the session's
+    attributes through dicts, lists and tuples (as the kinds of the bases
+    their results carry, None for a future without one), and the factor
+    families in decomp.factors. Returns (records, noted, n_subdomains)."""
+    cls = msras.bench._Bases
+    pooled = _pool_sessions(monkeypatch)
+    slots, noted, collect = {}, {}, cls.collect
+    made = msras.bench._ResultSlots
+
+    def tracked(decomp, modes, kind):
+        out = made(decomp, modes, kind)
+        slots[kind] = weakref.ref(out)
+        return out
+
+    def collecting(session, kind):
+        if kind == "geneo":
+            futures, todo = [], list(vars(session).values())
+            while todo:
+                x = todo.pop()
+                if isinstance(x, dict):
+                    todo += x.values()
+                elif isinstance(x, (list, tuple)):
+                    todo += x
+                elif isinstance(x, concurrent.futures.Future):
+                    futures.append(x)
+            noted.update(slots_dead=slots["harmonic"]() is None,
+                         futures=[f.result()[0].kind if f.done() and f.exception() is None
+                                  and f.result() is not None else None for f in futures],
+                         families={key[0] for key in session.decomp.factors})
+        return collect(session, kind)
+
+    monkeypatch.setattr(msras.bench, "_ResultSlots", tracked)
+    monkeypatch.setattr(cls, "collect", collecting)
+    cfg = small_cfg()
+    records = run_comparison(cfg, TWO_KINDS)
+    assert len(pooled) == 1 and not multiprocessing.active_children()
+    return records, noted, cfg.px * cfg.py
 
 
 class TestBasesSession:
@@ -972,6 +1031,40 @@ class TestBasesSession:
             assert records[scheme]["converged"] and records[scheme]["failure"] is None
             assert records[scheme]["iterations"] == serial[scheme]["iterations"]
             assert records[scheme]["workers"] == 2
+
+    def test_collected_kind_leaves_the_session(self, monkeypatch):
+        # once the harmonic kind is collected, the session holds none of its
+        # jobs, slots or futures: when GenEO's collection starts, the
+        # harmonic slots are dead, the futures held are GenEO's alone, and
+        # the oversampled factors are gone with their last scheme
+        records, noted, n = _held_at_geneo_collection(monkeypatch)
+        assert all(rec["converged"] for rec in records.values())
+        assert noted["slots_dead"]
+        assert len(noted["futures"]) == n and "harmonic" not in noted["futures"]
+        assert "dofs0_star" not in noted["families"]
+
+    def test_failed_kind_leaves_the_session(self, monkeypatch):
+        # a harmonic collection that fails leaves nothing of its kind in the
+        # session either, and GenEO is still collected, its records those of
+        # the serial run
+        reduce = spectral.reduce_to_harmonic
+
+        def failing(system, decomp, pu, i):
+            if i in (1, 3):
+                raise FactorizationFailure(f"subdomain {i}: planted")
+            return reduce(system, decomp, pu, i)
+
+        monkeypatch.setattr(spectral, "reduce_to_harmonic", failing)
+        serial = run_comparison(small_cfg(), TWO_KINDS)
+        records, noted, n = _held_at_geneo_collection(monkeypatch)
+        for scheme in TWO_KINDS[:2]:
+            assert records[scheme]["failure"] == "FactorizationFailure: subdomain 1: planted"
+        assert noted["slots_dead"]
+        assert len(noted["futures"]) == n and "harmonic" not in noted["futures"]
+        a, b = serial["AS2_geneo"], records["AS2_geneo"]
+        assert b["converged"] and b["failure"] is None and b["workers"] == 2
+        assert (a["iterations"], a["final_residual"]) == (b["iterations"], b["final_residual"])
+        assert np.array_equal(a["solution"], b["solution"])
 
     def test_lost_worker_fails_its_kind_only(self, monkeypatch, tmp_path):
         pooled = _pool_sessions(monkeypatch)
