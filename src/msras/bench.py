@@ -13,7 +13,6 @@ import json
 import math
 import mmap
 import multiprocessing
-import os
 import resource
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
@@ -287,38 +286,17 @@ def basis_kind(scheme):
     return "geneo" if scheme == "AS2_geneo" else "harmonic"
 
 
-# The estimated local work (`_local_flops`, summed over a session's kinds)
-# from which a bases session is shared with worker processes. Measured on
-# two cores, one BLAS thread per process, in alternated fresh processes
-# (stage wall time, medians), the pool took the 256^2, 8x8 harmonic stage
-# (7.2e9 flops) from 1.25 to 0.66 s (5 of 5 pairs), the 128^2, 8x8 GenEO
-# stage (2.2e9) from 0.66 to 0.40 s (5 of 5) and the 128^2, 8x8 harmonic
-# stage (1.0e9) from 0.37 to 0.27 s (10 of 10). Smaller stages gain less
-# than 0.1 s: the 64^2, 8x8 ones (2.2e8 and 2.4e8) won 6 of 6 pairs, the
-# 64^2, 4x4 ones (1.7e8 and 3.9e8) 5 of 6, and the 32^2, 4x4 harmonic stage
-# (3.7e7) lost 5 of 6. The gate sits just under the 128^2 harmonic stage,
-# so small instances stay serial, the two kinds of a 64^2, 8x8 comparison
-# (4.6e8 together) included.
-_POOL_FLOPS = 9e8
-
-
-def _local_flops(decomp, pu, kind):
-    """Estimated flops of each subdomain's task of one kind, from the
-    subdomain sizes: 4 n w k for the banded solve of its k coupling columns
-    (n rows eliminated, lower bandwidth w about the box's width in cells),
-    for the harmonic kind 2 |s| k^2 for Ptil on s = dofs0(omega_i), and
-    about 3 k^3 for the pencil. k is the pencil's order
-    (`spectral.pencil_size`): the interface of omega_i^* for the harmonic
-    kind, Gamma_i for GenEO."""
-    flops = np.empty(decomp.n_subdomains)
-    for sub in decomp.subdomains:
-        k = spectral.pencil_size(decomp, pu, kind, sub.id)
-        if kind == "geneo":
-            n, w, s = sub.dofs.size - k, sub.box[1] - sub.box[0], 0
-        else:
-            n, w, s = sub.dofs0_star.size, sub.box_star[1] - sub.box_star[0], sub.dofs0.size
-        flops[sub.id] = 4.0 * n * w * k + 2.0 * s * k * k + 3.0 * k ** 3
-    return flops
+# The free dofs from which a bases session is shared with worker processes.
+# Measured on two cores, one BLAS thread per process, in alternated fresh
+# processes (stage wall time, medians), the pool took the 256^2, 8x8
+# harmonic stage from 1.25 to 0.66 s (5 of 5 pairs), the 128^2, 8x8 GenEO
+# stage from 0.66 to 0.40 s (5 of 5) and the 128^2, 8x8 harmonic stage from
+# 0.37 to 0.27 s (10 of 10). Smaller stages gain less than 0.1 s: the 64^2,
+# 8x8 ones won 6 of 6 pairs, the 64^2, 4x4 ones 5 of 6, and the 32^2, 4x4
+# harmonic stage lost 5 of 6. The gate sits between the 64^2 grids (4095
+# free dofs) and the 128^2 ones (16383), whatever the subdomains, so small
+# instances stay serial, the two kinds of a 64^2, 8x8 comparison included.
+_POOL_DOFS = 8192
 
 
 def _local_task(system, decomp, pu, kind, modes, i):
@@ -431,24 +409,24 @@ class _Bases:
     (`close`): every worker it forked has then ended. A caller that may
     leave kinds uncollected, on a failure, closes it itself.
 
-    When the process may use more than one core and the estimated work of
-    all its kinds (`_local_flops`, summed) reaches `_POOL_FLOPS`, the
-    session forks one worker per further core when it opens (`_width` sets
-    the number of processes instead), and they start on the tasks at once:
-    the kinds in the order of `needs`, within a kind the costliest tasks at
-    both ends and the cheapest in the middle. Collecting a kind, the caller
-    runs the kind's tasks no worker has started, from the back, and then
-    waits for the ones the workers are running: a task runs in the process
-    that claims it first (one shared flag per task), so the split follows
-    the tasks' real costs, and the caller's wait is for the last tasks the
-    workers are running, the cheap ones. Meanwhile the workers go on with
-    the next kind, so its tasks run while the caller uses the first. A
-    worker copies a task's arrays into the kind's slots of memory it shares
-    with the caller (`_ResultSlots`) and sends back only the small fields.
+    When the process may use more than one core (`schwarz.usable_cores`)
+    and the problem has at least `_POOL_DOFS` free dofs, the session forks
+    one worker per further core when it opens (`_width` sets the number of
+    processes instead), and they start on the tasks at once: the kinds in
+    the order of `needs`, within a kind the tasks on the largest
+    dofs0(omega_i^*) at both ends and the smallest in the middle. Collecting
+    a kind, the caller runs the kind's tasks no worker has started, from the
+    back, and then waits for the ones the workers are running: a task runs
+    in the process that claims it first (one shared flag per task), so the
+    split follows the tasks' real costs, and the caller's wait is for the
+    last tasks the workers are running, the small ones. Meanwhile the
+    workers go on with the next kind, so its tasks run while the caller uses
+    the first. A worker copies a task's arrays into the kind's slots of
+    memory it shares with the caller (`_ResultSlots`) and sends back only
+    the small fields.
 
     The workers are forked, not spawned, so they start with the caller's
-    problem and decomposition in memory instead of a pickled copy of them,
-    the Gamma_i the work estimate cached included (`spectral.gamma_rows`);
+    problem and decomposition in memory instead of a pickled copy of them;
     the pool forks them before it starts its own threads. A fork copies
     only the calling thread, so no other thread of the caller's may be busy
     then, holding a lock the tasks take. The one-level apply's helper
@@ -463,9 +441,8 @@ class _Bases:
         for modes in needs.values():
             if len(modes) != n:
                 raise ValueError(f"modes: {len(modes)} values for {n} subdomains")
-        flops = {kind: _local_flops(decomp, pu, kind) for kind in needs}
-        width = _width or len(os.sched_getaffinity(0))
-        if _width is None and sum(f.sum() for f in flops.values()) < _POOL_FLOPS:
+        width = _width or schwarz.usable_cores()
+        if _width is None and system.n_free < _POOL_DOFS:
             width = 1
         self.width = min(width, n)
         self.decomp = decomp
@@ -480,11 +457,13 @@ class _Bases:
         self.jobs, self.futures, self.pool = {}, {}, None
         if self.width == 1:
             return
+        by_size = np.argsort([-sub.dofs0_star.size for sub in decomp.subdomains],
+                             kind="stable").tolist()
+        order = by_size[0::2] + by_size[1::2][::-1]  # the largest at both ends
         for k, (kind, modes) in enumerate(needs.items()):
-            by_cost = np.argsort(-flops[kind], kind="stable").tolist()
             slots = _ResultSlots(decomp, modes, kind)
             self.jobs[kind] = {k * n + j: (self.tasks[kind], slots, i)
-                               for j, i in enumerate(by_cost[0::2] + by_cost[1::2][::-1])}
+                               for j, i in enumerate(order)}
         ctx = multiprocessing.get_context("fork")
         self.claims = ctx.Array("b", n * len(needs))
         self.pool = ProcessPoolExecutor(self.width - 1, mp_context=ctx, initializer=_adopt,
@@ -643,15 +622,15 @@ class Pipeline:
     them builds them, timed as local factorizations. A `run` whose schemes
     need the bases of more than one kind opens one session for all of them
     before its first scheme and collects each kind when its first scheme
-    needs it, so with more than one usable core and an estimated work of at
-    least `_POOL_FLOPS` in all, the forked workers solve the later kinds'
-    pencils while this process sets up and drives the earlier schemes. The
-    bases of one kind are a stage of their own (`local_setup`), at the
-    first scheme that needs them, with workers that live for the stage
-    only. eigensolves times this process's part: opening the session and
-    collecting each kind (its own tasks and its waits for the workers), the
-    close at the last collection included; the tasks a worker ran before
-    their kind was collected count only in that kind's `local_s`. `local`
+    needs it, so with more than one usable core and at least `_POOL_DOFS`
+    free dofs, the forked workers solve the later kinds' pencils while this
+    process sets up and drives the earlier schemes. The bases of one kind
+    are a stage of their own (`local_setup`), at the first scheme that needs
+    them, with workers that live for the stage only. eigensolves times this
+    process's part: opening the session and collecting each kind (its own
+    tasks and its waits for the workers), the close at the last collection
+    included; the tasks a worker ran before their kind was collected count
+    only in that kind's `local_s`. `local`
     keeps, per basis kind, the stats of its last collection (see
     `_Bases.collect`), and `run` puts them in the records. Every stage runs
     its BLAS on one thread, set for the process when `linalg` is imported."""

@@ -303,7 +303,7 @@ def _check_dense_sym(name, M):
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionMismatch(f"{name} must be square")
-    scale = np.abs(M).max()
+    scale = np.abs(M).max(initial=0.0)
     if scale and np.abs(M - M.T).max() > 1e-10 * scale:
         raise NotSymmetric(f"{name} is not symmetric")
     return 0.5 * (M + M.T)

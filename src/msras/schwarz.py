@@ -39,9 +39,9 @@ class PreconditionerState:
     out end to end, as the coarse space lays out its blocks: subdomain k's
     dofs are gather[start:start + factor.n] for its span (factor, start) in
     `spans`, and its PU weights (PU-weighted schemes only, else None) are
-    weights[start:start + factor.n]. `shares` deals the spans between the
-    calling thread (shares[0]) and one helper thread per further usable
-    core, by estimated cost (`_deal`)."""
+    weights[start:start + factor.n]. `shares` deals the spans by stride
+    between the calling thread (shares[0]) and one helper thread per further
+    usable core (`usable_cores`), at most one thread per span."""
 
     scheme: str
     gather: np.ndarray  # the subdomains' dofs end to end, in subdomain order
@@ -62,19 +62,11 @@ def _helpers(count):
 os.register_at_fork(after_in_child=_helpers.cache_clear)
 
 
-def _deal(spans, width):
-    """The spans dealt into at most `width` shares of about equal estimated
-    cost n (w + 1), the size of a factor's band (n rows, lower bandwidth w):
-    the costliest first, each to the share with the least so far. Each
-    share keeps its spans in order."""
-    shares = [[] for _ in range(min(width, len(spans)))]
-    load = [0] * len(shares)
-    cost = [f.band.size for f, _ in spans]
-    for k in sorted(range(len(spans)), key=lambda k: -cost[k]):
-        j = load.index(min(load))
-        shares[j].append(k)
-        load[j] += cost[k]
-    return [[spans[k] for k in sorted(share)] for share in shares]
+def usable_cores():
+    """The cores this process may run on: os.sched_getaffinity where the
+    platform has it, else os.cpu_count(), and at least 1."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity is not None else os.cpu_count() or 1
 
 
 def _overlap_factor(system, sub):
@@ -122,12 +114,13 @@ def build_preconditioner(system, decomp, pu, scheme, coarse=None):
         start += dofs.size
         if scheme in _PU_WEIGHTED:
             weights.append(pu.on_star(sub)[sub.star_positions(dofs)])
+    width = min(usable_cores(), len(spans))
     return PreconditionerState(
         scheme=scheme,
         gather=np.concatenate(local_dofs),
         spans=spans,
         weights=np.concatenate(weights) if weights else None,
-        shares=_deal(spans, len(os.sched_getaffinity(0))),
+        shares=[spans[k::width] for k in range(width)],
         coarse=coarse,
         system=system,
     )
@@ -277,6 +270,12 @@ def richardson(state, system, v0=None, target_reduction=1e-10, maxit=200, u_ref=
     return v, history
 
 
+# The steps GMRES makes room for at first; its arrays double from there, so
+# a solve of at most this many steps, the default maxit's 200 included,
+# never copies its basis.
+_GMRES_STEPS = 256
+
+
 def gmres(state, system, u0=None, target_reduction=1e-10, maxit=200, u_ref=None):
     """Left-preconditioned GMRES on B A u = B f.
 
@@ -311,16 +310,26 @@ def gmres(state, system, u0=None, target_reduction=1e-10, maxit=200, u_ref=None)
     # written, so only the written columns become resident. np.zeros would
     # write every column whenever the basis comes from the heap, as it does
     # in a repeated solve once freed bases have raised the allocator's mmap
-    # threshold above its size.
-    V = np.empty((n, maxit + 1), order="F")
-    Hm = np.zeros((maxit + 1, maxit))
-    cs = np.zeros(maxit)
-    sn = np.zeros(maxit)
-    g = np.zeros(maxit + 1)
+    # threshold above its size. The arrays hold `size` steps and double when
+    # the steps reach it, so what they reserve follows the steps made, not
+    # maxit.
+    size = min(maxit, _GMRES_STEPS)
+    V = np.empty((n, size + 1), order="F")
+    Hm = np.zeros((size + 1, size))
+    cs = np.zeros(size)
+    sn = np.zeros(size)
+    g = np.zeros(size + 1)
     g[0] = beta
     V[:, 0] = r0 / beta
 
     for j in range(maxit):
+        if j == size:
+            grow = min(size, maxit - size)
+            size += grow
+            wider = np.empty((n, size + 1), order="F")
+            wider[:, :j + 1] = V  # the column stride stays n
+            V, Hm = wider, np.pad(Hm, ((0, grow), (0, grow)))
+            cs, sn, g = (np.pad(a, (0, grow)) for a in (cs, sn, g))
         w = apply_preconditioner(state, A @ V[:, j])
         for _ in range(2):
             h = V[:, : j + 1].T @ w

@@ -33,10 +33,11 @@ the most modes a basis can keep. Both eliminations are one blocked banded
 solve of all the coupling columns at once. Each pencil is solved for the
 m + 1 leading pairs only: the m the basis keeps and the next eigenvalue.
 Each local quantity is formed once: the interior factor in
-`reduce_to_harmonic`, Gamma_i by whichever of the work estimate, a sweep's
-mode cap or the pencil reads it first (both cached in the decomposition),
-and the GenEO left-hand side chi A_over chi, assembled on Gamma_i alone, in
-`geneo_coupling`. Every other block a pencil needs is one `submatrix` cut.
+`reduce_to_harmonic`, Gamma_i by whichever of a sweep's mode cap or the
+pencil reads it first (both cached in the decomposition of the process that
+forms them), and the GenEO left-hand side chi A_over chi, assembled on
+Gamma_i alone, in `geneo_coupling`. Every other block a pencil needs is one
+`submatrix` cut.
 
 A basis keeps only what the coarse space uses of its vectors phi: the
 products chi_i phi on s = dofs0(omega_i), the dofs where chi_i > 0, formed
@@ -248,9 +249,10 @@ def coupling_rows(decomp, pu, i, zone):
 
 def gamma_rows(decomp, pu, i, zone=None):
     """Gamma_i (`coupling_rows`, on omega_i's overlap zone `zone` if the
-    caller has it), formed once per decomposition and cached there: the
-    bases session's work estimate, a sweep's mode cap and the GenEO pencil all
-    read this one array."""
+    caller has it), formed once per decomposition and cached there: a
+    sweep's mode cap and the GenEO pencil both read this one array. A
+    pooled bases session's worker forms and keeps the Gamma_i of the GenEO
+    tasks it runs."""
     return decomp.factor(("gamma", i), lambda: coupling_rows(
         decomp, pu, i, overlap_zone(decomp, i) if zone is None else zone))
 

@@ -82,6 +82,15 @@ def test_sparse_lu_only_in_grid():
     assert not named, f"splu named outside grid.py: {named}"
 
 
+def test_one_usable_core_count():
+    """`schwarz.usable_cores` is the one reader of the cores this process
+    may use: no other module of the package names `sched_getaffinity`,
+    which some platforms lack."""
+    users = [p for p in PACKAGE.glob("*.py") if p.name != "schwarz.py"]
+    named = [p.name for p in users if "sched_getaffinity" in referenced_names([p])]
+    assert not named, f"sched_getaffinity named outside schwarz.py: {named}"
+
+
 def test_no_dense_cholesky_in_package():
     """Every local factor goes through `linalg.factorize` and every factor
     solves through `linalg.SparseFactor`: no module of the package names a

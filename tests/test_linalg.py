@@ -409,6 +409,12 @@ class TestDensePencilEig:
         pe = dense_generalized_sym_eig(np.zeros((4, 4)), np.eye(4))
         assert np.allclose(pe.eigenvalues, 0.0)
 
+    @pytest.mark.parametrize("n_pairs", [None, 0, 3])
+    def test_empty_pencil(self, n_pairs):
+        pe = dense_generalized_sym_eig(np.zeros((0, 0)), np.zeros((0, 0)), n_pairs=n_pairs)
+        assert pe.eigenvalues.shape == (0,) and pe.vectors.shape == (0, 0)
+        assert pe.kernel_dim == 0
+
 
 def planted_pencil(n, kernel_dim, seed):
     """PSD pencil K x = lambda M x with a planted kernel of M of dimension

@@ -120,17 +120,20 @@ def loop_one_level(state, r):
 
 
 class TestThreadedApply:
-    """A vector's local solves are dealt between the calling thread and
-    helper threads, one per further usable core; z is the per-subdomain
-    loop's, bit for bit, for any split."""
+    """A vector's local solves are dealt by stride between the calling
+    thread and helper threads, one per further usable core and at most one
+    per run; z is the per-subdomain loop's, bit for bit, for any split."""
 
-    @pytest.mark.parametrize("cores", [2, 3])
+    @pytest.mark.parametrize("cores", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("scheme", schwarz.SCHEMES)
     def test_shares_match_serial_loop(self, small, monkeypatch, rng, scheme, cores):
+        # 4 runs: 5 cores give one run to each of 4 threads
         system, dec, pu, coarse = small
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
         state = build_preconditioner(system, dec, pu, scheme, coarse=coarse)
-        assert state.scheme == scheme and len(state.shares) == cores and all(state.shares)
+        assert state.scheme == scheme and len(state.spans) == 4
+        assert len(state.shares) == min(cores, 4) and all(state.shares)
+        # every run is in exactly one share
         assert sorted(p for share in state.shares for _, p in share) == [
             p for _, p in state.spans]
         r = rng.standard_normal(system.n_free)
@@ -458,6 +461,22 @@ class TestGmresMemory:
         assert [iterations for iterations, _ in runs] == [3] * 4
         growth = [g for _, g in runs]
         assert max(growth) < basis_bytes / 4, f"peak RSS grew {[g // 2**20 for g in growth]} MiB"
+
+    @pytest.mark.parametrize("steps", [256, 2])
+    def test_huge_maxit_matches_maxit_200_bit_for_bit(self, monkeypatch, steps):
+        # maxit 1e7 reserves room for `steps` steps, not 1e7; with room for
+        # 2 the arrays double three times, and the iterations, the solution
+        # and the history are those of maxit 200 either way
+        system = make_system(16, contrast=1e3)
+        dec = build_decomposition(system, 4, 4, 1, 2)
+        state = build_preconditioner(system, dec, build_partition_of_unity(dec), "RAS")
+        u, ref = gmres(state, system, maxit=200)
+        monkeypatch.setattr(schwarz, "_GMRES_STEPS", steps)
+        v, hist = gmres(state, system, maxit=10**7)
+        assert 8 < hist.n_iterations < 16 and hist.converged
+        assert u.tobytes() == v.tobytes()
+        for name in ("iters", "res_b", "res_precond", "err_a"):
+            assert getattr(hist, name) == getattr(ref, name)
 
 
 class TestDenseDiagnostics:
